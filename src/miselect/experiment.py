@@ -317,8 +317,14 @@ def _score_stage(ds, emb_cfg, est_cfg, cache_dir):
     if cache_dir is not None:
         cache_path = Path(cache_dir) / f"scores-{cache_key}.json"
         if cache_path.exists():
-            scores, _ = load_scores(cache_path)
-            return model, embedded, scores, cache_key
+            # an unreadable entry, or one stored for other data, is a miss
+            # and gets overwritten below
+            try:
+                scores, stored_key = load_scores(cache_path)
+            except MiselectError:
+                stored_key = None
+            if stored_key == cache_key:
+                return model, embedded, scores, cache_key
     scores = score_dataset(
         embedded,
         est_cfg.get("k", 3),

@@ -25,13 +25,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .data import _frozen
-from .errors import ConfigError, ConsistencyError, DegenerateInputError, DomainError
-from .neighbors import JITTER_SCALE, NeighborIndex
+from .errors import ConfigError, ConsistencyError, DegenerateInputError, DomainError, FormatError
+from .neighbors import NeighborIndex, add_jitter
 
 SCORES_SCHEMA_VERSION = 1
 
@@ -159,7 +160,7 @@ def _count_with_radii(index, radii, strict):
     return counts
 
 
-def score_discrete(points, k, strict=True, structure="brute", jitter_seed=None):
+def score_discrete(points, k, strict=True, jitter_seed=None):
     """Local MI contributions with labels treated as a discrete variable.
 
     For each sample, the kth-nearest same-label distance (Chebyshev, self
@@ -169,7 +170,6 @@ def score_discrete(points, k, strict=True, structure="brute", jitter_seed=None):
     k_i = class_size - 1; singleton classes are flagged degenerate with a
     -inf sentinel and excluded from the global mean.
     """
-    x = points.points
     labels = points.labels
     n = len(labels)
     if n < k + 2:
@@ -177,10 +177,8 @@ def score_discrete(points, k, strict=True, structure="brute", jitter_seed=None):
     if k < 1:
         raise ConfigError("k must be positive")
 
-    if jitter_seed is not None:
-        rng = np.random.default_rng(jitter_seed)
-        x = x + rng.uniform(-JITTER_SCALE, JITTER_SCALE, size=x.shape)
-    index_all = NeighborIndex(x, structure=structure)
+    x = add_jitter(points.points, jitter_seed)
+    index_all = NeighborIndex(x)
 
     radii = np.zeros(n)
     nx = np.zeros(n, dtype=np.int64)
@@ -195,7 +193,7 @@ def score_discrete(points, k, strict=True, structure="brute", jitter_seed=None):
             deg[members] = True
             continue
         k_c = min(k, size - 1)
-        sub = NeighborIndex(x[members], structure=structure)
+        sub = NeighborIndex(x[members])
         radii[members] = sub.kth_distance_bulk(k_c)
         keff[members] = k_c
         ny[members] = size - 1
@@ -214,8 +212,7 @@ def score_discrete(points, k, strict=True, structure="brute", jitter_seed=None):
     return _finalize(scores, nx, ny, keff, deg, k, VARIANT_DISCRETE, strict, None, jitter_seed)
 
 
-def score_continuous(x, y, k, strict=True, structure="brute", jitter_seed=None,
-                     variant=VARIANT_CONTINUOUS):
+def score_continuous(x, y, k, strict=True, jitter_seed=None, variant=VARIANT_CONTINUOUS):
     """Generic KSG estimator for two real-valued variables.
 
     The joint space is the column concatenation of x and y under the
@@ -236,14 +233,11 @@ def score_continuous(x, y, k, strict=True, structure="brute", jitter_seed=None,
     if k < 1:
         raise ConfigError("k must be positive")
 
-    joint = np.hstack([x, y])
-    if jitter_seed is not None:
-        rng = np.random.default_rng(jitter_seed)
-        joint = joint + rng.uniform(-JITTER_SCALE, JITTER_SCALE, size=joint.shape)
+    joint = add_jitter(np.hstack([x, y]), jitter_seed)
     dx = x.shape[1]
-    index_joint = NeighborIndex(joint, structure=structure)
-    index_x = NeighborIndex(joint[:, :dx], structure=structure)
-    index_y = NeighborIndex(joint[:, dx:], structure=structure)
+    index_joint = NeighborIndex(joint)
+    index_x = NeighborIndex(joint[:, :dx])
+    index_y = NeighborIndex(joint[:, dx:])
 
     eps = index_joint.kth_distance_bulk(k)
     nx = _count_with_radii(index_x, eps, strict)
@@ -255,7 +249,7 @@ def score_continuous(x, y, k, strict=True, structure="brute", jitter_seed=None,
     return _finalize(scores, nx, ny, keff, deg, k, variant, strict, None, jitter_seed)
 
 
-def score_onehot(points, k, label_scale, strict=True, structure="brute", jitter_seed=None):
+def score_onehot(points, k, label_scale, strict=True, jitter_seed=None):
     """Local MI via the continuous estimator on (x, scaled one-hot labels).
 
     With ``label_scale`` well above the data diameter, cross-label pairs
@@ -268,37 +262,21 @@ def score_onehot(points, k, label_scale, strict=True, structure="brute", jitter_
     onehot = np.zeros((len(labels), points.num_classes))
     onehot[np.arange(len(labels)), labels] = label_scale
     result = score_continuous(
-        points.points, onehot, k, strict=strict, structure=structure,
-        jitter_seed=jitter_seed, variant=VARIANT_ONEHOT,
+        points.points, onehot, k, strict=strict, jitter_seed=jitter_seed, variant=VARIANT_ONEHOT
     )
-    return MIScoreSet(
-        local_scores=result.local_scores,
-        global_mi=result.global_mi,
-        k=result.k,
-        n_samples=result.n_samples,
-        variant=VARIANT_ONEHOT,
-        per_sample_n_x=result.per_sample_n_x,
-        per_sample_n_y=result.per_sample_n_y,
-        k_effective=result.k_effective,
-        degenerate=result.degenerate,
-        strict=strict,
-        label_scale=float(label_scale),
-        jitter_seed=jitter_seed,
-    )
+    return replace(result, label_scale=float(label_scale))
 
 
 def score_dataset(points, k, variant=VARIANT_DISCRETE, strict=True, label_scale=None,
-                  structure="brute", jitter_seed=None):
+                  jitter_seed=None):
     """Dispatch to the configured scoring variant."""
     if variant == VARIANT_DISCRETE:
-        return score_discrete(points, k, strict=strict, structure=structure,
-                              jitter_seed=jitter_seed)
+        return score_discrete(points, k, strict=strict, jitter_seed=jitter_seed)
     if variant == VARIANT_ONEHOT:
         if label_scale is None:
             span = points.points.max() - points.points.min() if points.points.size else 1.0
             label_scale = 4.0 * max(float(span), 1.0)
-        return score_onehot(points, k, label_scale, strict=strict, structure=structure,
-                            jitter_seed=jitter_seed)
+        return score_onehot(points, k, label_scale, strict=strict, jitter_seed=jitter_seed)
     raise ConfigError(f"unknown estimator variant {variant!r}")
 
 
@@ -345,7 +323,12 @@ def dataset_content_hash(points, labels):
 
 
 def save_scores(scores, path, dataset_hash=None):
-    """Write a score set to a versioned JSON artifact (exact round trip)."""
+    """Write a score set to a versioned JSON artifact (exact round trip).
+
+    The artifact is written under a temporary name in the same directory and
+    then renamed over ``path``, so an interrupted write never leaves a
+    partial file at ``path``.
+    """
     local = [None if d else float(s) for s, d in zip(scores.local_scores, scores.degenerate)]
     payload = {
         "schema_version": SCORES_SCHEMA_VERSION,
@@ -363,33 +346,49 @@ def save_scores(scores, path, dataset_hash=None):
         "degenerate": scores.degenerate.tolist(),
         "dataset_hash": dataset_hash,
     }
-    with open(path, "w", newline="\n") as f:
-        json.dump(payload, f, sort_keys=True)
-        f.write("\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="\n") as f:
+            json.dump(payload, f, sort_keys=True)
+            f.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_scores(path):
-    """Read a score artifact; returns (MIScoreSet, dataset_hash)."""
-    with open(path) as f:
-        payload = json.load(f)
+    """Read a score artifact; returns (MIScoreSet, dataset_hash).
+
+    Raises FormatError when the file is not JSON or lacks a field.
+    """
+    try:
+        with open(path) as f:
+            payload = json.load(f)
+    except ValueError as exc:
+        raise FormatError(f"{path}: unreadable score artifact: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: score artifact is not a JSON object")
     if payload.get("schema_version") != SCORES_SCHEMA_VERSION:
         raise ConfigError(f"{path}: unsupported score artifact version")
-    deg = np.asarray(payload["degenerate"], dtype=bool)
-    local = np.asarray(
-        [(-np.inf if v is None else v) for v in payload["local_scores"]], dtype=np.float64
-    )
-    scores = MIScoreSet(
-        local_scores=local,
-        global_mi=payload["global_mi"],
-        k=payload["k"],
-        n_samples=payload["n_samples"],
-        variant=payload["variant"],
-        per_sample_n_x=np.asarray(payload["n_x"], dtype=np.int64),
-        per_sample_n_y=np.asarray(payload["n_y"], dtype=np.int64),
-        k_effective=np.asarray(payload["k_effective"], dtype=np.int64),
-        degenerate=deg,
-        strict=payload["strict"],
-        label_scale=payload["label_scale"],
-        jitter_seed=payload["jitter_seed"],
-    )
+    try:
+        local = np.asarray(
+            [(-np.inf if v is None else v) for v in payload["local_scores"]], dtype=np.float64
+        )
+        scores = MIScoreSet(
+            local_scores=local,
+            global_mi=payload["global_mi"],
+            k=payload["k"],
+            n_samples=payload["n_samples"],
+            variant=payload["variant"],
+            per_sample_n_x=np.asarray(payload["n_x"], dtype=np.int64),
+            per_sample_n_y=np.asarray(payload["n_y"], dtype=np.int64),
+            k_effective=np.asarray(payload["k_effective"], dtype=np.int64),
+            degenerate=np.asarray(payload["degenerate"], dtype=bool),
+            strict=payload["strict"],
+            label_scale=payload["label_scale"],
+            jitter_seed=payload["jitter_seed"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: ill-formed score artifact: {exc!r}") from exc
     return scores, payload.get("dataset_hash")

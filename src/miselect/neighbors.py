@@ -1,29 +1,66 @@
 """Exact nearest-neighbor queries under the Chebyshev (max) metric.
 
-Two interchangeable index structures over the same points: a vectorized
-brute-force table and a kd-tree (median split on the widest-spread
-coordinate, leaf size 16). Both return identical results, including tie
-ranking: neighbors are ordered by (distance, point index), so equal
-distances resolve to the smaller index. Queries always address an indexed
-point by its index and exclude the point itself.
+The bulk queries (kth neighbor distance, radius counts) walk the distance
+matrix one cache-sized row block at a time; the single queries are a linear
+scan per point and serve as their oracle. Max and abs are exact, so both
+give identical distances. Single queries rank neighbors by (distance, point
+index). Queries address an indexed point by its index and exclude it.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, ConsistencyError, InsufficientNeighborsError
 
-LEAF_SIZE = 16
 JITTER_SCALE = 1e-10
+BLOCK_BYTES = 1 << 19  # size of each (rows, N) working buffer of the bulk kernel
 
 
 def chebyshev(points, q):
     """Max-norm distances from row vectors ``points`` to a single point ``q``."""
     return np.abs(points - q).max(axis=1)
+
+
+def add_jitter(points, seed):
+    """``points`` plus a deterministic uniform jitter in [-1e-10, 1e-10].
+
+    Breaks exact duplicates; returns ``points`` unchanged when ``seed`` is None.
+    """
+    if seed is None:
+        return points
+    rng = np.random.default_rng(seed)
+    return points + rng.uniform(-JITTER_SCALE, JITTER_SCALE, size=points.shape)
+
+
+def _block_rows(n):
+    return max(1, min(n, BLOCK_BYTES // (8 * n)))
+
+
+def _chebyshev_blocks(points):
+    """Yield (start, stop, block): distances from rows start:stop to every point.
+
+    ``block`` is a (stop - start, N) view of a buffer that the next step
+    overwrites. It is built as a running maximum of |x_a - y_a| over the
+    coordinates a, read from a transposed contiguous copy of the points.
+    """
+    n, d = points.shape
+    columns = np.ascontiguousarray(points.T)
+    rows = _block_rows(n)
+    dist = np.empty((rows, n))
+    diff = np.empty((rows, n))
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        block, tmp = dist[: stop - start], diff[: stop - start]
+        np.subtract(points[start:stop, 0, None], columns[0], out=block)
+        np.abs(block, out=block)
+        for a in range(1, d):
+            np.subtract(points[start:stop, a, None], columns[a], out=tmp)
+            np.abs(tmp, out=tmp)
+            np.maximum(block, tmp, out=block)
+        yield start, stop, block
 
 
 @dataclass(frozen=True)
@@ -34,69 +71,23 @@ class NeighborResult:
     distances: np.ndarray
 
 
-class _Node:
-    __slots__ = ("lo", "hi", "count", "left", "right", "indices")
-
-    def __init__(self, lo, hi, count, left=None, right=None, indices=None):
-        self.lo = lo
-        self.hi = hi
-        self.count = count
-        self.left = left
-        self.right = right
-        self.indices = indices  # leaf only
-
-
-def _build_node(points, indices):
-    pts = points[indices]
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    spread = hi - lo
-    if len(indices) <= LEAF_SIZE or spread.max() == 0.0:
-        return _Node(lo, hi, len(indices), indices=indices)
-    axis = int(np.argmax(spread))
-    order = indices[np.argsort(points[indices, axis], kind="stable")]
-    mid = len(order) // 2
-    left = _build_node(points, order[:mid])
-    right = _build_node(points, order[mid:])
-    return _Node(lo, hi, len(indices), left=left, right=right)
-
-
-def _box_min_dist(node, q):
-    # Chebyshev distance from q to the nearest point of the bounding box
-    return float(np.maximum(np.maximum(node.lo - q, q - node.hi), 0.0).max())
-
-
-def _box_max_dist(node, q):
-    # Chebyshev distance from q to the farthest corner of the bounding box
-    return float(np.maximum(q - node.lo, node.hi - q).max())
-
-
 class NeighborIndex:
     """Immutable index over a fixed point set; supports concurrent queries.
 
-    ``structure`` selects the kd-tree or the brute-force table. When
-    ``jitter_seed`` is given, a deterministic uniform jitter in
-    [-1e-10, 1e-10] is added once at build time to break exact duplicates.
+    When ``jitter_seed`` is given, ``add_jitter`` is applied once at build
+    time to break exact duplicates.
     """
 
-    def __init__(self, points, structure="kdtree", jitter_seed=None):
+    def __init__(self, points, jitter_seed=None):
         points = np.ascontiguousarray(points, dtype=np.float64)
         if points.ndim != 2 or points.shape[0] < 1:
             raise ConfigError("index needs a non-empty 2-D point array")
         if not np.all(np.isfinite(points)):
             raise ConfigError("index points must be finite")
-        if structure not in ("kdtree", "brute"):
-            raise ConfigError(f"unknown index structure {structure!r}")
-        if jitter_seed is not None:
-            rng = np.random.default_rng(jitter_seed)
-            points = points + rng.uniform(-JITTER_SCALE, JITTER_SCALE, size=points.shape)
+        points = add_jitter(points, jitter_seed)
         points.flags.writeable = False
         self.points = points
-        self.structure = structure
         self.jitter_seed = jitter_seed
-        self._root = None
-        if structure == "kdtree":
-            self._root = _build_node(points, np.arange(len(points), dtype=np.int64))
 
     @property
     def n(self):
@@ -108,14 +99,12 @@ class NeighborIndex:
         if k is not None and not (1 <= k <= self.n - 1):
             raise ConfigError(f"k={k} must lie in [1, N-1={self.n - 1}]")
 
-    # -- single queries -------------------------------------------------
+    # -- single queries (linear scan; the oracle for the bulk queries) ---
 
     def knn(self, q_index, k):
         """k nearest neighbors of an indexed point, self excluded."""
         self._check_query(q_index, k)
-        if self.structure == "brute":
-            return self._knn_brute(q_index, k, None)
-        return self._knn_tree(q_index, k, None)
+        return self._knn_scan(q_index, k, None)
 
     def knn_among(self, q_index, k, candidate_mask):
         """knn restricted to points where ``candidate_mask`` is True."""
@@ -130,130 +119,60 @@ class NeighborIndex:
             raise InsufficientNeighborsError(
                 f"only {available} candidates besides self, need {k}"
             )
-        if self.structure == "brute":
-            return self._knn_brute(q_index, k, mask)
-        return self._knn_tree(q_index, k, mask)
+        return self._knn_scan(q_index, k, mask)
 
     def count_within(self, q_index, radius, strict=True):
         """Number of other points at distance < radius (strict) or <= radius."""
         self._check_query(q_index)
         if radius < 0:
             raise ConfigError("radius must be non-negative")
-        if self.structure == "brute":
-            d = chebyshev(self.points, self.points[q_index])
-            hit = d < radius if strict else d <= radius
-            hit[q_index] = False
-            return int(hit.sum())
-        total = self._count_tree(self._root, self.points[q_index], radius, strict)
-        self_counted = (0.0 < radius) if strict else True
-        return total - (1 if self_counted else 0)
+        d = chebyshev(self.points, self.points[q_index])
+        hit = d < radius if strict else d <= radius
+        hit[q_index] = False
+        return int(hit.sum())
+
+    def _knn_scan(self, q_index, k, mask):
+        d = chebyshev(self.points, self.points[q_index])
+        cand = np.arange(self.n) if mask is None else np.flatnonzero(mask)
+        cand = cand[cand != q_index]
+        dc = d[cand]
+        order = np.lexsort((cand, dc))[:k]
+        return NeighborResult(indices=cand[order].astype(np.int64), distances=dc[order])
 
     # -- bulk queries (same results as looping the single queries) ------
 
-    def kth_distance_bulk(self, k, chunk=256):
+    def kth_distance_bulk(self, k):
         """Distance to the kth nearest neighbor for every indexed point."""
         if not (1 <= k <= self.n - 1):
             raise ConfigError(f"k={k} must lie in [1, N-1={self.n - 1}]")
-        if self.structure == "kdtree":
-            out = np.empty(self.n)
-            for i in range(self.n):
-                out[i] = self._knn_tree(i, k, None).distances[-1]
-            return out
         out = np.empty(self.n)
-        for start in range(0, self.n, chunk):
-            stop = min(start + chunk, self.n)
-            d = np.abs(self.points[start:stop, None, :] - self.points[None, :, :]).max(axis=2)
-            d[np.arange(stop - start), np.arange(start, stop)] = np.inf
-            out[start:stop] = np.partition(d, k - 1, axis=1)[:, k - 1]
+        for start, stop, block in _chebyshev_blocks(self.points):
+            rows = np.arange(stop - start)
+            block[rows, rows + start] = np.inf
+            block.partition(k - 1, axis=1)
+            out[start:stop] = block[:, k - 1]
         return out
 
-    def count_within_bulk(self, radii, strict=True, chunk=256):
+    def count_within_bulk(self, radii, strict=True):
         """count_within for every indexed point with per-point radii."""
         radii = np.asarray(radii, dtype=np.float64)
         if radii.shape != (self.n,):
             raise ConsistencyError("radii must have one entry per indexed point")
-        if self.structure == "kdtree":
-            return np.asarray(
-                [self.count_within(i, float(radii[i]), strict) for i in range(self.n)],
-                dtype=np.int64,
-            )
+        compare = np.less if strict else np.less_equal
+        hit_buffer = np.empty((_block_rows(self.n), self.n), dtype=bool)
         out = np.empty(self.n, dtype=np.int64)
-        for start in range(0, self.n, chunk):
-            stop = min(start + chunk, self.n)
-            d = np.abs(self.points[start:stop, None, :] - self.points[None, :, :]).max(axis=2)
-            r = radii[start:stop, None]
-            hit = d < r if strict else d <= r
-            hit[np.arange(stop - start), np.arange(start, stop)] = False
-            out[start:stop] = hit.sum(axis=1)
+        for start, stop, block in _chebyshev_blocks(self.points):
+            rows = np.arange(stop - start)
+            hit = hit_buffer[: stop - start]
+            compare(block, radii[start:stop, None], out=hit)
+            hit[rows, rows + start] = False
+            out[start:stop] = np.count_nonzero(hit, axis=1)
         return out
 
-    # -- internals -------------------------------------------------------
 
-    def _knn_brute(self, q_index, k, mask):
-        d = chebyshev(self.points, self.points[q_index])
-        if mask is None:
-            cand = np.arange(self.n)
-        else:
-            cand = np.flatnonzero(mask)
-        cand = cand[cand != q_index]
-        dc = d[cand]
-        order = np.lexsort((cand, dc))[:k]
-        picked = cand[order]
-        return NeighborResult(indices=picked.astype(np.int64), distances=dc[order])
-
-    def _knn_tree(self, q_index, k, mask):
-        q = self.points[q_index]
-        best = []  # sorted list of (distance, index)
-
-        def visit(node):
-            if len(best) == k and _box_min_dist(node, q) > best[-1][0]:
-                return
-            if node.indices is not None:
-                idxs = node.indices
-                if mask is not None:
-                    idxs = idxs[mask[idxs]]
-                idxs = idxs[idxs != q_index]
-                if len(idxs) == 0:
-                    return
-                dists = chebyshev(self.points[idxs], q)
-                for di, ii in zip(dists, idxs):
-                    entry = (float(di), int(ii))
-                    if len(best) < k:
-                        insort(best, entry)
-                    elif entry < best[-1]:
-                        insort(best, entry)
-                        best.pop()
-                return
-            dl = _box_min_dist(node.left, q)
-            dr = _box_min_dist(node.right, q)
-            first, second = (node.left, node.right) if dl <= dr else (node.right, node.left)
-            visit(first)
-            visit(second)
-
-        visit(self._root)
-        return NeighborResult(
-            indices=np.asarray([i for _, i in best], dtype=np.int64),
-            distances=np.asarray([d for d, _ in best]),
-        )
-
-    def _count_tree(self, node, q, radius, strict):
-        dmin = _box_min_dist(node, q)
-        if (dmin >= radius) if strict else (dmin > radius):
-            return 0
-        dmax = _box_max_dist(node, q)
-        if (dmax < radius) if strict else (dmax <= radius):
-            return node.count
-        if node.indices is not None:
-            d = chebyshev(self.points[node.indices], q)
-            return int((d < radius).sum() if strict else (d <= radius).sum())
-        return self._count_tree(node.left, q, radius, strict) + self._count_tree(
-            node.right, q, radius, strict
-        )
-
-
-def build_index(points, structure="kdtree", jitter_seed=None):
+def build_index(points, jitter_seed=None):
     """Build a NeighborIndex over the given points."""
-    return NeighborIndex(points, structure=structure, jitter_seed=jitter_seed)
+    return NeighborIndex(points, jitter_seed=jitter_seed)
 
 
 def knn(index, q_index, k):

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import miselect as ms
+from miselect import neighbors
 from miselect.experiment import run_experiment
 from miselect.logreg import loss_and_gradient
 
@@ -204,35 +205,41 @@ def test_c7_benign_vs_harmful_input_noise():
     _report("C7 benign vs harmful input noise", all_ok, "; ".join(details))
 
 
-def test_c8a_tree_vs_brute_oracle():
+def test_c8a_tree_vs_brute_oracle(monkeypatch):
+    """The blocked bulk kernel against the single-query oracle, under a
+    block of one row, a row count that does not divide N, and one block."""
     rng = np.random.default_rng(2024)
     mismatches = 0
     for _ in range(100):
         n = int(rng.integers(5, 220))
         d = int(rng.integers(1, 7))
         pts = np.round(rng.standard_normal((n, d)) * 2.0, 1)
-        tree = ms.build_index(pts, "kdtree")
-        brute = ms.build_index(pts, "brute")
-        for q in rng.integers(0, n, size=3):
-            q = int(q)
-            k = int(rng.integers(1, n))
-            a, b = tree.knn(q, k), brute.knn(q, k)
-            if not (np.array_equal(a.indices, b.indices)
-                    and np.array_equal(a.distances, b.distances)):
+        idx = ms.build_index(pts)
+        k = int(rng.integers(1, n))
+        kth = np.array([idx.knn(q, k).distances[-1] for q in range(n)])
+        radii = rng.uniform(0.0, 4.0, size=n)
+        radii[::3] = kth[::3]  # radii on exact distance ties
+        radii[::7] = 0.0
+        counts = {
+            strict: np.array([idx.count_within(q, float(radii[q]), strict) for q in range(n)])
+            for strict in (True, False)
+        }
+        mask = rng.random(n) < 0.5
+        members = np.flatnonzero(mask)
+        kk = int(rng.integers(1, len(members))) if len(members) >= 2 else 0
+        among = [idx.knn_among(int(q), kk, mask).distances[-1] for q in members] if kk else []
+        sub = ms.build_index(pts[members]) if kk else None
+        rows = next((r for r in range(2, n) if n % r), 1)
+        for budget in (1, 8 * n * rows, 8 * n * n):
+            monkeypatch.setattr(neighbors, "BLOCK_BYTES", budget)
+            if not np.array_equal(idx.kth_distance_bulk(k), kth):
                 mismatches += 1
-            r = float(rng.uniform(0.0, 4.0))
             for strict in (True, False):
-                if tree.count_within(q, r, strict) != brute.count_within(q, r, strict):
+                if not np.array_equal(idx.count_within_bulk(radii, strict), counts[strict]):
                     mismatches += 1
-            mask = rng.random(n) < 0.5
-            mask[q] = True
-            avail = int(mask.sum()) - 1
-            if avail >= 1:
-                kk = int(rng.integers(1, avail + 1))
-                am, bm = tree.knn_among(q, kk, mask), brute.knn_among(q, kk, mask)
-                if not np.array_equal(am.indices, bm.indices):
-                    mismatches += 1
-    _report("C8a kd-tree vs brute-force oracle", mismatches == 0,
+            if kk and not np.array_equal(sub.kth_distance_bulk(kk), among):
+                mismatches += 1
+    _report("C8a blocked bulk kernel vs single-query oracle", mismatches == 0,
             f"{mismatches} mismatches over 100 instances")
 
 

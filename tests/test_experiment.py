@@ -111,6 +111,33 @@ def test_rerun_is_byte_identical(tmp_path):
     assert all(a[k] == b[k] for k in a)
 
 
+def test_poisoned_score_cache_is_recomputed(tmp_path):
+    path = _write_cfg(tmp_path, base_config())
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
+    expected = {name: (out / name).read_bytes() for name in ("scores.csv", "accuracy.csv")}
+    entries = sorted((out / "cache").glob("scores-*.json"))
+    assert entries
+    good = [entry.read_bytes() for entry in entries]
+
+    # truncated entries, as an interrupted write would leave them
+    for entry in entries:
+        entry.write_bytes(entry.read_bytes()[:100])
+    assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
+    assert {name: (out / name).read_bytes() for name in expected} == expected
+    assert [entry.read_bytes() for entry in entries] == good
+
+    # well-formed entries stored for other data
+    for entry in entries:
+        payload = json.loads(entry.read_text())
+        payload["dataset_hash"] = "0" * 64
+        payload["local_scores"] = [0.0] * len(payload["local_scores"])
+        entry.write_text(json.dumps(payload))
+    assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
+    assert {name: (out / name).read_bytes() for name in expected} == expected
+    assert [entry.read_bytes() for entry in entries] == good
+
+
 def test_flip_rate_lowers_reported_global_mi(tmp_path):
     clean_cfg = base_config()
     noisy_cfg = base_config(corruptions=[{"kind": "label_flip", "rate": 0.5}])

@@ -1,10 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import miselect as ms
-from miselect.errors import ConfigError, DomainError
+from miselect import ksg, neighbors
+from miselect.errors import ConfigError, DomainError, FormatError
 
 # ---------------------------------------------------------------------------
 # frozen high-precision digamma values (40-digit series evaluation, computed
@@ -217,15 +219,32 @@ def test_label_permutation_symmetry():
     assert np.array_equal(result_r.local_scores, result.local_scores)
 
 
-def test_structure_choice_does_not_change_scores():
+def test_structure_choice_does_not_change_scores(monkeypatch):
+    """Scores do not depend on the bulk kernel's row blocks, and their
+    neighbour counts equal the single-query oracle's."""
     emb = _separated(3, 40, seed=10, stddev=1.0, sep=4.0)
-    a = ms.score_discrete(emb, 3, structure="brute")
-    b = ms.score_discrete(emb, 3, structure="kdtree")
-    assert np.array_equal(a.local_scores, b.local_scores)
-    assert a.global_mi == b.global_mi
-    c = ms.score_onehot(emb, 3, label_scale=100.0, structure="brute")
-    d = ms.score_onehot(emb, 3, label_scale=100.0, structure="kdtree")
-    assert np.array_equal(c.local_scores, d.local_scores)
+    n, k = emb.n, 3
+    joint = np.hstack([emb.points, np.eye(3)[emb.labels] * 100.0])
+    eps = [ms.build_index(joint).knn(i, k).distances[-1] for i in range(n)]
+    x_index = ms.build_index(emb.points)
+    oracle_nx = [
+        x_index.count_within(i, x_index.knn_among(i, k, emb.labels == emb.labels[i]).distances[-1])
+        for i in range(n)
+    ]
+    oracle_onehot_nx = [x_index.count_within(i, eps[i]) for i in range(n)]
+    results = []
+    for budget in (1, 8 * n * 7, 8 * n * n):  # 1 row, 7 rows (N=120), all rows
+        monkeypatch.setattr(neighbors, "BLOCK_BYTES", budget)
+        a = ms.score_discrete(emb, k)
+        c = ms.score_onehot(emb, k, label_scale=100.0)
+        assert a.per_sample_n_x.tolist() == oracle_nx
+        assert c.per_sample_n_x.tolist() == oracle_onehot_nx
+        results.append((a, c))
+    (a, c), rest = results[0], results[1:]
+    for b, d in rest:
+        assert np.array_equal(a.local_scores, b.local_scores)
+        assert a.global_mi == b.global_mi
+        assert np.array_equal(c.local_scores, d.local_scores)
 
 
 def test_noise_monotonic_in_flip_rate():
@@ -343,6 +362,38 @@ def test_score_artifact_round_trip(tmp_path):
     assert np.array_equal(loaded.per_sample_n_x, result.per_sample_n_x)
     assert np.array_equal(loaded.degenerate, result.degenerate)
     assert loaded.variant == result.variant and loaded.k == result.k
+
+
+def test_score_artifact_malformed_raises_format_error(tmp_path):
+    emb = ms.EmbeddedDataset.from_points(np.arange(6.0)[:, None], np.array([0, 0, 0, 1, 1, 1]))
+    path = tmp_path / "scores.json"
+    ms.save_scores(ms.score_discrete(emb, 2), path)
+    good = path.read_text()
+    payload = json.loads(good)
+    del payload["n_x"]
+    for text in (good[: len(good) // 2], "", "[1, 2]", "\xff", json.dumps(payload)):
+        path.write_text(text, encoding="latin-1")
+        with pytest.raises(FormatError):
+            ms.load_scores(path)
+
+
+def test_score_artifact_write_is_atomic(tmp_path, monkeypatch):
+    emb = ms.EmbeddedDataset.from_points(np.arange(6.0)[:, None], np.array([0, 0, 0, 1, 1, 1]))
+    result = ms.score_discrete(emb, 2)
+    path = tmp_path / "scores.json"
+    ms.save_scores(result, path)
+    before = path.read_bytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["scores.json"]
+
+    def interrupted(payload, f, **kwargs):
+        f.write('{"schema_version": 1, "local_')
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(ksg.json, "dump", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        ms.save_scores(result, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["scores.json"]
 
 
 def test_content_hash_sensitivity():
