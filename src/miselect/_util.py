@@ -1,4 +1,7 @@
-"""Small shared numeric helpers."""
+"""Small shared helpers: rounding, apportioning and atomic JSON writes."""
+
+import json
+import os
 
 import numpy as np
 
@@ -28,3 +31,21 @@ def largest_remainder_quotas(m, counts):
         order = np.lexsort((np.arange(len(counts)), -frac))
         quotas[order[:remainder]] += 1
     return quotas
+
+
+def write_json_atomic(path, payload):
+    """Write ``payload`` to ``path`` as sorted-key JSON plus a newline.
+
+    The file is written under a temporary name in the same directory and
+    then renamed over ``path``, so an interrupted write never leaves a
+    partial file at ``path``.
+    """
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", newline="\n") as f:
+            json.dump(payload, f, sort_keys=True)
+            f.write("\n")
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)

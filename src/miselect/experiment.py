@@ -309,6 +309,7 @@ def _score_stage(ds, emb_cfg, est_cfg, cache_dir):
             "strict": est_cfg.get("strict", True),
             "label_scale": est_cfg.get("label_scale"),
             "jitter_seed": est_cfg.get("jitter_seed"),
+            "package_version": __version__,
         },
         sort_keys=True,
     )

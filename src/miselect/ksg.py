@@ -25,11 +25,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._util import write_json_atomic
 from .data import _frozen
 from .errors import ConfigError, ConsistencyError, DegenerateInputError, DomainError, FormatError
 from .neighbors import NeighborIndex, add_jitter
@@ -346,15 +346,7 @@ def save_scores(scores, path, dataset_hash=None):
         "degenerate": scores.degenerate.tolist(),
         "dataset_hash": dataset_hash,
     }
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", newline="\n") as f:
-            json.dump(payload, f, sort_keys=True)
-            f.write("\n")
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+    write_json_atomic(path, payload)
 
 
 def load_scores(path):

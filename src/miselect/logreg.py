@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import write_json_atomic
 from .data import _frozen
-from .errors import ConfigError, ConsistencyError, DivergenceError
+from .errors import ConfigError, ConsistencyError, DivergenceError, FormatError
 
 MODEL_SCHEMA_VERSION = 1
 
@@ -73,25 +74,26 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _log_softmax(z):
-    z = z - z.max(axis=1, keepdims=True)
-    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-
-
 def loss_and_gradient(weights, x, labels, l2):
     """Mean cross-entropy + (l2/2)*||W||^2 (bias excluded) and its gradient.
 
-    ``x`` must already carry the bias column of ones.
+    ``x`` must already carry the bias column of ones. The log-probabilities
+    and the probabilities share one max-subtracted ``exp``; the probabilities
+    equal ``_softmax(logits)`` bit for bit.
     """
     n = x.shape[0]
+    rows = np.arange(n)
     logits = x @ weights.T
-    log_p = _log_softmax(logits)
-    loss = -float(log_p[np.arange(n), labels].mean())
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    s = e.sum(axis=1, keepdims=True)
+    log_p = z - np.log(s)
+    loss = -float(log_p[rows, labels].mean())
     penalty = weights.copy()
     penalty[:, -1] = 0.0
     loss += 0.5 * l2 * float((penalty**2).sum())
-    p = _softmax(logits)
-    p[np.arange(n), labels] -= 1.0
+    p = e / s
+    p[rows, labels] -= 1.0
     grad = (p.T @ x) / n + l2 * penalty
     return loss, grad
 
@@ -117,14 +119,22 @@ def train(data, retained=None, cfg=TrainConfig()):
     rng = np.random.default_rng(cfg.seed)
     batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
 
+    # The full-data call that records an epoch's loss also yields the
+    # gradient of the next full-batch step, so a full-batch epoch makes one
+    # call; a mini-batch epoch steps on its batches and discards that gradient.
     history = []
+    if batch == n:
+        _, grad = loss_and_gradient(weights, xb, labels, cfg.l2)
     for epoch in range(cfg.epochs):
-        order = np.arange(n) if batch == n else rng.permutation(n)
-        for start in range(0, n, batch):
-            rows = order[start : start + batch]
-            _, grad = loss_and_gradient(weights, xb[rows], labels[rows], cfg.l2)
+        if batch == n:
             weights = weights - cfg.learning_rate * grad
-        loss, _ = loss_and_gradient(weights, xb, labels, cfg.l2)
+        else:
+            order = rng.permutation(n)
+            for start in range(0, n, batch):
+                rows = order[start : start + batch]
+                _, grad = loss_and_gradient(weights, xb[rows], labels[rows], cfg.l2)
+                weights = weights - cfg.learning_rate * grad
+        loss, grad = loss_and_gradient(weights, xb, labels, cfg.l2)
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch}")
         history.append(loss)
@@ -185,24 +195,40 @@ def evaluate(model, data):
 
 
 def save_model(model, path):
-    payload = {
-        "schema_version": MODEL_SCHEMA_VERSION,
-        "weights": model.weights.tolist(),
-        "num_classes": model.num_classes,
-        "input_dim": model.input_dim,
-    }
-    with open(path, "w", newline="\n") as f:
-        json.dump(payload, f, sort_keys=True)
-        f.write("\n")
+    """Write a model to a versioned JSON artifact (exact round trip).
+
+    The write is atomic: an interrupted save leaves ``path`` as it was.
+    """
+    write_json_atomic(
+        path,
+        {
+            "schema_version": MODEL_SCHEMA_VERSION,
+            "weights": model.weights.tolist(),
+            "num_classes": model.num_classes,
+            "input_dim": model.input_dim,
+        },
+    )
 
 
 def load_model(path):
-    with open(path) as f:
-        payload = json.load(f)
+    """Read a model artifact written by ``save_model``.
+
+    Raises FormatError when the file is not JSON or lacks a field.
+    """
+    try:
+        with open(path) as f:
+            payload = json.load(f)
+    except ValueError as exc:
+        raise FormatError(f"{path}: unreadable model artifact: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: model artifact is not a JSON object")
     if payload.get("schema_version") != MODEL_SCHEMA_VERSION:
         raise ConfigError(f"{path}: unsupported model artifact version")
-    return LogRegModel(
-        weights=np.asarray(payload["weights"]),
-        num_classes=payload["num_classes"],
-        input_dim=payload["input_dim"],
-    )
+    try:
+        return LogRegModel(
+            weights=np.asarray(payload["weights"]),
+            num_classes=payload["num_classes"],
+            input_dim=payload["input_dim"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: ill-formed model artifact: {exc!r}") from exc

@@ -79,7 +79,8 @@ class NeighborIndex:
     """
 
     def __init__(self, points, jitter_seed=None):
-        points = np.ascontiguousarray(points, dtype=np.float64)
+        # always a copy, so freezing it never freezes the caller's array
+        points = np.array(points, dtype=np.float64, order="C")
         if points.ndim != 2 or points.shape[0] < 1:
             raise ConfigError("index needs a non-empty 2-D point array")
         if not np.all(np.isfinite(points)):

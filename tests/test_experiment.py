@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import miselect as ms
+from miselect import experiment
 from miselect.cli import main as cli_main
 from miselect.errors import ConfigError, StageError
 from miselect.experiment import run_experiment, stage_seed, validate_config
@@ -136,6 +137,31 @@ def test_poisoned_score_cache_is_recomputed(tmp_path):
     assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
     assert {name: (out / name).read_bytes() for name in expected} == expected
     assert [entry.read_bytes() for entry in entries] == good
+
+
+def test_package_version_change_misses_the_score_cache(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    run_experiment(base_config(), out_dir=out, through="score")
+    expected = (out / "scores.csv").read_bytes()
+    entries = set((out / "cache").glob("scores-*.json"))
+    assert entries
+
+    calls = []
+    score_dataset = experiment.score_dataset
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return score_dataset(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "score_dataset", counting)
+    run_experiment(base_config(), out_dir=out, through="score")
+    assert calls == []  # same version: every stage hits the cache
+
+    monkeypatch.setattr(experiment, "__version__", experiment.__version__ + ".post1")
+    run_experiment(base_config(), out_dir=out, through="score")
+    assert len(calls) == len(entries)  # every stage recomputed
+    assert (out / "scores.csv").read_bytes() == expected
+    assert len(set((out / "cache").glob("scores-*.json")) - entries) == len(entries)
 
 
 def test_flip_rate_lowers_reported_global_mi(tmp_path):

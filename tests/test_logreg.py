@@ -1,9 +1,62 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 import miselect as ms
-from miselect.errors import ConfigError, ConsistencyError, DivergenceError
+from miselect import logreg
+from miselect.errors import ConfigError, ConsistencyError, DivergenceError, FormatError
 from miselect.logreg import loss_and_gradient
+
+
+def _reference_softmax(z):
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _reference_log_softmax(z):
+    z = z - z.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
+def _reference_loss_and_gradient(weights, x, labels, l2):
+    """Loss and gradient with a separate exp for log_p and for p."""
+    n = x.shape[0]
+    logits = x @ weights.T
+    log_p = _reference_log_softmax(logits)
+    loss = -float(log_p[np.arange(n), labels].mean())
+    penalty = weights.copy()
+    penalty[:, -1] = 0.0
+    loss += 0.5 * l2 * float((penalty**2).sum())
+    p = _reference_softmax(logits)
+    p[np.arange(n), labels] -= 1.0
+    grad = (p.T @ x) / n + l2 * penalty
+    return loss, grad
+
+
+def _reference_train(data, retained, cfg):
+    """Two calls per full-batch epoch: one to step, one to record the loss."""
+    x = data.points[retained]
+    labels = data.labels[retained]
+    n, dim = x.shape
+    xb = np.hstack([x, np.ones((n, 1))])
+    weights = np.zeros((data.num_classes, dim + 1))
+    rng = np.random.default_rng(cfg.seed)
+    batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
+    history = []
+    for epoch in range(cfg.epochs):
+        order = np.arange(n) if batch == n else rng.permutation(n)
+        for start in range(0, n, batch):
+            rows = order[start : start + batch]
+            _, grad = _reference_loss_and_gradient(weights, xb[rows], labels[rows], cfg.l2)
+            weights = weights - cfg.learning_rate * grad
+        loss, _ = _reference_loss_and_gradient(weights, xb, labels, cfg.l2)
+        if not math.isfinite(loss):
+            raise DivergenceError(f"non-finite loss at epoch {epoch}")
+        history.append(loss)
+    return weights, tuple(history)
 
 
 def _blobs(n_per_class=40, classes=2, dim=2, sep=6.0, seed=0):
@@ -145,3 +198,94 @@ def test_model_artifact_round_trip(tmp_path):
     assert np.array_equal(loaded.weights, model.weights)
     assert loaded.num_classes == model.num_classes
     assert loaded.input_dim == model.input_dim
+
+
+def test_loss_and_gradient_matches_separate_exp_reference_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for n, c, d, scale in [(1, 2, 1, 1.0), (7, 3, 4, 1.0), (50, 6, 16, 10.0), (33, 4, 5, 300.0)]:
+        x = np.hstack([rng.standard_normal((n, d)), np.ones((n, 1))])
+        w = rng.standard_normal((c, d + 1)) * scale
+        labels = rng.integers(0, c, size=n)
+        for l2 in (0.0, 1e-4, 0.3):
+            loss, grad = loss_and_gradient(w, x, labels, l2)
+            ref_loss, ref_grad = _reference_loss_and_gradient(w, x, labels, l2)
+            assert loss == ref_loss
+            assert np.array_equal(grad, ref_grad)
+
+
+@pytest.mark.parametrize(
+    "cfg, subset",
+    [
+        (ms.TrainConfig(epochs=60, l2=0.0), False),
+        (ms.TrainConfig(epochs=60, l2=1e-3), False),
+        (ms.TrainConfig(epochs=60, batch_size=10_000), False),
+        (ms.TrainConfig(epochs=60, learning_rate=0.3), True),
+        (ms.TrainConfig(epochs=25, batch_size=16, seed=123), False),
+    ],
+    ids=["full-l2-zero", "full-l2", "batch-over-n", "subset-absent-class", "mini-batch"],
+)
+def test_training_matches_two_pass_reference_bit_for_bit(cfg, subset):
+    emb = _blobs(n_per_class=30, classes=4, dim=4, sep=3.0, seed=13)
+    retained = np.flatnonzero(emb.labels != 2)[::2] if subset else np.arange(emb.n)
+    model = ms.train(emb, retained, cfg)
+    weights, history = _reference_train(emb, retained, cfg)
+    assert np.array_equal(model.weights, weights)
+    assert model.loss_history == history
+    assert len(history) == cfg.epochs
+
+
+def test_divergence_raises_at_reference_epoch():
+    emb = _blobs(n_per_class=20, classes=2, dim=2, seed=10, sep=50.0)
+    cfg = ms.TrainConfig(learning_rate=1e12, epochs=40)
+    retained = np.arange(emb.n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError) as ref:
+            _reference_train(emb, retained, cfg)
+        with pytest.raises(DivergenceError) as err:
+            ms.train(emb, retained, cfg)
+    assert str(err.value) == str(ref.value)
+
+
+def test_full_batch_makes_one_loss_and_gradient_call_per_epoch(monkeypatch):
+    emb = _blobs(n_per_class=20, classes=3, dim=3, seed=14)
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1].shape[0])
+        return loss_and_gradient(*args)
+
+    monkeypatch.setattr(logreg, "loss_and_gradient", counting)
+    ms.train(emb, cfg=ms.TrainConfig(epochs=37))
+    assert calls == [emb.n] * 38
+    calls.clear()
+    ms.train(emb, cfg=ms.TrainConfig(epochs=5, batch_size=16))
+    batches = -(-emb.n // 16)
+    assert len(calls) == 5 * (batches + 1)  # the mini-batch path is unchanged
+
+
+def test_model_artifact_unreadable_or_ill_formed_raises_format_error(tmp_path):
+    path = tmp_path / "model.json"
+    ms.save_model(ms.train(_blobs(seed=15), cfg=ms.TrainConfig(epochs=5)), path)
+    good = path.read_text()
+    payload = json.loads(good)
+    del payload["weights"]
+    for text in (good[: len(good) // 2], "", "[1, 2]", "\xff", json.dumps(payload)):
+        path.write_text(text, encoding="latin-1")
+        with pytest.raises(FormatError):
+            ms.load_model(path)
+
+
+def test_model_artifact_write_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    ms.save_model(ms.train(_blobs(seed=16), cfg=ms.TrainConfig(epochs=5)), path)
+    before = path.read_bytes()
+
+    def interrupted(payload, f, **kwargs):
+        f.write('{"schema_version": 1, "wei')
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(json, "dump", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        ms.save_model(ms.train(_blobs(seed=17), cfg=ms.TrainConfig(epochs=5)), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]

@@ -154,6 +154,18 @@ def test_build_index_validation():
         ms.build_index(np.array([[0.0, np.nan]]))
 
 
+@pytest.mark.parametrize("jitter_seed", [None, 7])
+def test_index_leaves_caller_array_writeable_and_unchanged(jitter_seed):
+    pts = np.arange(8.0).reshape(4, 2)
+    before = pts.copy()
+    idx = ms.build_index(pts, jitter_seed=jitter_seed)
+    assert pts.flags.writeable
+    assert np.array_equal(pts, before)
+    assert not idx.points.flags.writeable
+    pts[0, 0] = 100.0
+    assert idx.points[0, 0] < 1.0  # the index reads its own copy
+
+
 def test_tree_equals_brute_on_random_instances(monkeypatch):
     """Blocked bulk kernel vs single-query oracle on tie-heavy instances."""
     rng = np.random.default_rng(123)
