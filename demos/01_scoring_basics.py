@@ -33,7 +33,7 @@ print(f"  error        : {abs(scores.global_mi - target):.4f}")
 
 pts = rng.standard_normal((500, 4))
 labels = rng.integers(0, 4, 500)
-emb = ms.EmbeddedDataset.from_points(pts, labels)
+emb = ms.LabeledDataset.from_arrays(pts, labels)
 indep = ms.score_discrete(emb, k=3)
 print("\nlabels independent of positions")
 print(f"  estimated MI : {indep.global_mi:+.4f} nats (should be near 0)")
@@ -42,8 +42,7 @@ print(f"  estimated MI : {indep.global_mi:+.4f} nats (should be near 0)")
 
 spec = ms.SyntheticSpec.separated(4, 200, dim=4, separation=100.0, stddev=0.01, seed=1)
 blobs = ms.generate_synthetic(spec)
-emb = ms.EmbeddedDataset.from_points(blobs.features, blobs.labels)
-det = ms.score_discrete(emb, k=3)
+det = ms.score_discrete(blobs, k=3)
 print("\nfour tight, far-apart clusters (labels fully predictable)")
 print(f"  estimated MI : {det.global_mi:.4f} nats")
 print(f"  ln(4)        : {math.log(4):.4f} nats")
@@ -51,7 +50,7 @@ print(f"  ln(4)        : {math.log(4):.4f} nats")
 # --- what the local scores look like ---------------------------------------
 
 print("\nlocal score distribution on the separable instance:")
-summary = ms.per_class_summary(det, emb.labels)
+summary = ms.per_class_summary(det, blobs.labels)
 for c in range(4):
     s = summary[c]
     print(f"  class {c}: mean={s['mean']:.3f} sd={s['stddev']:.3f} "

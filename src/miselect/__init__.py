@@ -28,7 +28,6 @@ from .data import (
     train_test_split,
 )
 from .embedding import (
-    EmbeddedDataset,
     PcaModel,
     fit_pca,
     inverse_transform,

@@ -67,19 +67,15 @@ def main(argv=None):
     through = {"score": "score", "select": "select", "train": "train", "run": "full"}[
         args.command
     ]
-    out_dir = args.out
-    if out_dir is None:
-        try:
-            out_dir = load_config(args.config).get("output_dir")
-        except (OSError, ValueError):
-            out_dir = None
+    try:
+        config = load_config(args.config)
+        out_dir = args.out if args.out is not None else config.get("output_dir")
         if out_dir is None:
             print("error: no output directory (pass --out or set output_dir in the config)",
                   file=sys.stderr)
             return 2
-    try:
         report = run_experiment(
-            args.config,
+            config,
             out_dir=out_dir,
             seed_override=args.seed,
             threads=getattr(args, "threads", 1),

@@ -9,12 +9,13 @@ ties never depend on library internals.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .data import _TAG_DTYPE, _frozen
-from .errors import ConfigError, ConsistencyError, DegenerateInputError
+from ._util import write_json_atomic
+from .data import _frozen
+from .errors import ConfigError, ConsistencyError, DegenerateInputError, FormatError
 
 _ORTHO_TOL = 1e-8
 PCA_SCHEMA_VERSION = 1
@@ -58,83 +59,6 @@ class PcaModel:
     @property
     def source_dim(self):
         return self.mean.shape[0]
-
-
-@dataclass(frozen=True)
-class EmbeddedDataset:
-    """Low-dimensional points aligned 1:1 with labels and provenance."""
-
-    points: np.ndarray
-    labels: np.ndarray
-    num_classes: int
-    original_labels: np.ndarray
-    input_corruption: np.ndarray
-    embed_params: PcaModel | None = None
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
-        original = np.asarray(self.original_labels, dtype=np.int64)
-        tags = np.asarray(self.input_corruption, dtype=_TAG_DTYPE)
-        if pts.ndim != 2:
-            raise ConsistencyError("points must be a 2-D (N, d) array")
-        if not np.all(np.isfinite(pts)):
-            raise ConsistencyError("all embedded coordinates must be finite")
-        n = pts.shape[0]
-        if not (labels.shape == original.shape == tags.shape == (n,)):
-            raise ConsistencyError("labels and provenance must have length N")
-        object.__setattr__(self, "points", _frozen(pts))
-        object.__setattr__(self, "labels", _frozen(labels))
-        object.__setattr__(self, "original_labels", _frozen(original))
-        object.__setattr__(self, "input_corruption", _frozen(tags))
-
-    @classmethod
-    def from_points(cls, points, labels, num_classes=None):
-        labels = np.asarray(labels, dtype=np.int64)
-        if num_classes is None:
-            num_classes = int(labels.max()) + 1 if labels.size else 1
-        return cls(
-            points=points,
-            labels=labels,
-            num_classes=num_classes,
-            original_labels=labels.copy(),
-            input_corruption=np.full(len(labels), "", dtype=_TAG_DTYPE),
-        )
-
-    @property
-    def n(self):
-        return self.points.shape[0]
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
-    @property
-    def label_flipped(self):
-        return self.labels != self.original_labels
-
-    def provenance(self):
-        flipped = self.label_flipped
-        out = []
-        for i in range(self.n):
-            parts = []
-            if flipped[i]:
-                parts.append("label_flipped")
-            if self.input_corruption[i]:
-                parts.append(str(self.input_corruption[i]))
-            out.append("+".join(parts) if parts else "clean")
-        return np.asarray(out, dtype=_TAG_DTYPE)
-
-    def subset(self, indices):
-        indices = np.asarray(indices, dtype=np.int64)
-        return EmbeddedDataset(
-            points=self.points[indices],
-            labels=self.labels[indices],
-            num_classes=self.num_classes,
-            original_labels=self.original_labels[indices],
-            input_corruption=self.input_corruption[indices],
-            embed_params=self.embed_params,
-        )
 
 
 def _features_of(ds):
@@ -198,16 +122,9 @@ def transform_points(model, x):
 
 
 def transform(model, ds):
-    """Embed a labeled dataset; labels and provenance pass through unchanged."""
-    points = transform_points(model, ds.features)
-    return EmbeddedDataset(
-        points=points,
-        labels=ds.labels,
-        num_classes=ds.num_classes,
-        original_labels=ds.original_labels,
-        input_corruption=ds.input_corruption,
-        embed_params=model,
-    )
+    """Embed a labeled dataset: a LabeledDataset whose features are the
+    projected points; labels and provenance pass through unchanged."""
+    return replace(ds, features=transform_points(model, ds.features), image_shape=None)
 
 
 def inverse_transform(model, points):
@@ -226,26 +143,44 @@ def reconstruction_error(model, x):
 
 
 def save_pca(model, path):
-    payload = {
-        "schema_version": PCA_SCHEMA_VERSION,
-        "mean": model.mean.tolist(),
-        "components": model.components.tolist(),
-        "explained_variance": model.explained_variance.tolist(),
-        "whiten": model.whiten,
-    }
-    with open(path, "w", newline="\n") as f:
-        json.dump(payload, f, sort_keys=True)
-        f.write("\n")
+    """Write a PCA model to a versioned JSON artifact (exact round trip).
+
+    The write is atomic: an interrupted save leaves ``path`` as it was.
+    """
+    write_json_atomic(
+        path,
+        {
+            "schema_version": PCA_SCHEMA_VERSION,
+            "mean": model.mean.tolist(),
+            "components": model.components.tolist(),
+            "explained_variance": model.explained_variance.tolist(),
+            "whiten": model.whiten,
+        },
+    )
 
 
 def load_pca(path):
-    with open(path) as f:
-        payload = json.load(f)
+    """Read a PCA artifact written by ``save_pca``.
+
+    Raises FormatError when the file is not JSON or lacks a field.
+    """
+    try:
+        with open(path) as f:
+            payload = json.load(f)
+    except ValueError as exc:
+        raise FormatError(f"{path}: unreadable PCA artifact: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path}: PCA artifact is not a JSON object")
     if payload.get("schema_version") != PCA_SCHEMA_VERSION:
         raise ConfigError(f"{path}: unsupported PCA artifact version")
-    return PcaModel(
-        mean=np.asarray(payload["mean"]),
-        components=np.asarray(payload["components"]),
-        explained_variance=np.asarray(payload["explained_variance"]),
-        whiten=bool(payload["whiten"]),
-    )
+    if not isinstance(payload.get("whiten"), bool):
+        raise FormatError(f"{path}: ill-formed PCA artifact: whiten must be a boolean")
+    try:
+        return PcaModel(
+            mean=np.asarray(payload["mean"]),
+            components=np.asarray(payload["components"]),
+            explained_variance=np.asarray(payload["explained_variance"]),
+            whiten=payload["whiten"],
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: ill-formed PCA artifact: {exc!r}") from exc

@@ -15,7 +15,7 @@ import hashlib
 import json
 import shutil
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +55,6 @@ from .selection import SelectionPlan, save_selection, select
 CONFIG_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
 
-_STAGES = ("score", "select", "train", "full")
 _CORRUPTION_KINDS = (KIND_LABEL_FLIP, KIND_GAUSSIAN, KIND_AFFINE_STRONG, KIND_AFFINE_MILD)
 
 SCORES_CSV_COLUMNS = (
@@ -72,12 +71,37 @@ def stage_seed(master_seed, stage):
 
 
 def load_config(path):
-    with open(path) as f:
-        return json.load(f)
+    """Read a JSON config file; raises ConfigError naming ``path`` when the
+    file cannot be read or does not hold a JSON object."""
+    try:
+        with open(path) as f:
+            config = json.load(f)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"config {path}: cannot read ({exc})") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path}: must be a JSON object")
+    return config
 
 
 def _is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_seed(v):
+    """A seed field is null (derive it from the master seed) or an int >= 0."""
+    return v is None or (isinstance(v, int) and not isinstance(v, bool) and v >= 0)
+
+
+def _is_affine_params(p):
+    if not isinstance(p, dict):
+        return False
+    scale = p.get("scale_range")
+    return (
+        all(_is_num(p.get(key)) and p[key] >= 0
+            for key in ("rotation_deg", "shear_deg", "translate_frac"))
+        and isinstance(scale, list) and len(scale) == 2 and all(map(_is_num, scale))
+        and 0 < scale[0] <= scale[1]
+    )
 
 
 def validate_config(config):
@@ -89,8 +113,8 @@ def validate_config(config):
     if isinstance(config, (str, Path)):
         try:
             config = load_config(config)
-        except (OSError, json.JSONDecodeError) as exc:
-            return [f"config: cannot parse ({exc})"]
+        except ConfigError as exc:
+            return [str(exc)]
     bad = []
 
     if config.get("schema_version") != CONFIG_SCHEMA_VERSION:
@@ -121,14 +145,19 @@ def validate_config(config):
             frac = ds.get("test_fraction", 0.25)
             if not _is_num(frac) or not (0.0 < frac < 1.0):
                 bad.append("dataset.test_fraction: must lie in (0, 1)")
+            if not _is_seed(ds.get("seed")):
+                bad.append("dataset.seed: must be null or a non-negative integer")
             if kind == "synthetic":
                 if not isinstance(ds.get("dim"), int) or ds.get("dim", 0) < 1:
                     bad.append("dataset.dim: must be a positive integer")
                 if not _is_num(ds.get("class_stddev")) or ds.get("class_stddev", -1) < 0:
                     bad.append("dataset.class_stddev: must be a non-negative number")
+                means = ds.get("class_means")
+                if means is not None and not (isinstance(means, list) and all(
+                        isinstance(row, list) and all(map(_is_num, row)) for row in means)):
+                    bad.append("dataset.class_means: must be a list of numeric rows")
                 has_sep = _is_num(ds.get("class_separation")) and ds.get("class_separation", 0) > 0
-                has_means = isinstance(ds.get("class_means"), list)
-                if not (has_sep or has_means):
+                if not (has_sep or means is not None):
                     bad.append("dataset: need class_separation > 0 or explicit class_means")
             else:
                 if not isinstance(ds.get("num_classes"), int) or not (
@@ -138,6 +167,12 @@ def validate_config(config):
                 for key in ("height", "width"):
                     if not isinstance(ds.get(key, 12), int) or ds.get(key, 12) < 4:
                         bad.append(f"dataset.{key}: must be an integer >= 4")
+                noise = ds.get("noise", 0.05)
+                if not _is_num(noise) or noise < 0:
+                    bad.append("dataset.noise: must be a non-negative number")
+                jitter = ds.get("jitter_px", 1)
+                if not isinstance(jitter, int) or isinstance(jitter, bool) or jitter < 0:
+                    bad.append("dataset.jitter_px: must be a non-negative integer")
         else:
             bad.append("dataset.type: must be one of idx, synthetic, synthetic_images")
 
@@ -150,23 +185,31 @@ def validate_config(config):
         if not isinstance(emb.get("whiten", False), bool):
             bad.append("embedding.whiten: must be a boolean")
 
-    for i, cor in enumerate(config.get("corruptions", [])):
+    corruptions = config.get("corruptions", [])
+    if not isinstance(corruptions, list):
+        bad.append("corruptions: must be a list")
+        corruptions = []
+    for i, cor in enumerate(corruptions):
         if not isinstance(cor, dict) or cor.get("kind") not in _CORRUPTION_KINDS:
             bad.append(f"corruptions[{i}].kind: must be one of {_CORRUPTION_KINDS}")
             continue
         kind = cor["kind"]
-        if kind == KIND_LABEL_FLIP:
-            rate = cor.get("rate")
-            if not _is_num(rate) or not (0.0 <= rate <= 1.0):
-                bad.append(f"corruptions[{i}].rate: must lie in [0, 1]")
-        else:
-            frac = cor.get("fraction")
-            if not _is_num(frac) or not (0.0 <= frac <= 1.0):
-                bad.append(f"corruptions[{i}].fraction: must lie in [0, 1]")
-        if kind == KIND_GAUSSIAN:
-            nf = cor.get("noise_factor")
-            if not _is_num(nf) or nf < 0:
-                bad.append(f"corruptions[{i}].noise_factor: must be non-negative")
+        # a field the kind needs has no default; the others default to 0
+        for key, needed in (("rate", kind == KIND_LABEL_FLIP),
+                            ("fraction", kind != KIND_LABEL_FLIP)):
+            value = cor.get(key, None if needed else 0.0)
+            if not _is_num(value) or not (0.0 <= value <= 1.0):
+                bad.append(f"corruptions[{i}].{key}: must lie in [0, 1]")
+        nf = cor.get("noise_factor", None if kind == KIND_GAUSSIAN else 0.0)
+        if not _is_num(nf) or nf < 0:
+            bad.append(f"corruptions[{i}].noise_factor: must be non-negative")
+        if not _is_seed(cor.get("seed")):
+            bad.append(f"corruptions[{i}].seed: must be null or a non-negative integer")
+        if cor.get("params") is not None and not _is_affine_params(cor["params"]):
+            bad.append(
+                f"corruptions[{i}].params: need non-negative rotation_deg, shear_deg and "
+                "translate_frac, and scale_range [min, max] with 0 < min <= max"
+            )
 
     est = config.get("estimator", {})
     if not isinstance(est, dict):
@@ -181,6 +224,8 @@ def validate_config(config):
         scale = est.get("label_scale")
         if scale is not None and (not _is_num(scale) or scale <= 0):
             bad.append("estimator.label_scale: must be positive when given")
+        if not _is_seed(est.get("jitter_seed")):
+            bad.append("estimator.jitter_seed: must be null or a non-negative integer")
 
     sel = config.get("selection")
     if not isinstance(sel, dict):
@@ -216,6 +261,10 @@ def validate_config(config):
         bs = clf.get("batch_size")
         if bs is not None and (not isinstance(bs, int) or bs < 1):
             bad.append("classifier.batch_size: must be a positive integer or null")
+        if not _is_seed(clf.get("seed")):
+            bad.append("classifier.seed: must be null or a non-negative integer")
+        if not isinstance(clf.get("on_raw_features", False), bool):
+            bad.append("classifier.on_raw_features: must be a boolean")
 
     return bad
 
@@ -298,12 +347,13 @@ def _corruption_spec(cor_cfg, index, master_seed):
     )
 
 
-def _score_stage(ds, emb_cfg, est_cfg, cache_dir):
+def _embed_and_score(ds, emb_cfg, est_cfg, cache_dir):
+    """Fit PCA on one training split, embed it and score it (via the cache)."""
     model = fit_pca(ds, emb_cfg.get("dim", 16), whiten=emb_cfg.get("whiten", False))
     embedded = transform(model, ds)
     key_material = json.dumps(
         {
-            "hash": dataset_content_hash(embedded.points, embedded.labels),
+            "hash": dataset_content_hash(embedded.features, embedded.labels),
             "k": est_cfg.get("k", 3),
             "variant": est_cfg.get("variant", VARIANT_DISCRETE),
             "strict": est_cfg.get("strict", True),
@@ -325,7 +375,7 @@ def _score_stage(ds, emb_cfg, est_cfg, cache_dir):
             except MiselectError:
                 stored_key = None
             if stored_key == cache_key:
-                return model, embedded, scores, cache_key
+                return model, embedded, scores
     scores = score_dataset(
         embedded,
         est_cfg.get("k", 3),
@@ -337,7 +387,7 @@ def _score_stage(ds, emb_cfg, est_cfg, cache_dir):
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         save_scores(scores, cache_path, dataset_hash=cache_key)
-    return model, embedded, scores, cache_key
+    return model, embedded, scores
 
 
 def _fmt(value):
@@ -395,6 +445,206 @@ def _scores_rows(ds, scores):
     return rows
 
 
+@dataclass
+class _Run:
+    """State the pipeline stages share; each stage fills in its own fields."""
+
+    cfg: dict
+    master: int
+    out: Path | None
+    threads: int
+    written: list = field(default_factory=list)
+    stages: list = field(default_factory=list)  # (name, training split) per corruption stage
+    test: LabeledDataset | None = None
+    corruption_meta: list = field(default_factory=list)
+    embedded_train: LabeledDataset | None = None
+    embedded_test: LabeledDataset | None = None
+    scores: object = None
+    estimator: dict | None = None
+    data: dict = field(default_factory=dict)  # becomes ExperimentReport.data
+    selections: dict = field(default_factory=dict)
+    accuracy: dict = field(default_factory=dict)
+
+    @property
+    def train(self):
+        """The training split after the last corruption stage."""
+        return self.stages[-1][1]
+
+    def emit(self, write, *names):
+        """Record output files and write them with ``write(*paths)``.
+
+        Without an output directory nothing is recorded or written.
+        """
+        if self.out is None:
+            return
+        paths = [self.out / name for name in names]
+        for path in paths:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        self.written.extend(paths)
+        write(*paths)
+
+
+def _dataset_stage(run):
+    train, run.test = _build_dataset(run.cfg["dataset"], run.master)
+    run.stages = [("clean", train)]
+
+
+def _corruption_stage(run):
+    for i, cor_cfg in enumerate(run.cfg.get("corruptions", [])):
+        spec = _corruption_spec(cor_cfg, i, run.master)
+        before = run.train
+        after = apply_corruption(before, spec)
+        run.stages.append((f"{i + 1}:{spec.kind}", after))
+        affected = int(
+            (after.labels != before.labels).sum()
+            + (after.input_corruption != before.input_corruption).sum()
+        )
+        run.corruption_meta.append({"kind": spec.kind, "seed": spec.seed, "affected": affected})
+
+
+def _scoring_stage(run):
+    cache_dir = run.out / "cache" if run.out is not None else None
+    mi_by_stage = []
+    for name, ds in run.stages:
+        model, run.embedded_train, scores = _embed_and_score(
+            ds, run.cfg.get("embedding", {}), run.cfg.get("estimator", {}), cache_dir
+        )
+        mi_by_stage.append(
+            {
+                "stage": name,
+                "global_mi": scores.global_mi,
+                "global_mi_bits": scores.global_mi_bits,
+                "degenerate_count": int(scores.degenerate.sum()),
+                "k_substitutions": scores.k_substitutions,
+            }
+        )
+    run.scores = scores
+    run.embedded_test = transform(model, run.test)
+    run.data = {
+        "mi_by_stage": mi_by_stage,
+        "per_class_mi": per_class_summary(scores, run.train.labels),
+    }
+    run.estimator = {
+        "variant": scores.variant,
+        "k": scores.k,
+        "strict": scores.strict,
+        "label_scale": scores.label_scale,
+        "jitter_seed": scores.jitter_seed,
+    }
+    run.emit(
+        lambda path: _write_csv(path, SCORES_CSV_COLUMNS, _scores_rows(run.train, scores)),
+        "scores.csv",
+    )
+    summary = {"schema_version": REPORT_SCHEMA_VERSION, **run.data, "estimator": run.estimator}
+    run.emit(lambda path: _write_json(path, summary), "mi_summary.json")
+
+
+def _selection_stage(run):
+    sel_cfg = run.cfg["selection"]
+    for plan_cfg in sel_cfg["plans"]:
+        scope, band = plan_cfg["scope"], plan_cfg["band"]
+        for ratio in sorted(sel_cfg["ratios"]):
+            seed = None
+            if band == "random":
+                seed = stage_seed(run.master, f"selection.{scope}/{band}@{ratio!r}")
+            plan = SelectionPlan(scope=scope, band=band, retention_ratio=float(ratio), seed=seed)
+            result = select(run.scores, run.train.labels, plan, num_classes=run.train.num_classes)
+            run.selections[(plan.strategy, plan.retention_ratio)] = result
+            tag = f"{plan.scope}-{plan.band}_r{plan.retention_ratio:g}"
+            run.emit(
+                lambda json_path, index_path: save_selection(
+                    result, json_path=json_path, index_path=index_path
+                ),
+                f"selection/{tag}.json",
+                f"selection/{tag}.idx",
+            )
+
+
+def _classifier_stage(run):
+    clf_cfg = run.cfg.get("classifier", {})
+    clf_seed = clf_cfg.get("seed")
+    if clf_seed is None:
+        clf_seed = stage_seed(run.master, "classifier") % (2**32)
+    tcfg = TrainConfig(
+        learning_rate=clf_cfg.get("learning_rate", 0.1),
+        epochs=clf_cfg.get("epochs", 300),
+        l2=clf_cfg.get("l2", 1e-4),
+        batch_size=clf_cfg.get("batch_size"),
+        seed=clf_seed,
+    )
+    on_raw = clf_cfg.get("on_raw_features", False)
+    train_data = run.train if on_raw else run.embedded_train
+    test_data = run.test if on_raw else run.embedded_test
+
+    def run_cell(item):
+        key, result = item
+        model = train(train_data, result.retained_indices, tcfg)
+        return key, evaluate(model, test_data)["accuracy"]
+
+    # cells run, and accuracy keeps its entries, in sorted (strategy, ratio) order
+    items = sorted(run.selections.items())
+    if run.threads > 1:
+        with ThreadPoolExecutor(max_workers=run.threads) as pool:
+            run.accuracy = dict(pool.map(run_cell, items))
+    else:
+        run.accuracy = dict(map(run_cell, items))
+    rows = [(name, float(ratio), float(acc)) for (name, ratio), acc in run.accuracy.items()]
+    run.emit(lambda path: _write_csv(path, ACCURACY_CSV_COLUMNS, rows), "accuracy.csv")
+
+
+def _report_stage(run):
+    train_ds, scores = run.train, run.scores
+    run.data = {
+        "schema_version": REPORT_SCHEMA_VERSION,
+        "package_version": __version__,
+        "master_seed": run.master,
+        "stage_seeds": {
+            name: stage_seed(run.master, name) for name in ("dataset", "split", "classifier")
+        },
+        "config": run.cfg,
+        "dataset": {
+            "n_train": train_ds.n,
+            "n_test": run.test.n,
+            "num_classes": train_ds.num_classes,
+            "dim": train_ds.dim,
+            "image_shape": list(train_ds.image_shape) if train_ds.image_shape else None,
+        },
+        "corruption_stages": run.corruption_meta,
+        **run.data,  # mi_by_stage and per_class_mi from the scoring stage
+        "estimator": run.estimator,
+        "accuracy": [
+            {"strategy": strategy, "ratio": float(ratio), "accuracy": float(acc)}
+            for (strategy, ratio), acc in run.accuracy.items()
+        ],
+        "content_hashes": {
+            "embedded_train": dataset_content_hash(
+                run.embedded_train.features, run.embedded_train.labels
+            ),
+            "scores": hashlib.sha256(
+                json.dumps(
+                    [None if d else s for s, d in
+                     zip(scores.local_scores.tolist(), scores.degenerate.tolist())]
+                ).encode()
+            ).hexdigest(),
+        },
+    }
+    run.emit(lambda path: _write_json(path, run.data), "report.json")
+
+
+# (stage name, the ``through`` value that stops after it, stage function).
+# The name tags a stage's StageError; on any failure every file written so
+# far moves to ``quarantine/``.
+_PIPELINE = (
+    ("dataset", None, _dataset_stage),
+    ("corruption", None, _corruption_stage),
+    ("scoring", "score", _scoring_stage),
+    ("selection", "select", _selection_stage),
+    ("classifier", "train", _classifier_stage),
+    ("report", "full", _report_stage),
+)
+_STAGES = tuple(through for _, through, _ in _PIPELINE if through is not None)
+
+
 def run_experiment(config, out_dir=None, seed_override=None, threads=1, through="full"):
     """Execute the configured pipeline and write machine-readable outputs.
 
@@ -408,209 +658,31 @@ def run_experiment(config, out_dir=None, seed_override=None, threads=1, through=
         raise ConfigError(f"through must be one of {_STAGES}")
     cfg = load_config(config) if isinstance(config, (str, Path)) else config
     violations = validate_config(cfg)
+    if not _is_seed(seed_override):
+        violations.append("seed override: must be a non-negative integer")
     if violations:
         raise ConfigError("invalid config: " + "; ".join(violations))
-    master = int(cfg.get("seed", 0)) if seed_override is None else int(seed_override)
-
     if out_dir is None:
         out_dir = cfg.get("output_dir")
-    out = Path(out_dir) if out_dir is not None else None
-    written = []
-
-    def emit(name):
-        path = out / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        written.append(path)
-        return path
-
-    current_stage = "dataset"
-    try:
-        train_ds, test_ds = _build_dataset(cfg["dataset"], master)
-
-        current_stage = "corruption"
-        stage_list = [("clean", train_ds)]
-        corruption_meta = []
-        for i, cor_cfg in enumerate(cfg.get("corruptions", [])):
-            spec = _corruption_spec(cor_cfg, i, master)
-            before = stage_list[-1][1]
-            after = apply_corruption(before, spec)
-            stage_list.append((f"{i + 1}:{spec.kind}", after))
-            affected = int(
-                (after.labels != before.labels).sum()
-                + (after.input_corruption != before.input_corruption).sum()
-            )
-            corruption_meta.append({"kind": spec.kind, "seed": spec.seed, "affected": affected})
-        final_train = stage_list[-1][1]
-
-        current_stage = "scoring"
-        est_cfg = dict(cfg.get("estimator", {}))
-        emb_cfg = dict(cfg.get("embedding", {}))
-        cache_dir = out / "cache" if out is not None else None
-        mi_by_stage = []
-        model = embedded_train = scores = None
-        for name, ds in stage_list:
-            model, embedded_train, scores, cache_key = _score_stage(
-                ds, emb_cfg, est_cfg, cache_dir
-            )
-            mi_by_stage.append(
-                {
-                    "stage": name,
-                    "global_mi": scores.global_mi,
-                    "global_mi_bits": scores.global_mi_bits,
-                    "degenerate_count": int(scores.degenerate.sum()),
-                    "k_substitutions": scores.k_substitutions,
-                }
-            )
-        embedded_test = transform(model, test_ds)
-        class_summary = per_class_summary(scores, final_train.labels)
-
-        if out is not None:
-            _write_csv(emit("scores.csv"), SCORES_CSV_COLUMNS, _scores_rows(final_train, scores))
-            _write_json(
-                emit("mi_summary.json"),
-                {
-                    "schema_version": REPORT_SCHEMA_VERSION,
-                    "mi_by_stage": mi_by_stage,
-                    "per_class_mi": class_summary,
-                    "estimator": {
-                        "variant": scores.variant,
-                        "k": scores.k,
-                        "strict": scores.strict,
-                        "label_scale": scores.label_scale,
-                        "jitter_seed": scores.jitter_seed,
-                    },
-                },
-            )
-        if through == "score":
-            return ExperimentReport(
-                data={"mi_by_stage": mi_by_stage, "per_class_mi": class_summary},
-                scores=scores, accuracy={}, out_files=written,
-            )
-
-        current_stage = "selection"
-        sel_cfg = cfg["selection"]
-        ratios = sorted(sel_cfg["ratios"])
-        cells = []
-        for plan_cfg in sel_cfg["plans"]:
-            for ratio in ratios:
-                scope, band = plan_cfg["scope"], plan_cfg["band"]
-                seed = None
-                if band == "random":
-                    seed = stage_seed(master, f"selection.{scope}/{band}@{ratio!r}")
-                plan = SelectionPlan(scope=scope, band=band, retention_ratio=float(ratio), seed=seed)
-                cells.append(plan)
-        selections = {}
-        for plan in cells:
-            result = select(scores, final_train.labels, plan, num_classes=final_train.num_classes)
-            selections[(plan.strategy, plan.retention_ratio)] = result
-            if out is not None:
-                tag = f"{plan.scope}-{plan.band}_r{plan.retention_ratio:g}"
-                save_selection(
-                    result,
-                    json_path=emit(f"selection/{tag}.json"),
-                    index_path=emit(f"selection/{tag}.idx"),
-                )
-        if through == "select":
-            return ExperimentReport(
-                data={"mi_by_stage": mi_by_stage, "per_class_mi": class_summary},
-                scores=scores, accuracy={}, out_files=written,
-            )
-
-        current_stage = "classifier"
-        clf_cfg = dict(cfg.get("classifier", {}))
-        on_raw = bool(clf_cfg.pop("on_raw_features", False))
-        clf_seed = clf_cfg.pop("seed", None)
-        if clf_seed is None:
-            clf_seed = stage_seed(master, "classifier") % (2**32)
-        tcfg = TrainConfig(
-            learning_rate=clf_cfg.get("learning_rate", 0.1),
-            epochs=clf_cfg.get("epochs", 300),
-            l2=clf_cfg.get("l2", 1e-4),
-            batch_size=clf_cfg.get("batch_size"),
-            seed=clf_seed,
-        )
-        train_data = final_train if on_raw else embedded_train
-        test_data = test_ds if on_raw else embedded_test
-
-        def run_cell(item):
-            key, result = item
-            model_c = train(train_data, result.retained_indices, tcfg)
-            return key, evaluate(model_c, test_data)["accuracy"]
-
-        items = sorted(selections.items())
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(run_cell, items))
-        else:
-            results = [run_cell(item) for item in items]
-        accuracy = dict(results)
-
-        if out is not None:
-            rows = [
-                (strategy, float(ratio), float(acc))
-                for (strategy, ratio), acc in sorted(accuracy.items())
-            ]
-            _write_csv(emit("accuracy.csv"), ACCURACY_CSV_COLUMNS, rows)
-        if through == "train":
-            return ExperimentReport(
-                data={"mi_by_stage": mi_by_stage, "per_class_mi": class_summary},
-                scores=scores, accuracy=accuracy, out_files=written,
-            )
-
-        current_stage = "report"
-        report = {
-            "schema_version": REPORT_SCHEMA_VERSION,
-            "package_version": __version__,
-            "master_seed": master,
-            "stage_seeds": {
-                name: stage_seed(master, name)
-                for name in ("dataset", "split", "classifier")
-            },
-            "config": cfg,
-            "dataset": {
-                "n_train": final_train.n,
-                "n_test": test_ds.n,
-                "num_classes": final_train.num_classes,
-                "dim": final_train.dim,
-                "image_shape": list(final_train.image_shape) if final_train.image_shape else None,
-            },
-            "corruption_stages": corruption_meta,
-            "mi_by_stage": mi_by_stage,
-            "per_class_mi": class_summary,
-            "estimator": {
-                "variant": scores.variant,
-                "k": scores.k,
-                "strict": scores.strict,
-                "label_scale": scores.label_scale,
-                "jitter_seed": scores.jitter_seed,
-            },
-            "accuracy": [
-                {"strategy": strategy, "ratio": float(ratio), "accuracy": float(acc)}
-                for (strategy, ratio), acc in sorted(accuracy.items())
-            ],
-            "content_hashes": {
-                "embedded_train": dataset_content_hash(
-                    embedded_train.points, embedded_train.labels
-                ),
-                "scores": hashlib.sha256(
-                    json.dumps(
-                        [None if d else s for s, d in
-                         zip(scores.local_scores.tolist(), scores.degenerate.tolist())]
-                    ).encode()
-                ).hexdigest(),
-            },
-        }
-        if out is not None:
-            _write_json(emit("report.json"), report)
-        return ExperimentReport(data=report, scores=scores, accuracy=accuracy, out_files=written)
-
-    except MiselectError as exc:
-        if out is not None and written:
-            quarantine = out / "quarantine"
-            quarantine.mkdir(parents=True, exist_ok=True)
-            for path in written:
-                if path.exists():
-                    shutil.move(str(path), quarantine / path.name)
-        if isinstance(exc, StageError):
-            raise
-        raise StageError(current_stage, str(exc)) from exc
+    run = _Run(
+        cfg=cfg,
+        master=int(cfg.get("seed", 0) if seed_override is None else seed_override),
+        out=Path(out_dir) if out_dir is not None else None,
+        threads=threads,
+    )
+    for stage, stops_after, step in _PIPELINE:
+        try:
+            step(run)
+        except MiselectError as exc:
+            if run.written:
+                quarantine = run.out / "quarantine"
+                quarantine.mkdir(parents=True, exist_ok=True)
+                for path in run.written:
+                    if path.exists():
+                        shutil.move(str(path), quarantine / path.name)
+            raise StageError(stage, str(exc)) from exc
+        if stops_after == through:
+            break
+    return ExperimentReport(
+        data=run.data, scores=run.scores, accuracy=run.accuracy, out_files=run.written
+    )

@@ -177,7 +177,7 @@ def score_discrete(points, k, strict=True, jitter_seed=None):
     if k < 1:
         raise ConfigError("k must be positive")
 
-    x = add_jitter(points.points, jitter_seed)
+    x = add_jitter(points.features, jitter_seed)
     index_all = NeighborIndex(x)
 
     radii = np.zeros(n)
@@ -262,7 +262,7 @@ def score_onehot(points, k, label_scale, strict=True, jitter_seed=None):
     onehot = np.zeros((len(labels), points.num_classes))
     onehot[np.arange(len(labels)), labels] = label_scale
     result = score_continuous(
-        points.points, onehot, k, strict=strict, jitter_seed=jitter_seed, variant=VARIANT_ONEHOT
+        points.features, onehot, k, strict=strict, jitter_seed=jitter_seed, variant=VARIANT_ONEHOT
     )
     return replace(result, label_scale=float(label_scale))
 
@@ -274,7 +274,7 @@ def score_dataset(points, k, variant=VARIANT_DISCRETE, strict=True, label_scale=
         return score_discrete(points, k, strict=strict, jitter_seed=jitter_seed)
     if variant == VARIANT_ONEHOT:
         if label_scale is None:
-            span = points.points.max() - points.points.min() if points.points.size else 1.0
+            span = points.features.max() - points.features.min() if points.features.size else 1.0
             label_scale = 4.0 * max(float(span), 1.0)
         return score_onehot(points, k, label_scale, strict=strict, jitter_seed=jitter_seed)
     raise ConfigError(f"unknown estimator variant {variant!r}")

@@ -59,15 +59,6 @@ class LogRegModel:
         object.__setattr__(self, "weights", _frozen(w))
 
 
-def _matrix_of(data):
-    """Feature matrix, labels and class count from either dataset type."""
-    if hasattr(data, "points"):
-        return data.points, data.labels, data.num_classes
-    if hasattr(data, "features"):
-        return data.features, data.labels, data.num_classes
-    raise ConfigError("expected an EmbeddedDataset or LabeledDataset")
-
-
 def _softmax(z):
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -105,14 +96,14 @@ def train(data, retained=None, cfg=TrainConfig()):
     the subset remain valid outputs. Deterministic: zero initialization and
     a shuffle order derived from cfg.seed when mini-batching.
     """
-    x_all, labels_all, num_classes = _matrix_of(data)
     if retained is None:
-        retained = np.arange(len(labels_all))
+        retained = np.arange(data.n)
     retained = np.asarray(retained, dtype=np.int64)
     if retained.size == 0:
         raise ConfigError("retained training set is empty")
-    x = x_all[retained]
-    labels = labels_all[retained]
+    x = data.features[retained]
+    labels = data.labels[retained]
+    num_classes = data.num_classes
     n, dim = x.shape
     xb = np.hstack([x, np.ones((n, 1))])
     weights = np.zeros((num_classes, dim + 1))
@@ -176,11 +167,11 @@ def evaluate(model, data):
     Confusion matrix rows are true classes, columns predicted classes.
     Per-class accuracy is NaN for classes absent from the test set.
     """
-    x, labels, num_classes = _matrix_of(data)
+    labels = data.labels
     if len(labels) == 0:
         raise ConfigError("cannot evaluate on an empty test set")
-    c = max(num_classes, model.num_classes)
-    preds = np.argmax(predict_proba(model, x), axis=1)
+    c = max(data.num_classes, model.num_classes)
+    preds = np.argmax(predict_proba(model, data.features), axis=1)
     confusion = np.zeros((c, c), dtype=np.int64)
     np.add.at(confusion, (labels, preds), 1)
     correct = confusion.diagonal().sum()

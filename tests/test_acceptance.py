@@ -79,17 +79,17 @@ def test_c2_independence_zero():
         rng = np.random.default_rng(100 + seed)
         pts = rng.standard_normal((500, 4))
         labels = rng.integers(0, 4, 500)
-        emb = ms.EmbeddedDataset.from_points(pts, labels)
+        emb = ms.LabeledDataset.from_arrays(pts, labels)
         worst = max(worst, abs(ms.score_discrete(emb, 3).global_mi))
     _report("C2 independence zero", worst <= 0.05, f"worst |MI|={worst:.4f} <= 0.05")
 
 
 def test_c3_deterministic_limits():
     two = _separated_blobs(2, 100, seed=0, dim=4, sep=100.0, stddev=0.01)
-    emb2 = ms.EmbeddedDataset.from_points(two.features, two.labels)
+    emb2 = ms.LabeledDataset.from_arrays(two.features, two.labels)
     mi2 = ms.score_discrete(emb2, 3).global_mi
     four = _separated_blobs(4, 200, seed=1, dim=4, sep=100.0, stddev=0.01)
-    emb4 = ms.EmbeddedDataset.from_points(four.features, four.labels)
+    emb4 = ms.LabeledDataset.from_arrays(four.features, four.labels)
     mi4 = ms.score_discrete(emb4, 3).global_mi
     err2 = abs(mi2 - math.log(2))
     err4 = abs(mi4 - math.log(4))
@@ -264,7 +264,7 @@ def test_c8b_hand_instance_term_by_term():
         expected.append(
             _psi_int(k) + _psi_int(12) - _psi_int(n_x + 1) - _psi_int(n_y + 1)
         )
-    emb = ms.EmbeddedDataset.from_points(points[:, None], labels)
+    emb = ms.LabeledDataset.from_arrays(points[:, None], labels)
     result = ms.score_discrete(emb, k)
     worst = float(np.max(np.abs(result.local_scores - np.asarray(expected))))
     _report("C8b hand-instance local scores", worst < 1e-10, f"max |diff|={worst:.2e}")

@@ -1,8 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 import miselect as ms
-from miselect.errors import ConfigError, ConsistencyError, DegenerateInputError
+from miselect.errors import ConfigError, ConsistencyError, DegenerateInputError, FormatError
 
 
 def _random_ds(n=50, dim=8, seed=0, classes=2):
@@ -64,7 +66,7 @@ def test_full_dim_projection_preserves_distances():
     for i in range(0, 30, 7):
         for j in range(i + 1, 30, 5):
             orig = np.linalg.norm(ds.features[i] - ds.features[j])
-            proj = np.linalg.norm(emb.points[i] - emb.points[j])
+            proj = np.linalg.norm(emb.features[i] - emb.features[j])
             assert abs(orig - proj) < 1e-8
 
 
@@ -72,7 +74,7 @@ def test_transform_centers_training_data():
     ds = _random_ds(n=60, dim=6, seed=2)
     model = ms.fit_pca(ds, 4)
     emb = ms.transform(model, ds)
-    assert np.all(np.abs(emb.points.mean(axis=0)) < 1e-8)
+    assert np.all(np.abs(emb.features.mean(axis=0)) < 1e-8)
 
 
 def test_transform_is_affine():
@@ -94,9 +96,9 @@ def test_test_points_land_near_class_clusters():
     model = ms.fit_pca(train, 3)
     etr = ms.transform(model, train)
     ete = ms.transform(model, test)
-    centroids = np.vstack([etr.points[etr.labels == c].mean(axis=0) for c in range(3)])
+    centroids = np.vstack([etr.features[etr.labels == c].mean(axis=0) for c in range(3)])
     preds = np.argmin(
-        np.linalg.norm(ete.points[:, None, :] - centroids[None], axis=2), axis=1
+        np.linalg.norm(ete.features[:, None, :] - centroids[None], axis=2), axis=1
     )
     assert (preds == ete.labels).mean() > 0.95
 
@@ -130,7 +132,7 @@ def test_whiten_flag_scales_to_unit_variance():
     ds = _random_ds(n=100, dim=6, seed=10)
     model = ms.fit_pca(ds, 3, whiten=True)
     emb = ms.transform(model, ds)
-    assert np.allclose(emb.points.std(axis=0, ddof=1), 1.0, atol=1e-8)
+    assert np.allclose(emb.features.std(axis=0, ddof=1), 1.0, atol=1e-8)
 
 
 def test_fit_pca_errors():
@@ -162,3 +164,48 @@ def test_pca_artifact_round_trip(tmp_path):
     assert np.array_equal(loaded.components, model.components)
     assert np.array_equal(loaded.explained_variance, model.explained_variance)
     assert loaded.whiten == model.whiten
+
+
+def test_transform_returns_labeled_dataset_with_provenance():
+    images = ms.generate_pattern_images(3, 10, height=6, width=6, seed=2)
+    flipped = ms.flip_labels(images, 0.3, seed=4)
+    model = ms.fit_pca(flipped, 3)
+    emb = ms.transform(model, flipped)
+    assert isinstance(emb, ms.LabeledDataset)
+    assert emb.image_shape is None
+    assert np.array_equal(emb.features, ms.transform_points(model, flipped.features))
+    assert np.array_equal(emb.labels, flipped.labels)
+    assert np.array_equal(emb.provenance(), flipped.provenance())
+    assert emb.num_classes == flipped.num_classes
+
+
+def test_pca_artifact_unreadable_or_ill_formed_raises_format_error(tmp_path):
+    path = tmp_path / "pca.json"
+    ms.save_pca(ms.fit_pca(_random_ds(seed=13), 3), path)
+    good = path.read_text()
+    no_mean = json.loads(good)
+    del no_mean["mean"]
+    bad_mean = dict(json.loads(good), mean="abc")
+    bad_whiten = dict(json.loads(good), whiten="yes")
+    texts = (good[: len(good) // 2], "", "[1, 2]", "\xff",
+             json.dumps(no_mean), json.dumps(bad_mean), json.dumps(bad_whiten))
+    for text in texts:
+        path.write_text(text, encoding="latin-1")
+        with pytest.raises(FormatError):
+            ms.load_pca(path)
+
+
+def test_pca_artifact_write_is_atomic(tmp_path, monkeypatch):
+    path = tmp_path / "pca.json"
+    ms.save_pca(ms.fit_pca(_random_ds(seed=14), 3), path)
+    before = path.read_bytes()
+
+    def interrupted(payload, f, **kwargs):
+        f.write('{"schema_version": 1, "mea')
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(json, "dump", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        ms.save_pca(ms.fit_pca(_random_ds(seed=15), 3), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["pca.json"]

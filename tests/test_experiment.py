@@ -82,6 +82,66 @@ def test_validate_flags_bad_plan_and_estimator():
     assert any("estimator.variant" in v for v in violations)
 
 
+def _affine(**params):
+    full = {"rotation_deg": 10.0, "scale_range": [0.9, 1.1], "shear_deg": 5.0,
+            "translate_frac": 0.05}
+    full.update(params)
+    return [{"kind": "affine_mild", "fraction": 0.2,
+             "params": {k: v for k, v in full.items() if v is not None}}]
+
+
+@pytest.mark.parametrize(
+    "section, key, value, flagged",
+    [
+        ("estimator", "jitter_seed", "abc", "estimator.jitter_seed"),
+        ("estimator", "jitter_seed", -1, "estimator.jitter_seed"),
+        ("dataset", "seed", "x", "dataset.seed"),
+        ("dataset", "class_means", [["a"] * 6] * 4, "dataset.class_means"),
+        ("dataset", "class_means", "abc", "dataset.class_means"),
+        ("classifier", "seed", "a", "classifier.seed"),
+        ("classifier", "seed", -1, "classifier.seed"),
+        ("classifier", "seed", True, "classifier.seed"),
+        ("classifier", "on_raw_features", "yes", "classifier.on_raw_features"),
+        (None, "corruptions", [{"kind": "label_flip", "rate": 0.1, "seed": "q"}],
+         "corruptions[0].seed"),
+        (None, "corruptions", {"kind": "label_flip", "rate": 0.1}, "corruptions:"),
+        (None, "corruptions", _affine(scale_range=None), "corruptions[0].params"),
+        (None, "corruptions", _affine(rotation_deg="x"), "corruptions[0].params"),
+        (None, "corruptions", _affine(scale_range=[1.2, 0.8]), "corruptions[0].params"),
+        (None, "corruptions", [{"kind": "label_flip", "rate": 0.1, "fraction": "x"}],
+         "corruptions[0].fraction"),
+        ("images", "noise", "x", "dataset.noise"),
+        ("images", "noise", -0.1, "dataset.noise"),
+        ("images", "jitter_px", -1, "dataset.jitter_px"),
+        ("images", "jitter_px", 1.5, "dataset.jitter_px"),
+    ],
+)
+def test_validate_flags_values_the_pipeline_cannot_use(section, key, value, flagged):
+    cfg = base_config()
+    if section == "images":
+        cfg["dataset"] = {"type": "synthetic_images", "num_classes": 3, "per_class_count": 10}
+        section = "dataset"
+    target = cfg if section is None else cfg[section]
+    target[key] = value
+    violations = validate_config(cfg)
+    assert any(v.startswith(flagged) for v in violations), violations
+
+
+def test_validate_accepts_null_seeds_and_full_affine_params():
+    cfg = base_config(corruptions=[{"kind": "label_flip", "rate": 0.1, "seed": None}])
+    cfg["estimator"]["jitter_seed"] = None
+    cfg["classifier"]["seed"] = 0
+    cfg["classifier"]["on_raw_features"] = True
+    assert validate_config(cfg) == []
+    assert validate_config(base_config(corruptions=_affine())) == []
+
+
+def test_run_rejects_negative_seed_override(tmp_path):
+    with pytest.raises(ConfigError, match="seed override"):
+        run_experiment(base_config(), out_dir=tmp_path, seed_override=-5)
+    assert not any(tmp_path.iterdir())
+
+
 def test_run_rejects_invalid_config(tmp_path):
     cfg = base_config()
     cfg["selection"]["ratios"] = []
@@ -249,6 +309,49 @@ def test_stage_error_quarantines_partial_outputs(tmp_path):
     assert not (tmp_path / "scores.csv").exists()
 
 
+def _selection_files():
+    return [
+        f"selection/global-{band}_r{ratio}.{ext}"
+        for band in ("top", "random") for ratio in ("0.5", "1") for ext in ("json", "idx")
+    ]
+
+
+# stage -> (experiment callee that only this stage uses, files earlier stages wrote)
+_FAULTS = {
+    "dataset": ("generate_synthetic", []),
+    "corruption": ("apply_corruption", []),
+    "scoring": ("score_dataset", []),
+    "selection": ("select", ["scores.csv", "mi_summary.json"]),
+    "classifier": ("train", ["scores.csv", "mi_summary.json", *_selection_files()]),
+    "report": ("_write_json", ["scores.csv", "mi_summary.json", *_selection_files(),
+                               "accuracy.csv"]),
+}
+
+
+@pytest.mark.parametrize("stage", list(_FAULTS))
+def test_fault_at_each_stage_boundary_quarantines_earlier_outputs(
+    tmp_path, monkeypatch, capsys, stage
+):
+    callee, earlier = _FAULTS[stage]
+    original = getattr(experiment, callee)
+
+    def faulty(*args, **kwargs):
+        if callee != "_write_json" or Path(args[0]).name == "report.json":
+            raise ms.MiselectError("injected fault")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, callee, faulty)
+    cfg = base_config(corruptions=[{"kind": "label_flip", "rate": 0.2}])
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    assert f"[stage:{stage}]" in capsys.readouterr().err
+    quarantine = out / "quarantine"
+    quarantined = sorted(p.name for p in quarantine.rglob("*")) if quarantine.exists() else []
+    assert quarantined == sorted(Path(name).name for name in earlier)
+    for name in earlier:
+        assert not (out / name).exists()
+
+
 def test_idx_dataset_source(tmp_path):
     rng = np.random.default_rng(0)
     ds = ms.generate_pattern_images(3, 30, height=8, width=8, seed=5)
@@ -360,3 +463,41 @@ def test_cli_seed_override(tmp_path):
     b = (tmp_path / "b/scores.csv").read_bytes()
     c = (tmp_path / "c/scores.csv").read_bytes()
     assert a != b and b == c
+
+
+@pytest.mark.parametrize("problem", ["missing", "malformed"])
+@pytest.mark.parametrize("with_out", [True, False])
+def test_cli_unreadable_config_exits_2(tmp_path, capsys, problem, with_out):
+    path = tmp_path / "config.json"
+    if problem == "malformed":
+        path.write_text("{not json")
+    argv = ["run", "--config", str(path)]
+    if with_out:
+        argv += ["--out", str(tmp_path / "o")]
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(path) in err
+    assert "Traceback" not in err
+    assert "no output directory" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_validate_unreadable_config(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text("[1, 2]")
+    assert cli_main(["validate", "--config", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv_tail", [["--seed", "-5"], []])
+def test_cli_invalid_config_value_exits_2(tmp_path, capsys, argv_tail):
+    cfg = base_config()
+    if not argv_tail:
+        cfg["classifier"]["seed"] = -1
+    path = _write_cfg(tmp_path, cfg)
+    out = tmp_path / "o"
+    assert cli_main(["run", "--config", path, "--out", str(out), *argv_tail]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -86,7 +86,7 @@ def hand_oracle_scores(points, labels, k):
 
 
 def test_local_scores_match_hand_oracle():
-    emb = ms.EmbeddedDataset.from_points(HAND_POINTS[:, None], HAND_LABELS)
+    emb = ms.LabeledDataset.from_arrays(HAND_POINTS[:, None], HAND_LABELS)
     result = ms.score_discrete(emb, 2)
     expected = hand_oracle_scores(HAND_POINTS, HAND_LABELS, 2)
     assert np.all(np.abs(result.local_scores - expected) < 1e-10)
@@ -95,7 +95,7 @@ def test_local_scores_match_hand_oracle():
 
 
 def test_strict_flag_changes_tied_counts():
-    emb = ms.EmbeddedDataset.from_points(HAND_POINTS[:, None], HAND_LABELS)
+    emb = ms.LabeledDataset.from_arrays(HAND_POINTS[:, None], HAND_LABELS)
     strict = ms.score_discrete(emb, 2, strict=True)
     loose = ms.score_discrete(emb, 2, strict=False)
     # integer spacing produces exact ties at the radius, so <= counts more
@@ -125,14 +125,14 @@ def plugin_histogram_mi(values, labels, bins=40):
 def _separated(num_classes, per_class, seed, stddev=0.01, sep=100.0, dim=4):
     spec = ms.SyntheticSpec.separated(num_classes, per_class, dim, sep, stddev, seed)
     ds = ms.generate_synthetic(spec)
-    return ms.EmbeddedDataset.from_points(ds.features, ds.labels)
+    return ms.LabeledDataset.from_arrays(ds.features, ds.labels)
 
 
 def test_two_cluster_limit_is_ln2():
     emb = _separated(2, 100, seed=0)
     result = ms.score_discrete(emb, 3)
     assert abs(result.global_mi - math.log(2)) < 0.05
-    plugin = plugin_histogram_mi(emb.points[:, 0], emb.labels)
+    plugin = plugin_histogram_mi(emb.features[:, 0], emb.labels)
     assert abs(result.global_mi - plugin) < 0.05
 
 
@@ -140,14 +140,14 @@ def test_independent_labels_give_zero_mi():
     rng = np.random.default_rng(100)
     pts = rng.standard_normal((500, 3))
     labels = rng.integers(0, 4, 500)
-    emb = ms.EmbeddedDataset.from_points(pts, labels)
+    emb = ms.LabeledDataset.from_arrays(pts, labels)
     result = ms.score_discrete(emb, 3)
     assert abs(result.global_mi) < 0.05
 
 
 def test_onehot_matches_discrete_with_large_scale():
     emb = _separated(3, 60, seed=4, stddev=0.5, sep=10.0)
-    span = float(emb.points.max() - emb.points.min())
+    span = float(emb.features.max() - emb.features.min())
     discrete = ms.score_discrete(emb, 3)
     onehot = ms.score_onehot(emb, 3, label_scale=2.0 * span)
     assert abs(onehot.global_mi - discrete.global_mi) < 0.1
@@ -159,7 +159,7 @@ def test_onehot_independent_labels_zero():
     rng = np.random.default_rng(6)
     pts = rng.standard_normal((400, 2))
     labels = rng.integers(0, 3, 400)
-    emb = ms.EmbeddedDataset.from_points(pts, labels)
+    emb = ms.LabeledDataset.from_arrays(pts, labels)
     result = ms.score_onehot(emb, 3, label_scale=50.0)
     assert abs(result.global_mi) < 0.05
 
@@ -204,7 +204,7 @@ def test_permutation_invariance():
     result = ms.score_discrete(emb, 3)
     rng = np.random.default_rng(1)
     perm = rng.permutation(emb.n)
-    emb_p = ms.EmbeddedDataset.from_points(emb.points[perm], emb.labels[perm])
+    emb_p = ms.LabeledDataset.from_arrays(emb.features[perm], emb.labels[perm])
     result_p = ms.score_discrete(emb_p, 3)
     assert np.all(np.abs(result_p.local_scores - result.local_scores[perm]) < 1e-12)
     assert abs(result_p.global_mi - result.global_mi) < 1e-12
@@ -214,7 +214,7 @@ def test_label_permutation_symmetry():
     emb = _separated(4, 30, seed=9, stddev=1.0, sep=6.0)
     result = ms.score_discrete(emb, 3)
     relabel = np.array([2, 0, 3, 1])  # bijection on class ids
-    emb_r = ms.EmbeddedDataset.from_points(emb.points, relabel[emb.labels])
+    emb_r = ms.LabeledDataset.from_arrays(emb.features, relabel[emb.labels])
     result_r = ms.score_discrete(emb_r, 3)
     assert np.array_equal(result_r.local_scores, result.local_scores)
 
@@ -224,9 +224,9 @@ def test_structure_choice_does_not_change_scores(monkeypatch):
     neighbour counts equal the single-query oracle's."""
     emb = _separated(3, 40, seed=10, stddev=1.0, sep=4.0)
     n, k = emb.n, 3
-    joint = np.hstack([emb.points, np.eye(3)[emb.labels] * 100.0])
+    joint = np.hstack([emb.features, np.eye(3)[emb.labels] * 100.0])
     eps = [ms.build_index(joint).knn(i, k).distances[-1] for i in range(n)]
-    x_index = ms.build_index(emb.points)
+    x_index = ms.build_index(emb.features)
     oracle_nx = [
         x_index.count_within(i, x_index.knn_among(i, k, emb.labels == emb.labels[i]).distances[-1])
         for i in range(n)
@@ -295,7 +295,7 @@ def test_flipped_samples_score_lower():
 def test_small_class_fallback_and_singleton_sentinel():
     pts = np.array([[0.0], [0.1], [0.2], [0.3], [5.0], [5.1], [99.0]])
     labels = np.array([0, 0, 0, 0, 1, 1, 2])
-    emb = ms.EmbeddedDataset.from_points(pts, labels)
+    emb = ms.LabeledDataset.from_arrays(pts, labels)
     result = ms.score_discrete(emb, 3)
     # class 0 has enough members for the requested k
     assert np.all(result.k_effective[labels == 0] == 3)
@@ -310,7 +310,7 @@ def test_small_class_fallback_and_singleton_sentinel():
 
 
 def test_score_requires_enough_samples():
-    emb = ms.EmbeddedDataset.from_points(np.zeros((3, 1)), [0, 0, 1])
+    emb = ms.LabeledDataset.from_arrays(np.zeros((3, 1)), [0, 0, 1])
     with pytest.raises(ConfigError):
         ms.score_discrete(emb, 3)
     with pytest.raises(ConfigError):
@@ -350,9 +350,9 @@ def test_per_class_summary_matches_two_pass_oracle():
 def test_score_artifact_round_trip(tmp_path):
     pts = np.array([[0.0], [0.1], [0.2], [5.0], [5.1], [99.0]])
     labels = np.array([0, 0, 0, 1, 1, 2])
-    emb = ms.EmbeddedDataset.from_points(pts, labels)
+    emb = ms.LabeledDataset.from_arrays(pts, labels)
     result = ms.score_discrete(emb, 3)
-    content = ms.dataset_content_hash(emb.points, emb.labels)
+    content = ms.dataset_content_hash(emb.features, emb.labels)
     path = tmp_path / "scores.json"
     ms.save_scores(result, path, dataset_hash=content)
     loaded, stored_hash = ms.load_scores(path)
@@ -365,7 +365,7 @@ def test_score_artifact_round_trip(tmp_path):
 
 
 def test_score_artifact_malformed_raises_format_error(tmp_path):
-    emb = ms.EmbeddedDataset.from_points(np.arange(6.0)[:, None], np.array([0, 0, 0, 1, 1, 1]))
+    emb = ms.LabeledDataset.from_arrays(np.arange(6.0)[:, None], np.array([0, 0, 0, 1, 1, 1]))
     path = tmp_path / "scores.json"
     ms.save_scores(ms.score_discrete(emb, 2), path)
     good = path.read_text()
@@ -378,7 +378,7 @@ def test_score_artifact_malformed_raises_format_error(tmp_path):
 
 
 def test_score_artifact_write_is_atomic(tmp_path, monkeypatch):
-    emb = ms.EmbeddedDataset.from_points(np.arange(6.0)[:, None], np.array([0, 0, 0, 1, 1, 1]))
+    emb = ms.LabeledDataset.from_arrays(np.arange(6.0)[:, None], np.array([0, 0, 0, 1, 1, 1]))
     result = ms.score_discrete(emb, 2)
     path = tmp_path / "scores.json"
     ms.save_scores(result, path)

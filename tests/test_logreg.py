@@ -38,7 +38,7 @@ def _reference_loss_and_gradient(weights, x, labels, l2):
 
 def _reference_train(data, retained, cfg):
     """Two calls per full-batch epoch: one to step, one to record the loss."""
-    x = data.points[retained]
+    x = data.features[retained]
     labels = data.labels[retained]
     n, dim = x.shape
     xb = np.hstack([x, np.ones((n, 1))])
@@ -62,18 +62,18 @@ def _reference_train(data, retained, cfg):
 def _blobs(n_per_class=40, classes=2, dim=2, sep=6.0, seed=0):
     spec = ms.SyntheticSpec.separated(classes, n_per_class, dim, sep, 0.7, seed)
     ds = ms.generate_synthetic(spec)
-    return ms.EmbeddedDataset.from_points(ds.features, ds.labels)
+    return ms.LabeledDataset.from_arrays(ds.features, ds.labels)
 
 
 def test_separable_blobs_reach_perfect_training_accuracy():
     emb = _blobs()
     model = ms.train(emb, cfg=ms.TrainConfig(epochs=200))
-    preds = np.argmax(ms.predict_proba(model, emb.points), axis=1)
+    preds = np.argmax(ms.predict_proba(model, emb.features), axis=1)
     assert (preds == emb.labels).mean() == 1.0
 
 
 def test_single_sample_memorized():
-    emb = ms.EmbeddedDataset.from_points(np.array([[0.6, -0.8]]), [1], num_classes=3)
+    emb = ms.LabeledDataset.from_arrays(np.array([[0.6, -0.8]]), [1], num_classes=3)
     model = ms.train(emb, cfg=ms.TrainConfig(epochs=300))
     cls, probs = ms.predict(model, np.array([0.6, -0.8]))
     assert cls == 1
@@ -141,7 +141,7 @@ def test_evaluate_matches_recount_oracle():
     result = ms.evaluate(model, emb)
     correct = 0
     for i in range(emb.n):
-        cls, _ = ms.predict(model, emb.points[i])
+        cls, _ = ms.predict(model, emb.features[i])
         correct += int(cls == emb.labels[i])
     assert result["accuracy"] == correct / emb.n
 
@@ -166,7 +166,7 @@ def test_retained_subset_and_class_count_from_full_dataset():
     only_two = np.flatnonzero(emb.labels < 2)
     model = ms.train(emb, retained=only_two, cfg=ms.TrainConfig(epochs=50))
     assert model.num_classes == 3  # absent class stays a valid output
-    probs = ms.predict_proba(model, emb.points[:3])
+    probs = ms.predict_proba(model, emb.features[:3])
     assert probs.shape == (3, 3)
 
 
