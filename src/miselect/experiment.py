@@ -13,14 +13,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import shutil
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
+from ._util import round_half_even
 from .corruption import (
     KIND_AFFINE_MILD,
     KIND_AFFINE_STRONG,
@@ -104,6 +106,33 @@ def _is_affine_params(p):
     )
 
 
+def _embedding_bound(ds):
+    """(N_train, feature dim) of a synthetic dataset section, the two bounds
+    of its PCA dim, or None when a field they derive from is invalid.
+
+    An idx dataset has no bound here: its sizes are only known by reading
+    its files.
+    """
+    def count(key, default=None, least=1):
+        value = ds.get(key, default)
+        ok = isinstance(value, int) and not isinstance(value, bool) and value >= least
+        return value if ok else None
+
+    sizes = [count("num_classes"), count("per_class_count")]
+    if ds.get("type") == "synthetic":
+        dims = [count("dim")]
+    elif ds.get("type") == "synthetic_images":
+        dims = [count("height", 12, least=4), count("width", 12, least=4)]
+    else:
+        return None
+    frac = ds.get("test_fraction", 0.25)
+    if None in sizes + dims or not _is_num(frac) or not 0.0 < frac < 1.0:
+        return None
+    n = sizes[0] * sizes[1]
+    # the test split takes round_half_even(test_fraction * N), as in train_test_split
+    return n - round_half_even(frac * n), math.prod(dims)
+
+
 def validate_config(config):
     """Range and consistency checks; returns a list of violation strings.
 
@@ -180,8 +209,13 @@ def validate_config(config):
     if not isinstance(emb, dict):
         bad.append("embedding: must be a mapping")
     else:
-        if not isinstance(emb.get("dim", 16), int) or emb.get("dim", 16) < 1:
+        dim = emb.get("dim", 16)
+        bound = _embedding_bound(ds) if isinstance(ds, dict) else None
+        if not isinstance(dim, int) or dim < 1:
             bad.append("embedding.dim: must be a positive integer")
+        elif bound is not None and dim > min(bound):
+            bad.append(f"embedding.dim: {dim} exceeds min(N_train={bound[0]}, "
+                       f"feature dim={bound[1]})")
         if not isinstance(emb.get("whiten", False), bool):
             bad.append("embedding.whiten: must be a boolean")
 
@@ -347,10 +381,8 @@ def _corruption_spec(cor_cfg, index, master_seed):
     )
 
 
-def _embed_and_score(ds, emb_cfg, est_cfg, cache_dir):
-    """Fit PCA on one training split, embed it and score it (via the cache)."""
-    model = fit_pca(ds, emb_cfg.get("dim", 16), whiten=emb_cfg.get("whiten", False))
-    embedded = transform(model, ds)
+def _cached_scores(embedded, est_cfg, cache_dir):
+    """Score one embedded training split, through the score cache."""
     key_material = json.dumps(
         {
             "hash": dataset_content_hash(embedded.features, embedded.labels),
@@ -375,7 +407,7 @@ def _embed_and_score(ds, emb_cfg, est_cfg, cache_dir):
             except MiselectError:
                 stored_key = None
             if stored_key == cache_key:
-                return model, embedded, scores
+                return scores
     scores = score_dataset(
         embedded,
         est_cfg.get("k", 3),
@@ -387,7 +419,7 @@ def _embed_and_score(ds, emb_cfg, est_cfg, cache_dir):
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         save_scores(scores, cache_path, dataset_hash=cache_key)
-    return model, embedded, scores
+    return scores
 
 
 def _fmt(value):
@@ -504,11 +536,20 @@ def _corruption_stage(run):
 
 def _scoring_stage(run):
     cache_dir = run.out / "cache" if run.out is not None else None
+    emb_cfg = run.cfg.get("embedding", {})
     mi_by_stage = []
+    raw = None
     for name, ds in run.stages:
-        model, run.embedded_train, scores = _embed_and_score(
-            ds, run.cfg.get("embedding", {}), run.cfg.get("estimator", {}), cache_dir
-        )
+        # a label flip keeps the very feature array, and the same features
+        # give the same PCA fit, so the previous fit and projection carry over
+        if ds.features is raw:
+            projected = run.embedded_train.features
+            run.embedded_train = replace(ds, features=projected, image_shape=None)
+        else:
+            model = fit_pca(ds, emb_cfg.get("dim", 16), whiten=emb_cfg.get("whiten", False))
+            run.embedded_train = transform(model, ds)
+            raw = ds.features
+        scores = _cached_scores(run.embedded_train, run.cfg.get("estimator", {}), cache_dir)
         mi_by_stage.append(
             {
                 "stage": name,

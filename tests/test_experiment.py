@@ -136,6 +136,44 @@ def test_validate_accepts_null_seeds_and_full_affine_params():
     assert validate_config(base_config(corruptions=_affine())) == []
 
 
+def _small_dataset(kind, **fields):
+    ds = {"type": kind, "num_classes": 2, "per_class_count": 10}
+    if kind == "synthetic":
+        ds.update(dim=20, class_separation=3.0, class_stddev=1.0)
+    ds.update(fields)
+    return ds
+
+
+@pytest.mark.parametrize(
+    "dataset, emb_dim, flagged",
+    [
+        # dim 3 bounds the PCA dim
+        (_small_dataset("synthetic", dim=3), 8, True),
+        (_small_dataset("synthetic", dim=3), 3, False),
+        # N = 20: the test split takes round_half_even(0.25 * 20) = 5, N_train = 15
+        (_small_dataset("synthetic"), 16, True),
+        (_small_dataset("synthetic"), 15, False),
+        # N = 10: round_half_even(2.5) = 2, N_train = 8
+        (_small_dataset("synthetic", per_class_count=5), 9, True),
+        (_small_dataset("synthetic", per_class_count=5), 8, False),
+        # images: height x width features, 12 x 12 by default
+        (_small_dataset("synthetic_images", num_classes=6, height=4, width=5), 21, True),
+        (_small_dataset("synthetic_images", num_classes=6, height=4, width=5), 20, False),
+        (_small_dataset("synthetic_images", num_classes=6, per_class_count=40), 145, True),
+        (_small_dataset("synthetic_images", num_classes=6, per_class_count=40), 144, False),
+        # an invalid field the bound derives from is reported alone
+        (_small_dataset("synthetic", dim="x"), 8, False),
+        (_small_dataset("synthetic", per_class_count=0), 8, False),
+        (_small_dataset("synthetic", test_fraction=1.5), 30, False),
+        (_small_dataset("synthetic_images", height=2), 200, False),
+    ],
+)
+def test_validate_bounds_embedding_dim_by_the_data(dataset, emb_dim, flagged):
+    cfg = base_config(dataset=dataset, embedding={"dim": emb_dim})
+    violations = validate_config(cfg)
+    assert any(v.startswith("embedding.dim") for v in violations) == flagged, violations
+
+
 def test_run_rejects_negative_seed_override(tmp_path):
     with pytest.raises(ConfigError, match="seed override"):
         run_experiment(base_config(), out_dir=tmp_path, seed_override=-5)
@@ -296,6 +334,40 @@ def test_mi_by_stage_tracks_each_corruption(tmp_path):
     assert stages == ["clean", "1:label_flip", "2:label_flip"]
     mis = [e["global_mi"] for e in report.data["mi_by_stage"]]
     assert mis[0] > mis[1] > mis[2]
+
+
+def test_pca_is_fitted_once_per_distinct_feature_matrix(tmp_path, monkeypatch):
+    corruptions = [
+        {"kind": "label_flip", "rate": 0.2},
+        {"kind": "gaussian", "fraction": 0.3, "noise_factor": 0.5},
+        {"kind": "label_flip", "rate": 0.2},
+    ]
+    dataset = _small_dataset("synthetic_images", num_classes=4, per_class_count=20,
+                             height=8, width=8)
+    cfg = base_config(dataset=dataset, corruptions=corruptions)
+    fits = []
+    real_fit_pca = experiment.fit_pca
+
+    def counting_fit_pca(*args, **kwargs):
+        fits.append(args[0])
+        return real_fit_pca(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "fit_pca", counting_fit_pca)
+    run_experiment(cfg, out_dir=tmp_path)
+    # the label flips keep their input's features: clean and gaussian are fitted
+    assert len(fits) == 2
+    monkeypatch.undo()
+
+    # every stage's global MI equals a fresh fit, embedding and scoring of it
+    train, _ = experiment._build_dataset(cfg["dataset"], cfg["seed"])
+    stages = [train]
+    for i, cor in enumerate(corruptions):
+        stages.append(ms.apply_corruption(stages[-1], experiment._corruption_spec(cor, i, 42)))
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert len(report["mi_by_stage"]) == len(stages)
+    for entry, ds in zip(report["mi_by_stage"], stages):
+        embedded = ms.transform(ms.fit_pca(ds, 4), ds)
+        assert entry["global_mi"] == ms.score_dataset(embedded, 3).global_mi
 
 
 def test_stage_error_quarantines_partial_outputs(tmp_path):
@@ -463,6 +535,18 @@ def test_cli_seed_override(tmp_path):
     b = (tmp_path / "b/scores.csv").read_bytes()
     c = (tmp_path / "c/scores.csv").read_bytes()
     assert a != b and b == c
+
+
+def test_cli_embedding_dim_beyond_the_data_exits_2(tmp_path, capsys):
+    cfg = base_config(dataset=_small_dataset("synthetic", dim=3), embedding={"dim": 8})
+    path = _write_cfg(tmp_path, cfg)
+    assert cli_main(["validate", "--config", path]) == 2
+    assert "embedding.dim" in capsys.readouterr().err
+    assert cli_main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config: embedding.dim" in err
+    assert "[stage:" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("problem", ["missing", "malformed"])

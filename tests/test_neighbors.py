@@ -248,6 +248,73 @@ def test_bulk_kernel_property_matches_oracle(data):
             assert idx.count_within_bulk(radii, strict).tolist() == singles
 
 
+# coordinates on a coarse grid of float spacings around 0, +-1e15 (where
+# one grid step is the spacing, so window bounds round) and +-1e308 (where
+# distances and the slack's bound overflow)
+_OFFSETS = (0.0, 1e15, -1e15, 1e308, -1e308)
+
+
+# distances between +-1e308 overflow to inf, in the oracle as in the kernel
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_window_pruned_count_matches_oracle(data):
+    """The sorted-window bulk count equals count_within, strict and closed,
+    under every block layout."""
+    n = data.draw(st.integers(2, 20), label="n")
+    d = data.draw(st.integers(1, 3), label="d")
+    offsets = data.draw(st.lists(st.sampled_from(_OFFSETS), min_size=n * d, max_size=n * d),
+                        label="offsets")
+    steps = data.draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d),
+                      label="steps")
+    pts = np.asarray(offsets).reshape(n, d) + 0.125 * np.asarray(steps).reshape(n, d)
+    if data.draw(st.booleans(), label="all points share the sort coordinate"):
+        pts[:] = pts[0]
+    idx = ms.build_index(pts)
+    # radii: 0, inf, grid steps, and exact pairwise distances and their
+    # float neighbours, so that many points sit on a window's boundary
+    radii = np.empty(n)
+    for i in range(n):
+        kind = data.draw(st.sampled_from(["zero", "inf", "grid", "pair", "below", "above"]))
+        j = data.draw(st.integers(0, n - 1))
+        pair = float(np.abs(idx.points[i] - idx.points[j]).max())
+        radii[i] = {
+            "zero": 0.0,
+            "inf": np.inf,
+            "grid": 0.125 * data.draw(st.integers(1, 8)),
+            "pair": pair,
+            "below": np.nextafter(pair, 0.0),
+            "above": np.nextafter(pair, np.inf),
+        }[kind]
+    singles = {
+        strict: [idx.count_within(i, float(radii[i]), strict) for i in range(n)]
+        for strict in (True, False)
+    }
+    for budget in block_layouts(n):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(neighbors, "BLOCK_BYTES", budget)
+            for strict in (True, False):
+                assert idx.count_within_bulk(radii, strict).tolist() == singles[strict]
+
+
+@pytest.mark.parametrize("bad", [-1.0, -np.inf, np.nan])
+def test_count_rejects_negative_or_nan_radius(bad):
+    idx = ms.build_index(LINE)
+    with pytest.raises(ConfigError):
+        idx.count_within(0, bad)
+    radii = np.array([1.0, bad, 1.0])
+    for strict in (True, False):
+        with pytest.raises(ConfigError):
+            idx.count_within_bulk(radii, strict)
+
+
+def test_count_allows_infinite_radius():
+    idx = ms.build_index(LINE)
+    for strict in (True, False):
+        assert idx.count_within(0, np.inf, strict) == 2
+        assert idx.count_within_bulk(np.full(3, np.inf), strict).tolist() == [2, 2, 2]
+
+
 def test_count_within_bulk_memory_is_bounded():
     rng = np.random.default_rng(0)
     idx = ms.build_index(rng.standard_normal((4000, 32)))
