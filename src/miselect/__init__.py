@@ -24,16 +24,11 @@ from .data import (
     generate_pattern_images,
     generate_synthetic,
     load_idx,
-    save_idx,
     train_test_split,
 )
 from .embedding import (
     PcaModel,
     fit_pca,
-    inverse_transform,
-    load_pca,
-    reconstruction_error,
-    save_pca,
     transform,
     transform_points,
 )
@@ -67,23 +62,6 @@ from .ksg import (
     score_discrete,
     score_onehot,
 )
-from .logreg import (
-    LogRegModel,
-    TrainConfig,
-    evaluate,
-    load_model,
-    predict,
-    predict_proba,
-    save_model,
-    train,
-)
-from .neighbors import (
-    NeighborIndex,
-    NeighborResult,
-    build_index,
-    chebyshev,
-    count_within,
-    knn,
-    knn_among,
-)
+from .logreg import LogRegModel, TrainConfig, evaluate, predict_proba, train
+from .neighbors import NeighborIndex, NeighborResult, chebyshev
 from .selection import SelectionPlan, SelectionResult, save_selection, select

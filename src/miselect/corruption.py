@@ -9,7 +9,7 @@ index), so serial and parallel application agree bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -110,14 +110,14 @@ def flip_labels(ds, rate, seed):
         raise ConfigError("cannot flip labels with fewer than 2 classes")
     n_flip = round_half_even(rate * ds.n)
     if n_flip == 0:
-        return ds.with_changes()
+        return replace(ds)
     chosen = _choose(ds.n, n_flip, seed)
     labels = ds.labels.copy()
     c = ds.num_classes
     for i in chosen:
         shift = int(_sample_rng(seed, i).integers(1, c))
         labels[i] = (labels[i] + shift) % c
-    return ds.with_changes(labels=labels)
+    return replace(ds, labels=labels)
 
 
 def add_gaussian(ds, noise_factor, fraction, seed):
@@ -135,13 +135,14 @@ def add_gaussian(ds, noise_factor, fraction, seed):
         raise ConfigError("add_gaussian requires image-valued features in [0, 1]")
     count = round_half_even(fraction * ds.n)
     if count == 0:
-        return ds.with_changes()
+        return replace(ds)
     chosen = _choose(ds.n, count, seed)
     features = ds.features.copy()
     for i in chosen:
         z = _sample_rng(seed, i).standard_normal(ds.dim)
         features[i] = np.clip(features[i] + noise_factor * z, 0.0, 1.0)
-    return ds.with_changes(
+    return replace(
+        ds,
         features=features,
         input_corruption=_add_tags(ds.input_corruption, chosen, KIND_GAUSSIAN),
     )
@@ -203,14 +204,15 @@ def affine_warp(ds, params, fraction, seed, width, height, kind=KIND_AFFINE_STRO
         raise ConfigError(f"dataset dim {ds.dim} != width*height={width * height}")
     count = round_half_even(fraction * ds.n)
     if count == 0:
-        return ds.with_changes()
+        return replace(ds)
     chosen = _choose(ds.n, count, seed)
     features = ds.features.copy()
     for i in chosen:
         img = features[i].reshape(height, width)
         warped = _warp_image(img, _sample_rng(seed, i), params)
         features[i] = np.clip(warped, 0.0, 1.0).ravel()
-    return ds.with_changes(
+    return replace(
+        ds,
         features=features,
         input_corruption=_add_tags(ds.input_corruption, chosen, kind),
     )

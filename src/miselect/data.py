@@ -10,7 +10,7 @@ validated against ground truth.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,17 +135,6 @@ class LabeledDataset:
             original_labels=self.original_labels[indices],
             input_corruption=self.input_corruption[indices],
             image_shape=self.image_shape,
-        )
-
-    def with_changes(self, features=None, labels=None, input_corruption=None):
-        """Copy with some columns replaced; provenance fields carry over."""
-        return replace(
-            self,
-            features=self.features if features is None else features,
-            labels=self.labels if labels is None else labels,
-            input_corruption=(
-                self.input_corruption if input_corruption is None else input_corruption
-            ),
         )
 
 
@@ -323,24 +312,6 @@ def load_idx(images_path, labels_path):
         features, labels, num_classes=int(labels.max()) + 1 if labels.size else 1,
         image_shape=(rows, cols),
     )
-
-
-def save_idx(ds, images_path, labels_path):
-    """Write a dataset back out as an IDX image/label pair.
-
-    Inverse of :func:`load_idx`: features are scaled by 255 and rounded to
-    bytes, so load -> save reproduces the original files byte for byte.
-    """
-    if ds.image_shape is None:
-        raise ConfigError("save_idx requires an image dataset (image_shape set)")
-    rows, cols = ds.image_shape
-    pixels = np.rint(ds.features * 255.0).astype(np.uint8)
-    with open(images_path, "wb") as f:
-        f.write(struct.pack(">iiii", IDX_IMAGE_MAGIC, ds.n, rows, cols))
-        f.write(pixels.tobytes())
-    with open(labels_path, "wb") as f:
-        f.write(struct.pack(">ii", IDX_LABEL_MAGIC, ds.n))
-        f.write(ds.labels.astype(np.uint8).tobytes())
 
 
 def train_test_split(ds, test_fraction, seed):

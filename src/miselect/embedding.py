@@ -8,17 +8,14 @@ ties never depend on library internals.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import write_json_atomic
 from .data import _frozen
-from .errors import ConfigError, ConsistencyError, DegenerateInputError, FormatError
+from .errors import ConfigError, ConsistencyError, DegenerateInputError
 
 _ORTHO_TOL = 1e-8
-PCA_SCHEMA_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -53,16 +50,8 @@ class PcaModel:
         object.__setattr__(self, "explained_variance", _frozen(np.maximum(ev, 0.0)))
 
     @property
-    def latent_dim(self):
-        return self.components.shape[0]
-
-    @property
     def source_dim(self):
         return self.mean.shape[0]
-
-
-def _features_of(ds):
-    return ds.features if hasattr(ds, "features") else np.asarray(ds, dtype=np.float64)
 
 
 def fit_pca(ds, d, whiten=False):
@@ -74,7 +63,7 @@ def fit_pca(ds, d, whiten=False):
     symmetric eigensolver on the explicit covariance while source_dim is
     small; falls back to an SVD of the centered data otherwise.
     """
-    x = _features_of(ds)
+    x = ds.features
     n, dim = x.shape
     if n < 2:
         raise ConfigError("fit_pca needs at least 2 samples")
@@ -125,62 +114,3 @@ def transform(model, ds):
     """Embed a labeled dataset: a LabeledDataset whose features are the
     projected points; labels and provenance pass through unchanged."""
     return replace(ds, features=transform_points(model, ds.features), image_shape=None)
-
-
-def inverse_transform(model, points):
-    """Map latent points back to the source space (least-squares lift)."""
-    points = np.asarray(points, dtype=np.float64)
-    if model.whiten:
-        points = points * np.sqrt(model.explained_variance)
-    return points @ model.components + model.mean
-
-
-def reconstruction_error(model, x):
-    """Mean squared reconstruction error of raw features under the model."""
-    x = np.asarray(x, dtype=np.float64)
-    x_hat = inverse_transform(model, transform_points(model, x))
-    return float(np.mean((x - x_hat) ** 2))
-
-
-def save_pca(model, path):
-    """Write a PCA model to a versioned JSON artifact (exact round trip).
-
-    The write is atomic: an interrupted save leaves ``path`` as it was.
-    """
-    write_json_atomic(
-        path,
-        {
-            "schema_version": PCA_SCHEMA_VERSION,
-            "mean": model.mean.tolist(),
-            "components": model.components.tolist(),
-            "explained_variance": model.explained_variance.tolist(),
-            "whiten": model.whiten,
-        },
-    )
-
-
-def load_pca(path):
-    """Read a PCA artifact written by ``save_pca``.
-
-    Raises FormatError when the file is not JSON or lacks a field.
-    """
-    try:
-        with open(path) as f:
-            payload = json.load(f)
-    except ValueError as exc:
-        raise FormatError(f"{path}: unreadable PCA artifact: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise FormatError(f"{path}: PCA artifact is not a JSON object")
-    if payload.get("schema_version") != PCA_SCHEMA_VERSION:
-        raise ConfigError(f"{path}: unsupported PCA artifact version")
-    if not isinstance(payload.get("whiten"), bool):
-        raise FormatError(f"{path}: ill-formed PCA artifact: whiten must be a boolean")
-    try:
-        return PcaModel(
-            mean=np.asarray(payload["mean"]),
-            components=np.asarray(payload["components"]),
-            explained_variance=np.asarray(payload["explained_variance"]),
-            whiten=payload["whiten"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: ill-formed PCA artifact: {exc!r}") from exc

@@ -89,9 +89,14 @@ def _is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _is_int(v, least):
+    """An integer, not a bool (JSON true/false), no smaller than ``least``."""
+    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+
+
 def _is_seed(v):
     """A seed field is null (derive it from the master seed) or an int >= 0."""
-    return v is None or (isinstance(v, int) and not isinstance(v, bool) and v >= 0)
+    return v is None or _is_int(v, 0)
 
 
 def _is_affine_params(p):
@@ -106,17 +111,16 @@ def _is_affine_params(p):
     )
 
 
-def _embedding_bound(ds):
-    """(N_train, feature dim) of a synthetic dataset section, the two bounds
-    of its PCA dim, or None when a field they derive from is invalid.
+def _synthetic_sizes(ds):
+    """(N, N_test, feature dim) of a synthetic dataset section, or None when
+    a field they derive from is invalid.
 
-    An idx dataset has no bound here: its sizes are only known by reading
-    its files.
+    An idx dataset has no sizes here: they are only known by reading its
+    files.
     """
     def count(key, default=None, least=1):
         value = ds.get(key, default)
-        ok = isinstance(value, int) and not isinstance(value, bool) and value >= least
-        return value if ok else None
+        return value if _is_int(value, least) else None
 
     sizes = [count("num_classes"), count("per_class_count")]
     if ds.get("type") == "synthetic":
@@ -130,7 +134,7 @@ def _embedding_bound(ds):
         return None
     n = sizes[0] * sizes[1]
     # the test split takes round_half_even(test_fraction * N), as in train_test_split
-    return n - round_half_even(frac * n), math.prod(dims)
+    return n, round_half_even(frac * n), math.prod(dims)
 
 
 def validate_config(config):
@@ -148,13 +152,14 @@ def validate_config(config):
 
     if config.get("schema_version") != CONFIG_SCHEMA_VERSION:
         bad.append(f"schema_version: must be {CONFIG_SCHEMA_VERSION}")
-    seed = config.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(config.get("seed", 0), 0):
         bad.append("seed: must be a non-negative integer")
     out_dir = config.get("output_dir")
     if out_dir is not None and not isinstance(out_dir, str):
         bad.append("output_dir: must be a string path when given")
 
+    # (N_train, feature dim) of a synthetic dataset, the bounds of its PCA dim
+    bound = None
     ds = config.get("dataset")
     if not isinstance(ds, dict):
         bad.append("dataset: required section missing")
@@ -169,15 +174,23 @@ def validate_config(config):
                     bad.append(f"dataset.{key}: file not found: {path}")
         elif kind in ("synthetic", "synthetic_images"):
             for key in ("num_classes", "per_class_count"):
-                if not isinstance(ds.get(key), int) or ds.get(key, 0) < 1:
+                if not _is_int(ds.get(key), 1):
                     bad.append(f"dataset.{key}: must be a positive integer")
             frac = ds.get("test_fraction", 0.25)
             if not _is_num(frac) or not (0.0 < frac < 1.0):
                 bad.append("dataset.test_fraction: must lie in (0, 1)")
+            sizes = _synthetic_sizes(ds)
+            if sizes is not None:
+                n, n_test, feature_dim = sizes
+                if 1 <= n_test <= n - 1:
+                    bound = n - n_test, feature_dim
+                else:
+                    bad.append(f"dataset.test_fraction: {frac} leaves an empty split "
+                               f"for N={n}")
             if not _is_seed(ds.get("seed")):
                 bad.append("dataset.seed: must be null or a non-negative integer")
             if kind == "synthetic":
-                if not isinstance(ds.get("dim"), int) or ds.get("dim", 0) < 1:
+                if not _is_int(ds.get("dim"), 1):
                     bad.append("dataset.dim: must be a positive integer")
                 if not _is_num(ds.get("class_stddev")) or ds.get("class_stddev", -1) < 0:
                     bad.append("dataset.class_stddev: must be a non-negative number")
@@ -189,18 +202,15 @@ def validate_config(config):
                 if not (has_sep or means is not None):
                     bad.append("dataset: need class_separation > 0 or explicit class_means")
             else:
-                if not isinstance(ds.get("num_classes"), int) or not (
-                    1 <= ds.get("num_classes", 0) <= 6
-                ):
+                if not _is_int(ds.get("num_classes"), 1) or ds["num_classes"] > 6:
                     bad.append("dataset.num_classes: pattern images support 1..6 classes")
                 for key in ("height", "width"):
-                    if not isinstance(ds.get(key, 12), int) or ds.get(key, 12) < 4:
+                    if not _is_int(ds.get(key, 12), 4):
                         bad.append(f"dataset.{key}: must be an integer >= 4")
                 noise = ds.get("noise", 0.05)
                 if not _is_num(noise) or noise < 0:
                     bad.append("dataset.noise: must be a non-negative number")
-                jitter = ds.get("jitter_px", 1)
-                if not isinstance(jitter, int) or isinstance(jitter, bool) or jitter < 0:
+                if not _is_int(ds.get("jitter_px", 1), 0):
                     bad.append("dataset.jitter_px: must be a non-negative integer")
         else:
             bad.append("dataset.type: must be one of idx, synthetic, synthetic_images")
@@ -210,8 +220,7 @@ def validate_config(config):
         bad.append("embedding: must be a mapping")
     else:
         dim = emb.get("dim", 16)
-        bound = _embedding_bound(ds) if isinstance(ds, dict) else None
-        if not isinstance(dim, int) or dim < 1:
+        if not _is_int(dim, 1):
             bad.append("embedding.dim: must be a positive integer")
         elif bound is not None and dim > min(bound):
             bad.append(f"embedding.dim: {dim} exceeds min(N_train={bound[0]}, "
@@ -251,7 +260,7 @@ def validate_config(config):
     else:
         if est.get("variant", VARIANT_DISCRETE) not in (VARIANT_DISCRETE, VARIANT_ONEHOT):
             bad.append("estimator.variant: must be discrete_label or onehot_continuous")
-        if not isinstance(est.get("k", 3), int) or est.get("k", 3) < 1:
+        if not _is_int(est.get("k", 3), 1):
             bad.append("estimator.k: must be a positive integer")
         if not isinstance(est.get("strict", True), bool):
             bad.append("estimator.strict: must be a boolean")
@@ -288,12 +297,12 @@ def validate_config(config):
     else:
         if not _is_num(clf.get("learning_rate", 0.1)) or clf.get("learning_rate", 0.1) <= 0:
             bad.append("classifier.learning_rate: must be positive")
-        if not isinstance(clf.get("epochs", 300), int) or clf.get("epochs", 300) < 1:
+        if not _is_int(clf.get("epochs", 300), 1):
             bad.append("classifier.epochs: must be a positive integer")
         if not _is_num(clf.get("l2", 0.0)) or clf.get("l2", 0.0) < 0:
             bad.append("classifier.l2: must be non-negative")
         bs = clf.get("batch_size")
-        if bs is not None and (not isinstance(bs, int) or bs < 1):
+        if bs is not None and not _is_int(bs, 1):
             bad.append("classifier.batch_size: must be a positive integer or null")
         if not _is_seed(clf.get("seed")):
             bad.append("classifier.seed: must be null or a non-negative integer")

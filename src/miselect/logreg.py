@@ -9,17 +9,13 @@ without any seed dependence.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import write_json_atomic
 from .data import _frozen
-from .errors import ConfigError, ConsistencyError, DivergenceError, FormatError
-
-MODEL_SCHEMA_VERSION = 1
+from .errors import ConfigError, ConsistencyError, DivergenceError
 
 
 @dataclass(frozen=True)
@@ -151,16 +147,6 @@ def predict_proba(model, x):
     return _softmax(xb @ model.weights.T)
 
 
-def predict(model, features):
-    """Predicted class and probability vector for one sample.
-
-    Probabilities sum to 1 (max-subtracted softmax); ties in the argmax
-    resolve to the lower class id.
-    """
-    probs = predict_proba(model, np.asarray(features, dtype=np.float64))[0]
-    return int(np.argmax(probs)), probs
-
-
 def evaluate(model, data):
     """Accuracy, per-class accuracy and confusion matrix on a test set.
 
@@ -183,43 +169,3 @@ def evaluate(model, data):
         "per_class_accuracy": per_class,
         "confusion_matrix": confusion,
     }
-
-
-def save_model(model, path):
-    """Write a model to a versioned JSON artifact (exact round trip).
-
-    The write is atomic: an interrupted save leaves ``path`` as it was.
-    """
-    write_json_atomic(
-        path,
-        {
-            "schema_version": MODEL_SCHEMA_VERSION,
-            "weights": model.weights.tolist(),
-            "num_classes": model.num_classes,
-            "input_dim": model.input_dim,
-        },
-    )
-
-
-def load_model(path):
-    """Read a model artifact written by ``save_model``.
-
-    Raises FormatError when the file is not JSON or lacks a field.
-    """
-    try:
-        with open(path) as f:
-            payload = json.load(f)
-    except ValueError as exc:
-        raise FormatError(f"{path}: unreadable model artifact: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise FormatError(f"{path}: model artifact is not a JSON object")
-    if payload.get("schema_version") != MODEL_SCHEMA_VERSION:
-        raise ConfigError(f"{path}: unsupported model artifact version")
-    try:
-        return LogRegModel(
-            weights=np.asarray(payload["weights"]),
-            num_classes=payload["num_classes"],
-            input_dim=payload["input_dim"],
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"{path}: ill-formed model artifact: {exc!r}") from exc

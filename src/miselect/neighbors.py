@@ -122,23 +122,17 @@ class NeighborResult:
 
 
 class NeighborIndex:
-    """Immutable index over a fixed point set; supports concurrent queries.
+    """Immutable index over a fixed point set; supports concurrent queries."""
 
-    When ``jitter_seed`` is given, ``add_jitter`` is applied once at build
-    time to break exact duplicates.
-    """
-
-    def __init__(self, points, jitter_seed=None):
+    def __init__(self, points):
         # always a copy, so freezing it never freezes the caller's array
         points = np.array(points, dtype=np.float64, order="C")
         if points.ndim != 2 or points.shape[0] < 1:
             raise ConfigError("index needs a non-empty 2-D point array")
         if not np.all(np.isfinite(points)):
             raise ConfigError("index points must be finite")
-        points = add_jitter(points, jitter_seed)
         points.flags.writeable = False
         self.points = points
-        self.jitter_seed = jitter_seed
 
     @property
     def n(self):
@@ -254,20 +248,3 @@ class NeighborIndex:
         out = np.empty(n, dtype=np.int64)
         out[sort] = counts
         return out
-
-
-def build_index(points, jitter_seed=None):
-    """Build a NeighborIndex over the given points."""
-    return NeighborIndex(points, jitter_seed=jitter_seed)
-
-
-def knn(index, q_index, k):
-    return index.knn(q_index, k)
-
-
-def knn_among(index, q_index, k, candidate_mask):
-    return index.knn_among(q_index, k, candidate_mask)
-
-
-def count_within(index, q_index, radius, strict=True):
-    return index.count_within(q_index, radius, strict)

@@ -214,7 +214,7 @@ def test_c8a_tree_vs_brute_oracle(monkeypatch):
         n = int(rng.integers(5, 220))
         d = int(rng.integers(1, 7))
         pts = np.round(rng.standard_normal((n, d)) * 2.0, 1)
-        idx = ms.build_index(pts)
+        idx = ms.NeighborIndex(pts)
         k = int(rng.integers(1, n))
         kth = np.array([idx.knn(q, k).distances[-1] for q in range(n)])
         radii = rng.uniform(0.0, 4.0, size=n)
@@ -228,7 +228,7 @@ def test_c8a_tree_vs_brute_oracle(monkeypatch):
         members = np.flatnonzero(mask)
         kk = int(rng.integers(1, len(members))) if len(members) >= 2 else 0
         among = [idx.knn_among(int(q), kk, mask).distances[-1] for q in members] if kk else []
-        sub = ms.build_index(pts[members]) if kk else None
+        sub = ms.NeighborIndex(pts[members]) if kk else None
         rows = next((r for r in range(2, n) if n % r), 1)
         for budget in (1, 8 * n * rows, 8 * n * n):
             monkeypatch.setattr(neighbors, "BLOCK_BYTES", budget)

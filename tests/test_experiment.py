@@ -9,6 +9,7 @@ from miselect import experiment
 from miselect.cli import main as cli_main
 from miselect.errors import ConfigError, StageError
 from miselect.experiment import run_experiment, stage_seed, validate_config
+from test_data import write_idx_pair
 
 
 def base_config(**overrides):
@@ -114,6 +115,19 @@ def _affine(**params):
         ("images", "noise", -0.1, "dataset.noise"),
         ("images", "jitter_px", -1, "dataset.jitter_px"),
         ("images", "jitter_px", 1.5, "dataset.jitter_px"),
+        # the test split takes round_half_even(test_fraction * N): 0 or N leaves
+        # one part empty (N = 160 for the blobs, 30 for the images)
+        ("dataset", "test_fraction", 0.003, "dataset.test_fraction"),
+        ("dataset", "test_fraction", 0.997, "dataset.test_fraction"),
+        ("images", "test_fraction", 0.01, "dataset.test_fraction"),
+        # JSON true is not an integer
+        ("dataset", "num_classes", True, "dataset.num_classes"),
+        ("dataset", "per_class_count", True, "dataset.per_class_count"),
+        ("dataset", "dim", True, "dataset.dim"),
+        ("embedding", "dim", True, "embedding.dim"),
+        ("estimator", "k", True, "estimator.k"),
+        ("classifier", "epochs", True, "classifier.epochs"),
+        ("classifier", "batch_size", True, "classifier.batch_size"),
     ],
 )
 def test_validate_flags_values_the_pipeline_cannot_use(section, key, value, flagged):
@@ -430,9 +444,8 @@ def test_idx_dataset_source(tmp_path):
     train, test = ms.train_test_split(ds, 0.3, seed=1)
     paths = {}
     for name, part in (("train", train), ("test", test)):
-        img = tmp_path / f"{name}-images.idx"
-        lab = tmp_path / f"{name}-labels.idx"
-        ms.save_idx(part, img, lab)
+        img, lab = write_idx_pair(tmp_path, np.rint(part.features * 255.0), part.labels,
+                                  rows=8, cols=8, prefix=f"{name}-")
         paths[name] = (str(img), str(lab))
     cfg = base_config()
     cfg["dataset"] = {
@@ -547,6 +560,16 @@ def test_cli_embedding_dim_beyond_the_data_exits_2(tmp_path, capsys):
     assert "invalid config: embedding.dim" in err
     assert "[stage:" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_empty_test_split_exits_2(tmp_path, capsys):
+    # N = 20 and round_half_even(0.01 * 20) = 0: the test split would be empty
+    cfg = base_config(dataset=_small_dataset("synthetic", test_fraction=0.01))
+    path = _write_cfg(tmp_path, cfg)
+    assert cli_main(["validate", "--config", path]) == 2
+    assert "dataset.test_fraction" in capsys.readouterr().err
+    assert cli_main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "[stage:" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("problem", ["missing", "malformed"])

@@ -225,8 +225,8 @@ def test_structure_choice_does_not_change_scores(monkeypatch):
     emb = _separated(3, 40, seed=10, stddev=1.0, sep=4.0)
     n, k = emb.n, 3
     joint = np.hstack([emb.features, np.eye(3)[emb.labels] * 100.0])
-    eps = [ms.build_index(joint).knn(i, k).distances[-1] for i in range(n)]
-    x_index = ms.build_index(emb.features)
+    eps = [ms.NeighborIndex(joint).knn(i, k).distances[-1] for i in range(n)]
+    x_index = ms.NeighborIndex(emb.features)
     oracle_nx = [
         x_index.count_within(i, x_index.knn_among(i, k, emb.labels == emb.labels[i]).distances[-1])
         for i in range(n)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,7 +5,7 @@ import pytest
 
 import miselect as ms
 from miselect import logreg
-from miselect.errors import ConfigError, ConsistencyError, DivergenceError, FormatError
+from miselect.errors import ConfigError, ConsistencyError, DivergenceError
 from miselect.logreg import loss_and_gradient
 
 
@@ -75,8 +74,8 @@ def test_separable_blobs_reach_perfect_training_accuracy():
 def test_single_sample_memorized():
     emb = ms.LabeledDataset.from_arrays(np.array([[0.6, -0.8]]), [1], num_classes=3)
     model = ms.train(emb, cfg=ms.TrainConfig(epochs=300))
-    cls, probs = ms.predict(model, np.array([0.6, -0.8]))
-    assert cls == 1
+    probs = ms.predict_proba(model, np.array([0.6, -0.8]))[0]
+    assert np.argmax(probs) == 1
     assert probs[1] > 0.9
 
 
@@ -101,8 +100,8 @@ def test_gradient_matches_central_finite_differences():
 
 def test_zero_weights_uniform_prediction():
     model = ms.LogRegModel(weights=np.zeros((4, 3)), num_classes=4, input_dim=2)
-    cls, probs = ms.predict(model, np.array([1.0, -2.0]))
-    assert cls == 0  # tie resolves to the lowest class id
+    probs = ms.predict_proba(model, np.array([1.0, -2.0]))[0]
+    assert np.argmax(probs) == 0  # tie resolves to the lowest class id
     assert np.allclose(probs, 0.25, atol=1e-15)
 
 
@@ -120,8 +119,8 @@ def test_softmax_shift_invariance():
     shift = rng.standard_normal(4)
     model_b = ms.LogRegModel(weights=w + shift, num_classes=3, input_dim=3)
     x = rng.standard_normal(3)
-    _, pa = ms.predict(model_a, x)
-    _, pb = ms.predict(model_b, x)
+    pa = ms.predict_proba(model_a, x)[0]
+    pb = ms.predict_proba(model_b, x)[0]
     assert np.all(np.abs(pa - pb) < 1e-12)
 
 
@@ -141,7 +140,7 @@ def test_evaluate_matches_recount_oracle():
     result = ms.evaluate(model, emb)
     correct = 0
     for i in range(emb.n):
-        cls, _ = ms.predict(model, emb.features[i])
+        cls = np.argmax(ms.predict_proba(model, emb.features[i])[0])
         correct += int(cls == emb.labels[i])
     assert result["accuracy"] == correct / emb.n
 
@@ -186,18 +185,7 @@ def test_train_errors():
     with pytest.raises(ConfigError):
         ms.TrainConfig(epochs=0)
     with pytest.raises(ConsistencyError):
-        ms.predict(ms.train(emb, cfg=ms.TrainConfig(epochs=5)), np.zeros(7))
-
-
-def test_model_artifact_round_trip(tmp_path):
-    emb = _blobs(seed=11)
-    model = ms.train(emb, cfg=ms.TrainConfig(epochs=30))
-    path = tmp_path / "model.json"
-    ms.save_model(model, path)
-    loaded = ms.load_model(path)
-    assert np.array_equal(loaded.weights, model.weights)
-    assert loaded.num_classes == model.num_classes
-    assert loaded.input_dim == model.input_dim
+        ms.predict_proba(ms.train(emb, cfg=ms.TrainConfig(epochs=5)), np.zeros(7))
 
 
 def test_loss_and_gradient_matches_separate_exp_reference_bit_for_bit():
@@ -261,31 +249,3 @@ def test_full_batch_makes_one_loss_and_gradient_call_per_epoch(monkeypatch):
     ms.train(emb, cfg=ms.TrainConfig(epochs=5, batch_size=16))
     batches = -(-emb.n // 16)
     assert len(calls) == 5 * (batches + 1)  # the mini-batch path is unchanged
-
-
-def test_model_artifact_unreadable_or_ill_formed_raises_format_error(tmp_path):
-    path = tmp_path / "model.json"
-    ms.save_model(ms.train(_blobs(seed=15), cfg=ms.TrainConfig(epochs=5)), path)
-    good = path.read_text()
-    payload = json.loads(good)
-    del payload["weights"]
-    for text in (good[: len(good) // 2], "", "[1, 2]", "\xff", json.dumps(payload)):
-        path.write_text(text, encoding="latin-1")
-        with pytest.raises(FormatError):
-            ms.load_model(path)
-
-
-def test_model_artifact_write_is_atomic(tmp_path, monkeypatch):
-    path = tmp_path / "model.json"
-    ms.save_model(ms.train(_blobs(seed=16), cfg=ms.TrainConfig(epochs=5)), path)
-    before = path.read_bytes()
-
-    def interrupted(payload, f, **kwargs):
-        f.write('{"schema_version": 1, "wei')
-        raise KeyboardInterrupt
-
-    monkeypatch.setattr(json, "dump", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        ms.save_model(ms.train(_blobs(seed=17), cfg=ms.TrainConfig(epochs=5)), path)
-    assert path.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]

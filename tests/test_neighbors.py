@@ -74,26 +74,26 @@ def structure(request, monkeypatch):
 
 class TestHandGeometry:
     def test_knn_collinear(self, structure):
-        idx = ms.build_index(LINE)
+        idx = ms.NeighborIndex(LINE)
         res = idx.knn(1, 1)
         assert list(res.indices) == [0]
         assert list(res.distances) == [1.0]
         assert idx.kth_distance_bulk(1).tolist() == [1.0, 1.0, 2.0]
 
     def test_knn_from_endpoint(self, structure):
-        idx = ms.build_index(LINE)
+        idx = ms.NeighborIndex(LINE)
         res = idx.knn(2, 2)
         assert list(res.indices) == [1, 0]
         assert list(res.distances) == [2.0, 3.0]
         assert idx.kth_distance_bulk(2).tolist() == [3.0, 2.0, 3.0]
 
     def test_knn_all_others(self, structure):
-        idx = ms.build_index(LINE)
+        idx = ms.NeighborIndex(LINE)
         res = idx.knn(0, 2)
         assert sorted(res.indices.tolist()) == [1, 2]
 
     def test_count_boundary_semantics(self, structure):
-        idx = ms.build_index(LINE)
+        idx = ms.NeighborIndex(LINE)
         assert idx.count_within(0, 1.0, strict=True) == 0
         assert idx.count_within(0, 1.0, strict=False) == 1
         radii = np.array([1.0, 1.0, 2.0])
@@ -101,13 +101,13 @@ class TestHandGeometry:
         assert idx.count_within_bulk(radii, strict=False).tolist() == [1, 1, 1]
 
     def test_count_radius_beyond_diameter(self, structure):
-        idx = ms.build_index(LINE)
+        idx = ms.NeighborIndex(LINE)
         assert idx.count_within(1, 100.0, strict=True) == 2
         assert idx.count_within_bulk(np.full(3, 100.0)).tolist() == [2, 2, 2]
 
     def test_duplicates_retrievable(self, structure):
         pts = np.array([[1.0, 1.0], [1.0, 1.0], [5.0, 5.0]])
-        idx = ms.build_index(pts)
+        idx = ms.NeighborIndex(pts)
         res = idx.knn(2, 2)
         assert sorted(res.indices.tolist()) == [0, 1]
         assert list(res.distances) == [4.0, 4.0]
@@ -118,21 +118,21 @@ class TestHandGeometry:
         assert idx.count_within_bulk(np.zeros(3), strict=False).tolist() == [1, 1, 0]
 
     def test_mask_singleton(self, structure):
-        idx = ms.build_index(LINE)
+        idx = ms.NeighborIndex(LINE)
         mask = np.array([False, False, True])
         res = idx.knn_among(0, 1, mask)
         assert list(res.indices) == [2]
         assert list(res.distances) == [3.0]
 
     def test_mask_all_true_equals_knn(self, structure):
-        idx = ms.build_index(LINE)
+        idx = ms.NeighborIndex(LINE)
         a = idx.knn_among(1, 2, np.ones(3, dtype=bool))
         b = idx.knn(1, 2)
         assert np.array_equal(a.indices, b.indices)
         assert np.array_equal(a.distances, b.distances)
 
     def test_errors(self, structure):
-        idx = ms.build_index(LINE)
+        idx = ms.NeighborIndex(LINE)
         with pytest.raises(ConfigError):
             idx.knn(0, 3)  # k >= N
         with pytest.raises(ConfigError):
@@ -149,16 +149,16 @@ class TestHandGeometry:
 
 def test_build_index_validation():
     with pytest.raises(ConfigError):
-        ms.build_index(np.zeros((0, 2)))
+        ms.NeighborIndex(np.zeros((0, 2)))
     with pytest.raises(ConfigError):
-        ms.build_index(np.array([[0.0, np.nan]]))
+        ms.NeighborIndex(np.array([[0.0, np.nan]]))
 
 
 @pytest.mark.parametrize("jitter_seed", [None, 7])
 def test_index_leaves_caller_array_writeable_and_unchanged(jitter_seed):
     pts = np.arange(8.0).reshape(4, 2)
     before = pts.copy()
-    idx = ms.build_index(pts, jitter_seed=jitter_seed)
+    idx = ms.NeighborIndex(neighbors.add_jitter(pts, jitter_seed))
     assert pts.flags.writeable
     assert np.array_equal(pts, before)
     assert not idx.points.flags.writeable
@@ -174,7 +174,7 @@ def test_tree_equals_brute_on_random_instances(monkeypatch):
         d = int(rng.integers(1, 6))
         # coarse rounding forces plenty of exact distance ties
         pts = np.round(rng.standard_normal((n, d)) * 2.0, 1)
-        idx = ms.build_index(pts)
+        idx = ms.NeighborIndex(pts)
         k = int(rng.integers(1, n))
         # random radii, exact kth distances (ties at the boundary) and zeros
         radii = rng.uniform(0, 4, size=n)
@@ -188,7 +188,7 @@ def test_tree_equals_brute_on_random_instances(monkeypatch):
         if len(members) >= 2:
             kk = int(rng.integers(1, len(members)))
             among = [idx.knn_among(int(q), kk, mask).distances[-1] for q in members]
-            sub = ms.build_index(pts[members])
+            sub = ms.NeighborIndex(pts[members])
             for budget in block_layouts(len(members)):
                 monkeypatch.setattr(neighbors, "BLOCK_BYTES", budget)
                 assert np.array_equal(sub.kth_distance_bulk(kk), among)
@@ -197,7 +197,7 @@ def test_tree_equals_brute_on_random_instances(monkeypatch):
 def test_results_match_python_oracle():
     rng = np.random.default_rng(77)
     pts = np.round(rng.uniform(-3, 3, size=(40, 3)), 1)
-    idx = ms.build_index(pts)
+    idx = ms.NeighborIndex(pts)
     for q in range(0, 40, 7):
         ref_idx, ref_d = oracle_knn(pts.tolist(), q, 5)
         res = idx.knn(q, 5)
@@ -217,7 +217,7 @@ def test_results_match_python_oracle():
 def test_bulk_queries_match_single_queries(monkeypatch):
     rng = np.random.default_rng(5)
     pts = np.round(rng.standard_normal((60, 4)), 1)
-    idx = ms.build_index(pts)
+    idx = ms.NeighborIndex(pts)
     radii = rng.uniform(0, 2, size=60)
     for k in (1, 3, 10, 59):
         assert_bulk_matches_singles(idx, k, radii, monkeypatch)
@@ -235,7 +235,7 @@ def test_bulk_kernel_property_matches_oracle(data):
     pts = np.asarray(grid, dtype=np.float64).reshape(n, d) * 0.5
     k = data.draw(st.integers(1, n - 1), label="k")
     rows = data.draw(st.integers(1, n + 1), label="rows per block")
-    idx = ms.build_index(pts)
+    idx = ms.NeighborIndex(pts)
     kth = np.array([idx.knn(i, k).distances[-1] for i in range(n)])
     # radii drawn from zero, the kth distances themselves and the grid steps
     choices = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n), label="radii")
@@ -270,7 +270,7 @@ def test_window_pruned_count_matches_oracle(data):
     pts = np.asarray(offsets).reshape(n, d) + 0.125 * np.asarray(steps).reshape(n, d)
     if data.draw(st.booleans(), label="all points share the sort coordinate"):
         pts[:] = pts[0]
-    idx = ms.build_index(pts)
+    idx = ms.NeighborIndex(pts)
     # radii: 0, inf, grid steps, and exact pairwise distances and their
     # float neighbours, so that many points sit on a window's boundary
     radii = np.empty(n)
@@ -299,7 +299,7 @@ def test_window_pruned_count_matches_oracle(data):
 
 @pytest.mark.parametrize("bad", [-1.0, -np.inf, np.nan])
 def test_count_rejects_negative_or_nan_radius(bad):
-    idx = ms.build_index(LINE)
+    idx = ms.NeighborIndex(LINE)
     with pytest.raises(ConfigError):
         idx.count_within(0, bad)
     radii = np.array([1.0, bad, 1.0])
@@ -309,7 +309,7 @@ def test_count_rejects_negative_or_nan_radius(bad):
 
 
 def test_count_allows_infinite_radius():
-    idx = ms.build_index(LINE)
+    idx = ms.NeighborIndex(LINE)
     for strict in (True, False):
         assert idx.count_within(0, np.inf, strict) == 2
         assert idx.count_within_bulk(np.full(3, np.inf), strict).tolist() == [2, 2, 2]
@@ -317,7 +317,7 @@ def test_count_allows_infinite_radius():
 
 def test_count_within_bulk_memory_is_bounded():
     rng = np.random.default_rng(0)
-    idx = ms.build_index(rng.standard_normal((4000, 32)))
+    idx = ms.NeighborIndex(rng.standard_normal((4000, 32)))
     radii = np.full(4000, 1.5)
     tracemalloc.start()
     try:
@@ -343,7 +343,7 @@ def test_chebyshev_metric_axioms():
 def test_count_monotone_in_radius_and_knn_prefix_consistent():
     rng = np.random.default_rng(31)
     pts = rng.standard_normal((50, 3))
-    idx = ms.build_index(pts)
+    idx = ms.NeighborIndex(pts)
     radii = np.sort(rng.uniform(0, 3, size=10))
     counts = [idx.count_within(7, float(r)) for r in radii]
     assert counts == sorted(counts)
@@ -356,12 +356,12 @@ def test_count_monotone_in_radius_and_knn_prefix_consistent():
 
 def test_jitter_breaks_duplicates_deterministically():
     pts = np.array([[1.0, 1.0]] * 5 + [[2.0, 2.0]])
-    a = ms.build_index(pts, jitter_seed=42)
-    b = ms.build_index(pts, jitter_seed=42)
+    a = ms.NeighborIndex(neighbors.add_jitter(pts, 42))
+    b = ms.NeighborIndex(neighbors.add_jitter(pts, 42))
     assert np.array_equal(a.points, b.points)
     assert not np.array_equal(a.points, pts)
     assert np.max(np.abs(a.points - pts)) <= 1e-10
     # duplicates are now at distinct positions
     d = a.kth_distance_bulk(1)
     assert np.all(d[:5] > 0)
-    assert a.jitter_seed == 42 and ms.build_index(pts).jitter_seed is None
+    assert neighbors.add_jitter(pts, None) is pts
