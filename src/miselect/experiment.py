@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import shutil
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -87,6 +88,11 @@ def load_config(path):
 
 def _is_num(v):
     return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_finite(v):
+    """A number that converts to a finite float64."""
+    return _is_num(v) and abs(v) <= sys.float_info.max
 
 
 def _is_int(v, least):
@@ -190,17 +196,29 @@ def validate_config(config):
             if not _is_seed(ds.get("seed")):
                 bad.append("dataset.seed: must be null or a non-negative integer")
             if kind == "synthetic":
-                if not _is_int(ds.get("dim"), 1):
+                classes, dim = ds.get("num_classes"), ds.get("dim")
+                if not _is_int(dim, 1):
                     bad.append("dataset.dim: must be a positive integer")
+                sized = _is_int(classes, 1) and _is_int(dim, 1)
                 if not _is_num(ds.get("class_stddev")) or ds.get("class_stddev", -1) < 0:
                     bad.append("dataset.class_stddev: must be a non-negative number")
                 means = ds.get("class_means")
-                if means is not None and not (isinstance(means, list) and all(
-                        isinstance(row, list) and all(map(_is_num, row)) for row in means)):
-                    bad.append("dataset.class_means: must be a list of numeric rows")
                 has_sep = _is_num(ds.get("class_separation")) and ds.get("class_separation", 0) > 0
-                if not (has_sep or means is not None):
+                if means is not None:
+                    if not (isinstance(means, list) and all(
+                            isinstance(row, list) and all(map(_is_finite, row)) for row in means)):
+                        bad.append("dataset.class_means: must be a list of finite numeric rows")
+                    elif sized and (len(means) != classes or any(len(r) != dim for r in means)):
+                        bad.append(f"dataset.class_means: must have shape (num_classes, dim) "
+                                   f"= ({classes}, {dim})")
+                    elif len({tuple(map(float, row)) for row in means}) < len(means):
+                        bad.append("dataset.class_means: two classes share a mean")
+                elif not has_sep:
                     bad.append("dataset: need class_separation > 0 or explicit class_means")
+                elif sized and dim < classes:
+                    # separated() puts each class mean on its own coordinate axis
+                    bad.append(f"dataset.dim: class_separation needs dim >= num_classes "
+                               f"({classes})")
             else:
                 if not _is_int(ds.get("num_classes"), 1) or ds["num_classes"] > 6:
                     bad.append("dataset.num_classes: pattern images support 1..6 classes")
@@ -626,18 +644,24 @@ def _classifier_stage(run):
     train_data = run.train if on_raw else run.embedded_train
     test_data = run.test if on_raw else run.embedded_test
 
-    def run_cell(item):
-        key, result = item
-        model = train(train_data, result.retained_indices, tcfg)
-        return key, evaluate(model, test_data)["accuracy"]
+    def run_cell(retained):
+        return evaluate(train(train_data, retained, tcfg), test_data)["accuracy"]
 
-    # cells run, and accuracy keeps its entries, in sorted (strategy, ratio) order
+    # train() is a pure function of the retained indices, so plans that keep
+    # the same set (every plan at ratio 1.0, for one) share one cell; cells
+    # run in order of first appearance in sorted (strategy, ratio) order, and
+    # accuracy keeps its entries in that sorted order
     items = sorted(run.selections.items())
+    distinct = {}
+    for _, result in items:
+        distinct.setdefault(result.retained_indices.tobytes(), result.retained_indices)
     if run.threads > 1:
         with ThreadPoolExecutor(max_workers=run.threads) as pool:
-            run.accuracy = dict(pool.map(run_cell, items))
+            accs = list(pool.map(run_cell, distinct.values()))
     else:
-        run.accuracy = dict(map(run_cell, items))
+        accs = list(map(run_cell, distinct.values()))
+    by_set = dict(zip(distinct, accs))
+    run.accuracy = {key: by_set[result.retained_indices.tobytes()] for key, result in items}
     rows = [(name, float(ratio), float(acc)) for (name, ratio), acc in run.accuracy.items()]
     run.emit(lambda path: _write_csv(path, ACCURACY_CSV_COLUMNS, rows), "accuracy.csv")
 

@@ -61,6 +61,32 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def _forward(weights, x, labels, l2):
+    """Loss of ``loss_and_gradient`` plus the softmax parts its gradient reuses.
+
+    Returns (loss, e, s, flat, penalty): ``e`` holds the max-subtracted
+    exponentials, ``s`` their row sums and ``flat`` the positions of the
+    labels in ``e`` raveled. The row max is a running ``np.maximum`` over the
+    C columns, which is exact and much cheaper than ``max(axis=1)`` on short
+    rows; ``e.sum(axis=1)`` stays a numpy reduction so that its summation
+    order, pairwise from 8 columns on, matches the reference.
+    """
+    logits = x @ weights.T
+    n, c = logits.shape
+    row_max = logits[:, 0].copy()
+    for j in range(1, c):
+        np.maximum(row_max, logits[:, j], out=row_max)
+    z = logits - row_max[:, None]
+    e = np.exp(z)
+    s = e.sum(axis=1)
+    flat = np.arange(n) * c + labels
+    loss = -float((z.take(flat) - np.log(s)).mean())
+    penalty = weights.copy()
+    penalty[:, -1] = 0.0
+    loss += 0.5 * l2 * float((penalty**2).sum())
+    return loss, e, s, flat, penalty
+
+
 def loss_and_gradient(weights, x, labels, l2):
     """Mean cross-entropy + (l2/2)*||W||^2 (bias excluded) and its gradient.
 
@@ -68,20 +94,10 @@ def loss_and_gradient(weights, x, labels, l2):
     and the probabilities share one max-subtracted ``exp``; the probabilities
     equal ``_softmax(logits)`` bit for bit.
     """
-    n = x.shape[0]
-    rows = np.arange(n)
-    logits = x @ weights.T
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    s = e.sum(axis=1, keepdims=True)
-    log_p = z - np.log(s)
-    loss = -float(log_p[rows, labels].mean())
-    penalty = weights.copy()
-    penalty[:, -1] = 0.0
-    loss += 0.5 * l2 * float((penalty**2).sum())
-    p = e / s
-    p[rows, labels] -= 1.0
-    grad = (p.T @ x) / n + l2 * penalty
+    loss, e, s, flat, penalty = _forward(weights, x, labels, l2)
+    p = e / s[:, None]
+    p.ravel()[flat] -= 1.0
+    grad = (p.T @ x) / x.shape[0] + l2 * penalty
     return loss, grad
 
 
@@ -108,20 +124,21 @@ def train(data, retained=None, cfg=TrainConfig()):
 
     # The full-data call that records an epoch's loss also yields the
     # gradient of the next full-batch step, so a full-batch epoch makes one
-    # call; a mini-batch epoch steps on its batches and discards that gradient.
+    # call; a mini-batch epoch steps on its batches and records the loss alone.
     history = []
     if batch == n:
         _, grad = loss_and_gradient(weights, xb, labels, cfg.l2)
     for epoch in range(cfg.epochs):
         if batch == n:
             weights = weights - cfg.learning_rate * grad
+            loss, grad = loss_and_gradient(weights, xb, labels, cfg.l2)
         else:
             order = rng.permutation(n)
             for start in range(0, n, batch):
                 rows = order[start : start + batch]
                 _, grad = loss_and_gradient(weights, xb[rows], labels[rows], cfg.l2)
                 weights = weights - cfg.learning_rate * grad
-        loss, grad = loss_and_gradient(weights, xb, labels, cfg.l2)
+            loss = _forward(weights, xb, labels, cfg.l2)[0]
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch}")
         history.append(loss)

@@ -224,6 +224,51 @@ def test_rerun_is_byte_identical(tmp_path):
     assert all(a[k] == b[k] for k in a)
 
 
+def test_each_distinct_retained_set_trains_once(tmp_path, monkeypatch):
+    cfg = base_config()
+    cfg["selection"]["plans"] = [
+        {"scope": "global", "band": "top"},
+        {"scope": "global", "band": "random"},
+        {"scope": "class_wise", "band": "top"},
+    ]
+    trained, tested = [], []
+
+    def counting_train(data, retained, tcfg):
+        trained.append((data, retained.tobytes(), tcfg))
+        return ms.train(data, retained, tcfg)
+
+    def recording_evaluate(model, data):
+        tested.append(data)
+        return ms.evaluate(model, data)
+
+    monkeypatch.setattr(experiment, "train", counting_train)
+    monkeypatch.setattr(experiment, "evaluate", recording_evaluate)
+    report = run_experiment(cfg, out_dir=tmp_path / "t1", threads=1)
+
+    retained = {}
+    for path in sorted((tmp_path / "t1" / "selection").glob("*.json")):
+        sel = json.loads(path.read_text())
+        plan = sel["plan"]
+        key = (f"{plan['scope']}/{plan['band']}", plan["retention_ratio"])
+        retained[key] = np.asarray(sel["retained_indices"], dtype=np.int64)
+    assert sorted(retained) == sorted(report.accuracy)
+    # at ratio 1.0 every plan keeps the whole training split
+    distinct = {idx.tobytes() for idx in retained.values()}
+    assert len(distinct) < len(retained)
+    assert sorted(b for _, b, _ in trained) == sorted(distinct)
+
+    data, _, tcfg = trained[0]
+    for key, idx in retained.items():
+        direct = ms.evaluate(ms.train(data, idx, tcfg), tested[0])["accuracy"]
+        assert report.accuracy[key] == direct, key
+
+    for threads in (2, 3):
+        run_experiment(cfg, out_dir=tmp_path / f"t{threads}", threads=threads)
+        for name in ("accuracy.csv", "report.json"):
+            assert ((tmp_path / f"t{threads}" / name).read_bytes()
+                    == (tmp_path / "t1" / name).read_bytes())
+
+
 def test_poisoned_score_cache_is_recomputed(tmp_path):
     path = _write_cfg(tmp_path, base_config())
     out = tmp_path / "out"
@@ -560,6 +605,39 @@ def test_cli_embedding_dim_beyond_the_data_exits_2(tmp_path, capsys):
     assert "invalid config: embedding.dim" in err
     assert "[stage:" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "dataset, flagged",
+    [
+        # 2 classes in dim 3 need a (2, 3) class_means
+        (_small_dataset("synthetic", dim=3, class_means=[[0, 0]]), "dataset.class_means"),
+        (_small_dataset("synthetic", dim=2, class_means=[[0, 0], [1]]), "dataset.class_means"),
+        # class_separation puts each class mean on its own axis
+        (_small_dataset("synthetic", num_classes=4, dim=3), "dataset.dim"),
+        (_small_dataset("synthetic", dim=2, class_means=[[1, 0], [1.0, 0.0]]),
+         "dataset.class_means"),
+        # JSON NaN parses, and would make every feature of its class NaN
+        (_small_dataset("synthetic", dim=2, class_means=[[float("nan"), 0], [1, 0]]),
+         "dataset.class_means"),
+    ],
+    ids=["means-shape", "means-ragged", "separation-dim", "means-coincide", "means-nan"],
+)
+def test_cli_synthetic_means_the_dataset_rejects_exit_2(tmp_path, capsys, dataset, flagged):
+    path = _write_cfg(tmp_path, base_config(dataset=dataset, embedding={"dim": 2}))
+    assert cli_main(["validate", "--config", path]) == 2
+    assert flagged in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert cli_main(["run", "--config", path, "--out", str(out)]) == 2
+    assert "[stage:" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_validate_accepts_synthetic_means_of_the_right_shape():
+    dataset = _small_dataset("synthetic", dim=2, class_means=[[0, 0], [1, 0]])
+    assert validate_config(base_config(dataset=dataset, embedding={"dim": 2})) == []
+    dataset = _small_dataset("synthetic", num_classes=3, dim=3)
+    assert validate_config(base_config(dataset=dataset, embedding={"dim": 2})) == []
 
 
 def test_cli_empty_test_split_exits_2(tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import miselect as ms
 from miselect import logreg
@@ -201,6 +203,30 @@ def test_loss_and_gradient_matches_separate_exp_reference_bit_for_bit():
             assert np.array_equal(grad, ref_grad)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    c=st.integers(2, 12),
+    d=st.integers(1, 20),
+    present=st.integers(1, 12),
+    scale=st.floats(0.0, 300.0),
+    l2=st.sampled_from([0.0, 1e-4, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_loss_and_gradient_matches_reference_bit_for_bit_property(n, c, d, present, scale,
+                                                                  l2, seed):
+    # C >= 8 switches numpy's row sum to pairwise summation; labels drawn from
+    # the first ``present`` classes leave the others absent
+    rng = np.random.default_rng(seed)
+    x = np.hstack([rng.standard_normal((n, d)), np.ones((n, 1))])
+    w = rng.standard_normal((c, d + 1)) * scale
+    labels = rng.integers(0, min(present, c), size=n)
+    loss, grad = loss_and_gradient(w, x, labels, l2)
+    ref_loss, ref_grad = _reference_loss_and_gradient(w, x, labels, l2)
+    assert loss == ref_loss
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
 @pytest.mark.parametrize(
     "cfg, subset",
     [
@@ -248,4 +274,4 @@ def test_full_batch_makes_one_loss_and_gradient_call_per_epoch(monkeypatch):
     calls.clear()
     ms.train(emb, cfg=ms.TrainConfig(epochs=5, batch_size=16))
     batches = -(-emb.n // 16)
-    assert len(calls) == 5 * (batches + 1)  # the mini-batch path is unchanged
+    assert len(calls) == 5 * batches  # the epoch's full-data loss takes no gradient
