@@ -87,12 +87,10 @@ def load_config(path):
 
 
 def _is_num(v):
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _is_finite(v):
-    """A number that converts to a finite float64."""
-    return _is_num(v) and abs(v) <= sys.float_info.max
+    """A number, not a bool (JSON true/false), that converts to a finite
+    float64: JSON NaN and Infinity parse but are rejected."""
+    return (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def _is_int(v, least):
@@ -206,7 +204,7 @@ def validate_config(config):
                 has_sep = _is_num(ds.get("class_separation")) and ds.get("class_separation", 0) > 0
                 if means is not None:
                     if not (isinstance(means, list) and all(
-                            isinstance(row, list) and all(map(_is_finite, row)) for row in means)):
+                            isinstance(row, list) and all(map(_is_num, row)) for row in means)):
                         bad.append("dataset.class_means: must be a list of finite numeric rows")
                     elif sized and (len(means) != classes or any(len(r) != dim for r in means)):
                         bad.append(f"dataset.class_means: must have shape (num_classes, dim) "
@@ -214,7 +212,8 @@ def validate_config(config):
                     elif len({tuple(map(float, row)) for row in means}) < len(means):
                         bad.append("dataset.class_means: two classes share a mean")
                 elif not has_sep:
-                    bad.append("dataset: need class_separation > 0 or explicit class_means")
+                    bad.append("dataset.class_separation: must be a positive number "
+                               "unless class_means is given")
                 elif sized and dim < classes:
                     # separated() puts each class mean on its own coordinate axis
                     bad.append(f"dataset.dim: class_separation needs dim >= num_classes "
@@ -317,7 +316,7 @@ def validate_config(config):
             bad.append("classifier.learning_rate: must be positive")
         if not _is_int(clf.get("epochs", 300), 1):
             bad.append("classifier.epochs: must be a positive integer")
-        if not _is_num(clf.get("l2", 0.0)) or clf.get("l2", 0.0) < 0:
+        if not _is_num(clf.get("l2", 1e-4)) or clf.get("l2", 1e-4) < 0:
             bad.append("classifier.l2: must be non-negative")
         bs = clf.get("batch_size")
         if bs is not None and not _is_int(bs, 1):

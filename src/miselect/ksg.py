@@ -152,14 +152,6 @@ def _finalize(scores, nx, ny, keff, deg, k, variant, strict, label_scale, jitter
     )
 
 
-def _count_with_radii(index, radii, strict):
-    # radius 0 under strict counting can never include anything
-    counts = index.count_within_bulk(np.where(radii > 0, radii, 0.0), strict=strict)
-    if strict:
-        counts = np.where(radii > 0, counts, 0)
-    return counts
-
-
 def score_discrete(points, k, strict=True, jitter_seed=None):
     """Local MI contributions with labels treated as a discrete variable.
 
@@ -198,7 +190,7 @@ def score_discrete(points, k, strict=True, jitter_seed=None):
         keff[members] = k_c
         ny[members] = size - 1
 
-    nx_all = _count_with_radii(index_all, radii, strict)
+    nx_all = index_all.count_within_bulk(radii, strict=strict)
     usable = ~deg
     nx[usable] = nx_all[usable]
 
@@ -240,8 +232,8 @@ def score_continuous(x, y, k, strict=True, jitter_seed=None, variant=VARIANT_CON
     index_y = NeighborIndex(joint[:, dx:])
 
     eps = index_joint.kth_distance_bulk(k)
-    nx = _count_with_radii(index_x, eps, strict)
-    ny = _count_with_radii(index_y, eps, strict)
+    nx = index_x.count_within_bulk(eps, strict=strict)
+    ny = index_y.count_within_bulk(eps, strict=strict)
 
     keff = np.full(n, k, dtype=np.int64)
     deg = np.zeros(n, dtype=bool)

@@ -1,12 +1,13 @@
 """Exact nearest-neighbor queries under the Chebyshev (max) metric.
 
-The bulk queries walk the distance matrix one cache-sized block at a time:
-the kth neighbor distance over every row, the radius counts only over the
-window of points whose gap on one sorting coordinate can lie within the
-radius. The single queries are a linear scan per point and serve as their
-oracle. Max and abs are exact, so both give identical distances. Single
-queries rank neighbors by (distance, point index). Queries address an
-indexed point by its index and exclude it.
+Both bulk queries drive one sweep: the points are sorted on one coordinate
+and each row is compared, one cache-sized block at a time, with its window,
+the sorted points whose gap on that coordinate can lie within the row's
+radius. The radius counts prune to those windows; the kth neighbor distance
+has no radius, so its windows are the whole set. The single queries are a
+linear scan per point and serve as their oracle. Max and abs are exact, so
+both give identical distances. Single queries rank neighbors by (distance,
+point index). Queries address an indexed point by its index and exclude it.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import ConfigError, ConsistencyError, InsufficientNeighborsError
 
 JITTER_SCALE = 1e-10
-BLOCK_BYTES = 1 << 19  # size of each (rows, N) working buffer of the bulk kernel
+BLOCK_BYTES = 1 << 19  # size of each (rows, window) working buffer of the sweep
 _UFUNC_BUFSIZE = 256  # numpy iteration buffer, in elements, while a bulk query runs
 
 
@@ -57,10 +58,6 @@ def _row_broadcast_buffers():
         np.setbufsize(old)
 
 
-def _block_rows(n):
-    return max(1, min(n, BLOCK_BYTES // (8 * n)))
-
-
 def _chebyshev_into(dist, tmp, rows, cols):
     """dist[i, j] = max_a |rows[a, i] - cols[a, j]|, with ``tmp`` as scratch.
 
@@ -72,24 +69,6 @@ def _chebyshev_into(dist, tmp, rows, cols):
         np.subtract(rows[a, :, None], cols[a], out=tmp)
         np.abs(tmp, out=tmp)
         np.maximum(dist, tmp, out=dist)
-
-
-def _chebyshev_blocks(points):
-    """Yield (start, stop, block): distances from rows start:stop to every point.
-
-    ``block`` is a (stop - start, N) view of a buffer that the next step
-    overwrites.
-    """
-    n = points.shape[0]
-    columns = np.ascontiguousarray(points.T)
-    rows = _block_rows(n)
-    dist = np.empty((rows, n))
-    diff = np.empty((rows, n))
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        block = dist[: stop - start]
-        _chebyshev_into(block, diff[: stop - start], columns[:, start:stop], columns)
-        yield start, stop, block
 
 
 def _window_blocks(order, lo, hi, budget):
@@ -105,6 +84,52 @@ def _window_blocks(order, lo, hi, budget):
             start, new_lo, new_hi = j, lows[j], highs[j]
         b_lo, b_hi = new_lo, new_hi
     yield order[start:], b_lo, b_hi
+
+
+def _block_capacity(n):
+    """Elements in each sweep buffer: BLOCK_BYTES / 8, but at least one row."""
+    return min(n * n, max(BLOCK_BYTES // 8, n))
+
+
+def _sweep(points, radii):
+    """Yield (rows, own, dist): the Chebyshev distances from a block of
+    points to the union of their windows.
+
+    The points are sorted stably on their widest-ranging coordinate. The
+    window of point i holds the points whose key lies within
+    key_i +- (radii_i + slack), where the slack of a few ulps covers the
+    rounding of the window bounds, because outside it the rounded gap on
+    that coordinate, and so the Chebyshev distance, exceeds radii_i; an
+    infinite radius makes the window every point. Rows are grouped by
+    window width in power-of-two bands, then by sort position, so that a
+    wide window does not widen the blocks of narrow ones. ``rows`` holds
+    the point indices of a block, ``own`` the column of each row's own
+    point in ``dist``, and ``dist`` is a (len(rows), window) view of a
+    buffer that the next block overwrites. The small ufunc buffer of
+    ``_row_broadcast_buffers`` is in effect while a block is out.
+    """
+    n = len(points)
+    axis = int(np.argmax(np.ptp(points, axis=0)))
+    sort = np.argsort(points[:, axis], kind="stable")
+    columns = np.ascontiguousarray(points[sort].T)
+    key, r = columns[axis], radii[sort]
+    finite = r[np.isfinite(r)]
+    bound = max(-key[0], key[-1]) + (finite.max() if finite.size else 0.0)
+    slack = 8 * np.spacing(min(bound, np.finfo(np.float64).max))
+    lo = np.searchsorted(key, key - r - slack, side="left")
+    hi = np.searchsorted(key, key + r + slack, side="right")
+    # rows by power-of-two band of window width, then by sort position
+    order = np.argsort(np.frexp(hi - lo)[1], kind="stable")
+
+    size = _block_capacity(n)
+    dist_buf, tmp_buf = np.empty(size), np.empty(size)
+    with _row_broadcast_buffers():
+        for rows, b_lo, b_hi in _window_blocks(order, lo, hi, BLOCK_BYTES // 8):
+            shape = (len(rows), b_hi - b_lo)
+            dist = dist_buf[: shape[0] * shape[1]].reshape(shape)
+            _chebyshev_into(dist, tmp_buf[: dist.size].reshape(shape),
+                            columns[:, rows], columns[:, b_lo:b_hi])
+            yield sort[rows], rows - b_lo, dist
 
 
 def _check_radius(radius):
@@ -190,61 +215,30 @@ class NeighborIndex:
         if not (1 <= k <= self.n - 1):
             raise ConfigError(f"k={k} must lie in [1, N-1={self.n - 1}]")
         out = np.empty(self.n)
-        with _row_broadcast_buffers():
-            for start, stop, block in _chebyshev_blocks(self.points):
-                rows = np.arange(stop - start)
-                block[rows, rows + start] = np.inf
-                block.partition(k - 1, axis=1)
-                out[start:stop] = block[:, k - 1]
+        # no radius bounds the kth, so every window is the whole set
+        for rows, own, dist in _sweep(self.points, np.full(self.n, np.inf)):
+            dist[np.arange(len(rows)), own] = np.inf
+            dist.partition(k - 1, axis=1)
+            out[rows] = dist[:, k - 1]
         return out
 
     def count_within_bulk(self, radii, strict=True):
         """count_within for every indexed point with per-point radii.
 
-        A sweep over the points sorted on their widest-ranging coordinate:
-        column j can count for row i only when key_j lies within
-        key_i +- (r_i + slack), where the slack of a few ulps covers the
-        rounding of the window bounds, because outside it the rounded gap
-        on that coordinate, and so the Chebyshev distance, exceeds r_i.
-        Rows are grouped by window width in power-of-two bands, then by
-        sort position, so that a wide window does not widen the blocks of
-        narrow ones; each block compares its rows with the union of their
-        windows.
+        Each row is compared only with its window of the sweep: the points
+        whose gap on the sorting coordinate can lie within its radius.
         """
         radii = np.asarray(radii, dtype=np.float64)
         if radii.shape != (self.n,):
             raise ConsistencyError("radii must have one entry per indexed point")
         _check_radius(radii)
-        n = self.n
-        axis = int(np.argmax(np.ptp(self.points, axis=0)))
-        sort = np.argsort(self.points[:, axis], kind="stable")
-        columns = np.ascontiguousarray(self.points[sort].T)
-        key, r = columns[axis], radii[sort]
-        finite = r[np.isfinite(r)]
-        bound = max(-key[0], key[-1]) + (finite.max() if finite.size else 0.0)
-        slack = 8 * np.spacing(min(bound, np.finfo(np.float64).max))
-        lo = np.searchsorted(key, key - r - slack, side="left")
-        hi = np.searchsorted(key, key + r + slack, side="right")
-        # rows by power-of-two band of window width, then by sort position
-        order = np.argsort(np.frexp(hi - lo)[1], kind="stable")
-
         compare = np.less if strict else np.less_equal
-        budget = BLOCK_BYTES // 8
-        size = min(n * n, max(budget, n))
-        dist_buf, tmp_buf = np.empty(size), np.empty(size)
-        hit_buf = np.empty(size, dtype=bool)
-        counts = np.empty(n, dtype=np.int64)
-        with _row_broadcast_buffers():
-            for rows, b_lo, b_hi in _window_blocks(order, lo, hi, budget):
-                shape = (len(rows), b_hi - b_lo)
-                dist = dist_buf[: shape[0] * shape[1]].reshape(shape)
-                _chebyshev_into(dist, tmp_buf[: dist.size].reshape(shape),
-                                columns[:, rows], columns[:, b_lo:b_hi])
-                hit = hit_buf[: dist.size].reshape(shape)
-                compare(dist, r[rows, None], out=hit)
-                counts[rows] = np.count_nonzero(hit, axis=1)
+        hit_buf = np.empty(_block_capacity(self.n), dtype=bool)
+        counts = np.empty(self.n, dtype=np.int64)
+        for rows, _, dist in _sweep(self.points, radii):
+            hit = hit_buf[: dist.size].reshape(dist.shape)
+            compare(dist, radii[rows, None], out=hit)
+            counts[rows] = np.count_nonzero(hit, axis=1)
         # every row's window holds the row itself, at distance 0
-        counts -= (r > 0) if strict else 1
-        out = np.empty(n, dtype=np.int64)
-        out[sort] = counts
-        return out
+        counts -= (radii > 0) if strict else 1
+        return counts

@@ -633,6 +633,30 @@ def test_cli_synthetic_means_the_dataset_rejects_exit_2(tmp_path, capsys, datase
     assert not out.exists()
 
 
+# JSON NaN and Infinity parse, and every order comparison with NaN is false
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "section, key",
+    [("dataset", "class_stddev"), ("dataset", "class_separation"),
+     ("classifier", "learning_rate"), ("classifier", "l2"),
+     ("estimator", "label_scale"), ("corruptions", "noise_factor")],
+)
+def test_cli_non_finite_number_exits_2(tmp_path, capsys, section, key, value):
+    cfg = base_config()
+    if section == "corruptions":
+        cfg["corruptions"] = [{"kind": "gaussian", "noise_factor": value, "fraction": 0.2}]
+        flagged = "corruptions[0].noise_factor"
+    else:
+        cfg[section][key] = value
+        flagged = f"{section}.{key}"
+    violations = validate_config(cfg)
+    assert any(v.startswith(flagged) for v in violations), violations
+    out = tmp_path / "o"
+    assert cli_main(["run", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "[stage:" not in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_accepts_synthetic_means_of_the_right_shape():
     dataset = _small_dataset("synthetic", dim=2, class_means=[[0, 0], [1, 0]])
     assert validate_config(base_config(dataset=dataset, embedding={"dim": 2})) == []

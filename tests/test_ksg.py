@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import miselect as ms
 from miselect import ksg, neighbors
@@ -217,6 +219,61 @@ def test_label_permutation_symmetry():
     emb_r = ms.LabeledDataset.from_arrays(emb.features, relabel[emb.labels])
     result_r = ms.score_discrete(emb_r, 3)
     assert np.array_equal(result_r.local_scores, result.local_scores)
+
+
+def _score_both(features, labels, k, strict, label_scale):
+    """score_discrete and score_onehot on one labeled point set."""
+    ds = ms.LabeledDataset.from_arrays(features, labels)
+    return (ms.score_discrete(ds, k, strict=strict),
+            ms.score_onehot(ds, k, label_scale, strict=strict))
+
+
+def _assert_same_scores(a, b, perm=slice(None)):
+    """b's per-sample outputs are a's, reordered by ``perm``."""
+    for field in ("local_scores", "per_sample_n_x", "per_sample_n_y", "k_effective",
+                  "degenerate"):
+        assert np.array_equal(getattr(b, field), getattr(a, field)[perm]), field
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_score_invariants(data):
+    """Scores permute with the samples and do not change under class-id
+    relabelling, dyadic translation or power-of-two scaling.
+
+    The points lie on a grid of quarter steps, so translation and scaling
+    are exact in floating point and every invariant holds bit for bit;
+    only the global mean of permuted scores sums in another order.
+    """
+    k = data.draw(st.integers(1, 3), label="k")
+    strict = data.draw(st.booleans(), label="strict")
+    # classes of size 1, 2 and k among others; the first always has a neighbour
+    sizes = [data.draw(st.sampled_from([2, k + 1, 5]), label="first class size")]
+    sizes += data.draw(st.lists(st.sampled_from([1, 2, k, k + 1]), max_size=3),
+                       label="other class sizes")
+    n = sum(sizes)
+    assume(n >= k + 2)
+    d = data.draw(st.integers(1, 3), label="d")
+    grid = data.draw(st.lists(st.integers(-6, 6), min_size=n * d, max_size=n * d),
+                     label="grid")
+    points = 0.25 * np.asarray(grid, dtype=np.float64).reshape(n, d)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    label_scale = 0.25 * data.draw(st.integers(1, 16), label="label_scale / 0.25")
+    base = _score_both(points, labels, k, strict, label_scale)
+
+    perm = np.asarray(data.draw(st.permutations(range(n)), label="sample permutation"))
+    for a, b in zip(base, _score_both(points[perm], labels[perm], k, strict, label_scale)):
+        _assert_same_scores(a, b, perm)
+        assert abs(a.global_mi - b.global_mi) <= 1e-12
+
+    relabel = np.asarray(data.draw(st.permutations(range(len(sizes))), label="relabel"))
+    shift = 0.25 * data.draw(st.integers(-64, 64), label="shift / 0.25")
+    scale = 2.0 ** data.draw(st.integers(-4, 4), label="log2 scale")
+    for moved in (_score_both(points, relabel[labels], k, strict, label_scale),
+                  _score_both((points + shift) * scale, labels, k, strict, label_scale * scale)):
+        for a, b in zip(base, moved):
+            _assert_same_scores(a, b)
+            assert a.global_mi == b.global_mi
 
 
 def test_structure_choice_does_not_change_scores(monkeypatch):

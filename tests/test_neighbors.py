@@ -260,7 +260,7 @@ _OFFSETS = (0.0, 1e15, -1e15, 1e308, -1e308)
 @given(data=st.data())
 def test_window_pruned_count_matches_oracle(data):
     """The sorted-window bulk count equals count_within, strict and closed,
-    under every block layout."""
+    and the bulk kth distance equals knn, under every block layout."""
     n = data.draw(st.integers(2, 20), label="n")
     d = data.draw(st.integers(1, 3), label="d")
     offsets = data.draw(st.lists(st.sampled_from(_OFFSETS), min_size=n * d, max_size=n * d),
@@ -290,9 +290,12 @@ def test_window_pruned_count_matches_oracle(data):
         strict: [idx.count_within(i, float(radii[i]), strict) for i in range(n)]
         for strict in (True, False)
     }
+    k = data.draw(st.integers(1, n - 1), label="k")
+    kth = [idx.knn(i, k).distances[-1] for i in range(n)]
     for budget in block_layouts(n):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(neighbors, "BLOCK_BYTES", budget)
+            assert idx.kth_distance_bulk(k).tolist() == kth
             for strict in (True, False):
                 assert idx.count_within_bulk(radii, strict).tolist() == singles[strict]
 
