@@ -39,7 +39,8 @@ def _build_parser():
                            help="master seed override (non-negative integer)")
         if needs_threads:
             p.add_argument("--threads", type=int, default=1,
-                           help="worker threads for grid cells (output-invariant)")
+                           help="forked worker processes for the grid cells; serial at 1 "
+                                "or where fork is unavailable (output-invariant)")
         return p
 
     add("validate", "check a config file and report violations", needs_out=False)

@@ -4,7 +4,7 @@ One JSON config describes the full pipeline: load or generate data, corrupt
 the training split, embed, score, select, train, evaluate. Outputs are
 machine-readable (JSON report, per-sample score CSV, accuracy-curve CSV)
 and byte-identical across reruns with the same config and seed, including
-under different worker-thread counts. Stage seeds are derived from the
+under different worker-process counts. Stage seeds are derived from the
 master seed by hashing the stage name with SHA-256, so each stage is
 independently reproducible.
 """
@@ -14,9 +14,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import threading
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -627,6 +629,63 @@ def _selection_stage(run):
             )
 
 
+# (train split, test split, TrainConfig) in a forked grid-cell worker, set
+# once per worker by the pool's initializer so that a task carries only
+# indices; it stays empty in the parent process
+_cell_inputs = ()
+
+
+def _init_cell_worker(parent, *inputs):
+    global _cell_inputs
+    _cell_inputs = inputs
+    threading.Thread(target=_exit_with_parent, args=(parent,), daemon=True).start()
+
+
+def _exit_with_parent(parent):
+    """End this worker once its parent process is gone (killed, say, by the
+    OOM killer); an orphaned pool worker would otherwise finish its cell and
+    then wait for work forever."""
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
+
+
+def _cell_accuracy(retained, *inputs):
+    """Test accuracy of the classifier trained on ``retained``; a worker
+    takes the split and settings its initializer stored."""
+    train_data, test_data, tcfg = inputs or _cell_inputs
+    return evaluate(train(train_data, retained, tcfg), test_data)["accuracy"]
+
+
+def _forked_accuracies(cells, inputs, workers):
+    """Accuracies of ``cells``, in order, from ``workers`` forked processes;
+    None where the platform offers no fork start method.
+
+    Each cell is a loop of short numpy calls that the GIL would serialise
+    across threads. Fork hands the splits over without a copy, where spawn
+    re-imports numpy in every worker and costs more than it saves at these
+    sizes; the pool forks all of its workers before it starts its own
+    manager thread. The process machinery is imported here, so that a run
+    that trains in-process pays neither its import time nor its memory.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return None
+    try:
+        with ProcessPoolExecutor(
+            workers,
+            multiprocessing.get_context("fork"),
+            initializer=_init_cell_worker,
+            initargs=(os.getpid(), *inputs),
+        ) as pool:
+            return list(pool.map(_cell_accuracy, cells))
+    except BrokenProcessPool as exc:
+        raise MiselectError(f"a grid-cell worker process died: {exc}") from exc
+
+
 def _classifier_stage(run):
     clf_cfg = run.cfg.get("classifier", {})
     clf_seed = clf_cfg.get("seed")
@@ -640,11 +699,11 @@ def _classifier_stage(run):
         seed=clf_seed,
     )
     on_raw = clf_cfg.get("on_raw_features", False)
-    train_data = run.train if on_raw else run.embedded_train
-    test_data = run.test if on_raw else run.embedded_test
-
-    def run_cell(retained):
-        return evaluate(train(train_data, retained, tcfg), test_data)["accuracy"]
+    inputs = (
+        run.train if on_raw else run.embedded_train,
+        run.test if on_raw else run.embedded_test,
+        tcfg,
+    )
 
     # train() is a pure function of the retained indices, so plans that keep
     # the same set (every plan at ratio 1.0, for one) share one cell; cells
@@ -654,11 +713,11 @@ def _classifier_stage(run):
     distinct = {}
     for _, result in items:
         distinct.setdefault(result.retained_indices.tobytes(), result.retained_indices)
-    if run.threads > 1:
-        with ThreadPoolExecutor(max_workers=run.threads) as pool:
-            accs = list(pool.map(run_cell, distinct.values()))
-    else:
-        accs = list(map(run_cell, distinct.values()))
+    cells = list(distinct.values())
+    workers = min(run.threads, len(cells))
+    accs = _forked_accuracies(cells, inputs, workers) if workers > 1 else None
+    if accs is None:
+        accs = [_cell_accuracy(cell, *inputs) for cell in cells]
     by_set = dict(zip(distinct, accs))
     run.accuracy = {key: by_set[result.retained_indices.tobytes()] for key, result in items}
     rows = [(name, float(ratio), float(acc)) for (name, ratio), acc in run.accuracy.items()]
@@ -724,11 +783,16 @@ def run_experiment(config, out_dir=None, seed_override=None, threads=1, through=
     ``through`` stops the pipeline early: "score" (per-sample MI only),
     "select" (adds selection exports), "train" (adds the accuracy grid) or
     "full" (adds the JSON report). ``out_dir`` falls back to the config's
-    optional ``output_dir`` field. Reruns with identical config and seed
-    produce byte-identical files regardless of ``threads``.
+    optional ``output_dir`` field. ``threads`` (a positive integer) is the
+    number of forked worker processes that train the classifier grid's
+    cells; cells run in-process at 1 or where fork is unavailable. Reruns
+    with identical config and seed produce byte-identical files regardless
+    of ``threads``.
     """
     if through not in _STAGES:
         raise ConfigError(f"through must be one of {_STAGES}")
+    if not _is_int(threads, 1):
+        raise ConfigError(f"threads: must be a positive integer, got {threads!r}")
     cfg = load_config(config) if isinstance(config, (str, Path)) else config
     violations = validate_config(cfg)
     if not _is_seed(seed_override):

@@ -124,14 +124,18 @@ def train(data, retained=None, cfg=TrainConfig()):
 
     # The full-data call that records an epoch's loss also yields the
     # gradient of the next full-batch step, so a full-batch epoch makes one
-    # call; a mini-batch epoch steps on its batches and records the loss alone.
+    # call and the last epoch, with no step after it, records the loss alone;
+    # a mini-batch epoch steps on its batches and records the loss alone.
     history = []
     if batch == n:
         _, grad = loss_and_gradient(weights, xb, labels, cfg.l2)
     for epoch in range(cfg.epochs):
         if batch == n:
             weights = weights - cfg.learning_rate * grad
-            loss, grad = loss_and_gradient(weights, xb, labels, cfg.l2)
+            if epoch + 1 < cfg.epochs:
+                loss, grad = loss_and_gradient(weights, xb, labels, cfg.l2)
+            else:
+                loss = _forward(weights, xb, labels, cfg.l2)[0]
         else:
             order = rng.permutation(n)
             for start in range(0, n, batch):

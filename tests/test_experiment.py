@@ -1,4 +1,10 @@
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -194,6 +200,13 @@ def test_run_rejects_negative_seed_override(tmp_path):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("threads", [0, -1, True])
+def test_run_rejects_a_non_positive_worker_count(tmp_path, threads):
+    with pytest.raises(ConfigError, match="^threads:"):
+        run_experiment(base_config(), out_dir=tmp_path, threads=threads)
+    assert not any(tmp_path.iterdir())
+
+
 def test_run_rejects_invalid_config(tmp_path):
     cfg = base_config()
     cfg["selection"]["ratios"] = []
@@ -267,6 +280,39 @@ def test_each_distinct_retained_set_trains_once(tmp_path, monkeypatch):
         for name in ("accuracy.csv", "report.json"):
             assert ((tmp_path / f"t{threads}" / name).read_bytes()
                     == (tmp_path / "t1" / name).read_bytes())
+
+
+@pytest.mark.parametrize("fork", [True, False])
+def test_grid_cells_run_in_worker_processes_where_fork_exists(tmp_path, monkeypatch, fork):
+    log = tmp_path / "pids"
+
+    def logging_train(*args):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return ms.train(*args)
+
+    if not fork:
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.setattr(experiment, "train", logging_train)
+    run_experiment(base_config(), out_dir=tmp_path / "out", threads=2, through="train")
+    pids, parent = log.read_text().split(), str(os.getpid())
+    assert len(pids) == 3  # four cells, two of them at ratio 1.0 keep the same set
+    if fork:
+        assert parent not in pids
+    else:
+        assert pids == [parent] * 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_diverging_classifier_fails_alike_at_any_worker_count(tmp_path, capsys, threads):
+    cfg = base_config()
+    cfg["classifier"]["learning_rate"] = 1e80
+    path = _write_cfg(tmp_path, cfg)
+    argv = ["run", "--config", path, "--out", str(tmp_path / "o"), "--threads", threads]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error [stage:classifier] non-finite loss at epoch 1\n"
 
 
 def test_poisoned_score_cache_is_recomputed(tmp_path):
@@ -474,13 +520,85 @@ def test_fault_at_each_stage_boundary_quarantines_earlier_outputs(
     monkeypatch.setattr(experiment, callee, faulty)
     cfg = base_config(corruptions=[{"kind": "label_flip", "rate": 0.2}])
     out = tmp_path / "out"
-    assert cli_main(["run", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    # two workers: a fault raised inside a grid-cell worker surfaces the same way
+    argv = ["run", "--config", _write_cfg(tmp_path, cfg), "--out", str(out), "--threads", "2"]
+    assert cli_main(argv) == 1
     assert f"[stage:{stage}]" in capsys.readouterr().err
+    _assert_quarantined(out, earlier)
+
+
+def _assert_quarantined(out, earlier):
     quarantine = out / "quarantine"
     quarantined = sorted(p.name for p in quarantine.rglob("*")) if quarantine.exists() else []
     assert quarantined == sorted(Path(name).name for name in earlier)
     for name in earlier:
         assert not (out / name).exists()
+
+
+def test_dead_grid_cell_worker_is_a_classifier_stage_failure(tmp_path, monkeypatch, capsys):
+    parent = os.getpid()
+
+    def dying_train(*args):
+        assert os.getpid() != parent, "a grid cell ran in the parent process"
+        os._exit(3)
+
+    monkeypatch.setattr(experiment, "train", dying_train)
+    cfg = base_config(corruptions=[{"kind": "label_flip", "rate": 0.2}])
+    out = tmp_path / "out"
+    argv = ["run", "--config", _write_cfg(tmp_path, cfg), "--out", str(out), "--threads", "2"]
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert "[stage:classifier]" in err
+    assert "Traceback" not in err
+    _assert_quarantined(out, _FAULTS["classifier"][1])
+
+
+def _alive(pid):
+    """True while ``pid`` runs; a zombie counts as gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_grid_cell_workers_exit_when_the_run_is_killed(tmp_path):
+    pid_log, config = tmp_path / "pids", tmp_path / "config.json"
+    config.write_text(json.dumps(base_config()))
+    script = tmp_path / "hanging_grid.py"
+    script.write_text(
+        "import os, time\n"
+        "from miselect import experiment\n"
+        "def hanging_train(*args):\n"
+        f"    with open({str(pid_log)!r}, 'a') as f:\n"
+        "        f.write(f'{os.getpid()}\\n')\n"
+        "    time.sleep(600)\n"
+        "experiment.train = hanging_train\n"
+        f"experiment.run_experiment({str(config)!r}, out_dir={str(tmp_path / 'out')!r},\n"
+        "                          threads=2, through='train')\n"
+    )
+    src = str(Path(experiment.__file__).resolve().parents[1])
+    run = subprocess.Popen([sys.executable, str(script)], env={**os.environ, "PYTHONPATH": src})
+    pids = []
+    try:
+        deadline = time.monotonic() + 60
+        while len(pids) < 2 and time.monotonic() < deadline and run.poll() is None:
+            time.sleep(0.05)
+            pids = [int(p) for p in pid_log.read_text().split()] if pid_log.exists() else []
+        assert len(pids) == 2, "both workers should be inside a cell"
+        run.kill()
+        run.wait(timeout=30)
+        deadline = time.monotonic() + 10
+        while any(map(_alive, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_alive, pids))
+    finally:
+        if run.poll() is None:
+            run.kill()
+            run.wait(timeout=30)
+        for pid in filter(_alive, pids):
+            os.kill(pid, signal.SIGKILL)
 
 
 def test_idx_dataset_source(tmp_path):
@@ -696,6 +814,16 @@ def test_cli_validate_unreadable_config(tmp_path, capsys):
     path.write_text("[1, 2]")
     assert cli_main(["validate", "--config", str(path)]) == 2
     assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_cli_non_positive_threads_exits_2(tmp_path, capsys, threads):
+    out = tmp_path / "o"
+    argv = ["run", "--config", _write_cfg(tmp_path, base_config()), "--out", str(out),
+            "--threads", threads]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: threads:")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv_tail", [["--seed", "-5"], []])
