@@ -43,7 +43,8 @@ def write_json_atomic(path, payload):
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="\n") as f:
-            json.dump(payload, f, sort_keys=True)
+            # dumps runs the C encoder; dump always runs the Python one
+            f.write(json.dumps(payload, sort_keys=True))
             f.write("\n")
         os.replace(tmp, path)
     finally:

@@ -22,6 +22,8 @@ KIND_GAUSSIAN = "gaussian"
 KIND_AFFINE_STRONG = "affine_strong"
 KIND_AFFINE_MILD = "affine_mild"
 
+_WARP_CHUNK = 64  # images warped per batch
+
 
 @dataclass(frozen=True)
 class AffineParams:
@@ -148,13 +150,15 @@ def add_gaussian(ds, noise_factor, fraction, seed):
     )
 
 
-def _bilinear_sample(img, sx, sy):
-    # zero padding outside the image
-    h, w = img.shape
+def _bilinear_sample(imgs, sx, sy):
+    # zero padding outside each image of the (m, h, w) stack
+    m, h, w = imgs.shape
     x0 = np.floor(sx).astype(np.int64)
     y0 = np.floor(sy).astype(np.int64)
     fx = sx - x0
     fy = sy - y0
+    flat = imgs.reshape(-1)
+    base = np.arange(m)[:, None] * (h * w)
     out = np.zeros(sx.shape)
     for dy in (0, 1):
         for dx in (0, 1):
@@ -163,13 +167,13 @@ def _bilinear_sample(img, sx, sy):
             valid = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
             weight = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
             vals = np.zeros(sx.shape)
-            vals[valid] = img[ys[valid], xs[valid]]
+            vals[valid] = flat[(base + ys * w + xs)[valid]]
             out += weight * vals
     return out
 
 
-def _warp_image(img, rng, params):
-    h, w = img.shape
+def _draw_warp(rng, params, h, w):
+    """Draw one warp: (inverse of its 2x2 linear part, its (tx, ty) shift)."""
     theta = np.deg2rad(rng.uniform(-params.rotation_deg, params.rotation_deg))
     scale = rng.uniform(params.scale_range[0], params.scale_range[1])
     shear = np.deg2rad(rng.uniform(-params.shear_deg, params.shear_deg))
@@ -180,13 +184,25 @@ def _warp_image(img, rng, params):
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     shr = np.array([[1.0, np.tan(shear)], [0.0, 1.0]])
     fwd = rot @ shr * scale
-    inv = np.linalg.inv(fwd)
+    return np.linalg.inv(fwd), (tx, ty)
 
+
+def _warp_images(imgs, invs, shifts):
+    """Warp each image of the (m, h, w) stack ``imgs`` by its inverse map
+    ``invs[i]`` (m, 2, 2) and shift ``shifts[i]`` (m, 2); returns (m, h*w).
+
+    Each image gets the same operations, in the same order, as when it is
+    warped alone: the stacked matmul runs one (2, 2) @ (2, h*w) product per
+    image.
+    """
+    m, h, w = imgs.shape
     cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
     ys, xs = np.mgrid[0:h, 0:w]
-    rel = np.stack([xs.ravel() - cx - tx, ys.ravel() - cy - ty])
-    src = inv @ rel
-    return _bilinear_sample(img, src[0] + cx, src[1] + cy).reshape(h, w)
+    rel = np.empty((m, 2, h * w))
+    np.subtract(xs.ravel() - cx, shifts[:, 0, None], out=rel[:, 0])
+    np.subtract(ys.ravel() - cy, shifts[:, 1, None], out=rel[:, 1])
+    src = invs @ rel
+    return _bilinear_sample(imgs, src[:, 0] + cx, src[:, 1] + cy)
 
 
 def affine_warp(ds, params, fraction, seed, width, height, kind=KIND_AFFINE_STRONG):
@@ -207,10 +223,14 @@ def affine_warp(ds, params, fraction, seed, width, height, kind=KIND_AFFINE_STRO
         return replace(ds)
     chosen = _choose(ds.n, count, seed)
     features = ds.features.copy()
-    for i in chosen:
-        img = features[i].reshape(height, width)
-        warped = _warp_image(img, _sample_rng(seed, i), params)
-        features[i] = np.clip(warped, 0.0, 1.0).ravel()
+    # a few images at a time, so the (m, h*w) temporaries stay small
+    for start in range(0, count, _WARP_CHUNK):
+        rows = chosen[start : start + _WARP_CHUNK]
+        invs, shifts = zip(*(_draw_warp(_sample_rng(seed, i), params, height, width)
+                             for i in rows))
+        warped = _warp_images(features[rows].reshape(-1, height, width),
+                              np.array(invs), np.array(shifts))
+        features[rows] = np.clip(warped, 0.0, 1.0)
     return replace(
         ds,
         features=features,

@@ -22,6 +22,7 @@ IDX_LABEL_MAGIC = 0x00000801
 
 # width of the per-sample input-corruption tag strings
 _TAG_DTYPE = "<U64"
+_GENERATE_CHUNK = 64  # image rows per batch of generate_pattern_images' arithmetic
 
 
 def _frozen(arr):
@@ -249,18 +250,30 @@ def generate_pattern_images(
         raise ConfigError("generate_pattern_images supports 1..6 classes")
     if per_class_count < 1:
         raise ConfigError("per_class_count must be positive")
-    rng = np.random.default_rng(seed)
-    samples = []
-    for c in range(num_classes):
-        base = _template(c, height, width)
-        for _ in range(per_class_count):
-            dy, dx = rng.integers(-jitter_px, jitter_px + 1, size=2)
-            brightness = rng.uniform(0.7, 1.0)
-            img = brightness * _shift(base, int(dy), int(dx))
-            img = img + noise * rng.standard_normal((height, width))
-            samples.append(np.clip(img, 0.0, 1.0).ravel())
-    features = np.vstack(samples)
+    n = num_classes * per_class_count
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class_count)
+    # per sample, in draw order: the shift, the brightness, then the noise
+    # written straight into the sample's row
+    rng = np.random.default_rng(seed)
+    features = np.empty((n, height * width))
+    shifts = np.empty((n, 2), dtype=np.int64)
+    brightness = np.empty(n)
+    for i in range(n):
+        shifts[i] = rng.integers(-jitter_px, jitter_px + 1, size=2)
+        brightness[i] = rng.uniform(0.7, 1.0)
+        rng.standard_normal(out=features[i])
+    # img = noise * z + brightness * shifted template, clipped, a block of
+    # rows at a time, with each (class, dy, dx) template shifted once per block
+    bases = [_template(c, height, width) for c in range(num_classes)]
+    for start in range(0, n, _GENERATE_CHUNK):
+        rows = slice(start, start + _GENERATE_CHUNK)
+        keys, which = np.unique(np.column_stack([labels[rows], shifts[rows]]), axis=0,
+                                return_inverse=True)
+        templates = np.array([_shift(bases[c], dy, dx).ravel() for c, dy, dx in keys.tolist()])
+        block = features[rows]
+        block *= noise
+        block += brightness[rows, None] * templates[which.ravel()]
+        np.clip(block, 0.0, 1.0, out=block)
     return LabeledDataset.from_arrays(
         features, labels, num_classes=num_classes, image_shape=(height, width)
     )

@@ -17,7 +17,11 @@ inside that radius, and n_y + 1 is the size of the sample's class.
 generic continuous estimator on the concatenated joint space; the same
 continuous core (``score_continuous``) also handles two real-valued
 variables, which is how the estimator is validated against the bivariate
-Gaussian closed form.
+Gaussian closed form. Without jitter, when every class has more than k
+members and every kth same-label distance is at most the label scale,
+``score_onehot`` takes a per-class route instead: the joint kth is then the
+same-label kth and n_y has a closed form, so the result equals the
+joint-space one bit for bit without the joint-space pass.
 """
 
 from __future__ import annotations
@@ -152,6 +156,20 @@ def _finalize(scores, nx, ny, keff, deg, k, variant, strict, label_scale, jitter
     )
 
 
+def _class_kth(x, labels, k):
+    """Per sample: the distance to its kth nearest same-label point, with k
+    capped at class size - 1, the capped k, and the class size. Singleton
+    classes get radius 0 and k 0."""
+    radii = np.zeros(len(labels))
+    sizes = np.zeros(len(labels), dtype=np.int64)
+    for c in np.unique(labels):
+        members = np.flatnonzero(labels == c)
+        sizes[members] = len(members)
+        if len(members) > 1:
+            radii[members] = NeighborIndex(x[members]).kth_distance_bulk(min(k, len(members) - 1))
+    return radii, np.minimum(k, sizes - 1), sizes
+
+
 def score_discrete(points, k, strict=True, jitter_seed=None):
     """Local MI contributions with labels treated as a discrete variable.
 
@@ -170,29 +188,12 @@ def score_discrete(points, k, strict=True, jitter_seed=None):
         raise ConfigError("k must be positive")
 
     x = add_jitter(points.features, jitter_seed)
-    index_all = NeighborIndex(x)
-
-    radii = np.zeros(n)
-    nx = np.zeros(n, dtype=np.int64)
-    ny = np.zeros(n, dtype=np.int64)
-    keff = np.zeros(n, dtype=np.int64)
-    deg = np.zeros(n, dtype=bool)
-
-    for c in np.unique(labels):
-        members = np.flatnonzero(labels == c)
-        size = len(members)
-        if size == 1:
-            deg[members] = True
-            continue
-        k_c = min(k, size - 1)
-        sub = NeighborIndex(x[members])
-        radii[members] = sub.kth_distance_bulk(k_c)
-        keff[members] = k_c
-        ny[members] = size - 1
-
-    nx_all = index_all.count_within_bulk(radii, strict=strict)
+    radii, keff, sizes = _class_kth(x, labels, k)
+    deg = sizes == 1
+    ny = sizes - 1
+    nx = NeighborIndex(x).count_within_bulk(radii, strict=strict)
     usable = ~deg
-    nx[usable] = nx_all[usable]
+    nx[deg] = 0
 
     scores = np.full(n, -np.inf)
     scores[usable] = (
@@ -247,16 +248,52 @@ def score_onehot(points, k, label_scale, strict=True, jitter_seed=None):
     With ``label_scale`` well above the data diameter, cross-label pairs
     can never fall inside a sample's radius and the marginal-y counts
     reduce to same-label counts.
+
+    Without jitter, every cross-label joint distance is at least
+    ``label_scale`` and every same-label one is the distance in x. So when
+    each class has more than k members and each sample's kth same-label
+    distance in x is at most ``label_scale``, that distance is the joint kth
+    (Ross 2014, PLoS ONE), and n_y has a closed form. The result is then
+    computed per class, without the joint-space pass, and equals the
+    general one bit for bit; otherwise the general path runs.
     """
     if label_scale <= 0:
         raise ConfigError("label_scale must be positive")
-    labels = points.labels
-    onehot = np.zeros((len(labels), points.num_classes))
-    onehot[np.arange(len(labels)), labels] = label_scale
-    result = score_continuous(
-        points.features, onehot, k, strict=strict, jitter_seed=jitter_seed, variant=VARIANT_ONEHOT
-    )
+    result = None
+    if jitter_seed is None:
+        result = _score_onehot_per_class(points, k, label_scale, strict)
+    if result is None:
+        labels = points.labels
+        onehot = np.zeros((len(labels), points.num_classes))
+        onehot[np.arange(len(labels)), labels] = label_scale
+        result = score_continuous(
+            points.features, onehot, k, strict=strict, jitter_seed=jitter_seed,
+            variant=VARIANT_ONEHOT,
+        )
     return replace(result, label_scale=float(label_scale))
+
+
+def _score_onehot_per_class(points, k, label_scale, strict):
+    """``score_onehot`` without jitter, computed per class; None where that
+    would not equal the joint-space result, or where the joint-space path
+    must raise."""
+    labels = points.labels
+    n = len(labels)
+    if not (k >= 1 and n >= k + 2 and math.isfinite(label_scale)):
+        return None
+    eps, keff, sizes = _class_kth(points.features, labels, k)
+    if keff.min() < k or eps.max() > label_scale:
+        return None
+    nx = NeighborIndex(points.features).count_within_bulk(eps, strict=strict)
+    # one-hot distances are 0 within a class and label_scale across classes
+    cross = n - sizes
+    if strict:
+        ny = (sizes - 1) * (eps > 0) + cross * (eps > label_scale)
+    else:
+        ny = (sizes - 1) + cross * (eps >= label_scale)
+    scores = digamma(float(k)) + digamma(float(n)) - digamma(nx + 1.0) - digamma(ny + 1.0)
+    return _finalize(scores, nx, ny, keff, np.zeros(n, dtype=bool), k, VARIANT_ONEHOT, strict,
+                     None, None)
 
 
 def score_dataset(points, k, variant=VARIANT_DISCRETE, strict=True, label_scale=None,

@@ -83,7 +83,9 @@ def _forward(weights, x, labels, l2):
     loss = -float((z.take(flat) - np.log(s)).mean())
     penalty = weights.copy()
     penalty[:, -1] = 0.0
-    loss += 0.5 * l2 * float((penalty**2).sum())
+    # a diverging fit squares huge weights; the caller reports the inf loss
+    with np.errstate(over="ignore"):
+        loss += 0.5 * l2 * float((penalty**2).sum())
     return loss, e, s, flat, penalty
 
 

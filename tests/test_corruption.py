@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import miselect as ms
-from miselect.corruption import _warp_image
+from miselect import corruption
+from miselect.corruption import _draw_warp, _warp_images
 from miselect.errors import ConfigError
 
 
@@ -146,7 +147,8 @@ def test_quarter_turn_matches_expected_grid():
         ]
     )
     # draws: rotation=90, scale=1, shear=0, tx=0, ty=0
-    out = _warp_image(img, _ScriptedRng([90.0, 1.0, 0.0, 0.0, 0.0]), ms.STRONG_AFFINE)
+    inv, shift = _draw_warp(_ScriptedRng([90.0, 1.0, 0.0, 0.0, 0.0]), ms.STRONG_AFFINE, 4, 4)
+    out = _warp_images(img[None], inv[None], np.array([shift]))[0].reshape(4, 4)
     expected = np.array(
         [
             [0.2, 0.8, 0.4, 0.0],
@@ -157,6 +159,63 @@ def test_quarter_turn_matches_expected_grid():
     )
     assert np.allclose(out, expected, atol=1e-6)
     assert np.allclose(out, np.rot90(img, 3), atol=1e-6)
+
+
+def _reference_bilinear(img, sx, sy):
+    # zero padding outside the image
+    h, w = img.shape
+    x0 = np.floor(sx).astype(np.int64)
+    y0 = np.floor(sy).astype(np.int64)
+    fx = sx - x0
+    fy = sy - y0
+    out = np.zeros(sx.shape)
+    for dy in (0, 1):
+        for dx in (0, 1):
+            xs = x0 + dx
+            ys = y0 + dy
+            valid = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
+            weight = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
+            vals = np.zeros(sx.shape)
+            vals[valid] = img[ys[valid], xs[valid]]
+            out += weight * vals
+    return out
+
+
+def _reference_warp_image(img, rng, params):
+    """One image warped on its own, the oracle for the batched warp."""
+    h, w = img.shape
+    theta = np.deg2rad(rng.uniform(-params.rotation_deg, params.rotation_deg))
+    scale = rng.uniform(params.scale_range[0], params.scale_range[1])
+    shear = np.deg2rad(rng.uniform(-params.shear_deg, params.shear_deg))
+    tx = rng.uniform(-params.translate_frac * w, params.translate_frac * w)
+    ty = rng.uniform(-params.translate_frac * h, params.translate_frac * h)
+    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+    shr = np.array([[1.0, np.tan(shear)], [0.0, 1.0]])
+    inv = np.linalg.inv(rot @ shr * scale)
+    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
+    ys, xs = np.mgrid[0:h, 0:w]
+    rel = np.stack([xs.ravel() - cx - tx, ys.ravel() - cy - ty])
+    src = inv @ rel
+    return _reference_bilinear(img, src[0] + cx, src[1] + cy).reshape(h, w)
+
+
+# image counts below, at and across multiples of the 64-image batch
+@pytest.mark.parametrize("height, width, n, fraction", [
+    (10, 10, 100, 0.9), (5, 9, 181, 1.0), (1, 1, 70, 1.0), (7, 3, 64, 1.0), (28, 28, 150, 0.86),
+])
+@pytest.mark.parametrize("params", [ms.STRONG_AFFINE, ms.MILD_AFFINE])
+def test_batched_warp_equals_per_image_oracle(height, width, n, fraction, params):
+    rng = np.random.default_rng(n)
+    ds = ms.LabeledDataset.from_arrays(rng.uniform(0, 1, (n, height * width)), np.arange(n) % 3,
+                                       image_shape=(height, width))
+    out = ms.affine_warp(ds, params, fraction, seed=4, width=width, height=height)
+    chosen = corruption._choose(n, round(fraction * n), 4)
+    expected = ds.features.copy()
+    for i in chosen:
+        img = ds.features[i].reshape(height, width)
+        warped = _reference_warp_image(img, corruption._sample_rng(4, i), params)
+        expected[i] = np.clip(warped, 0.0, 1.0).ravel()
+    assert out.features.tobytes() == expected.tobytes()
 
 
 def test_mild_warp_preserves_pixel_mass():

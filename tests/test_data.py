@@ -1,9 +1,11 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import miselect as ms
+from miselect.data import _shift, _template
 from miselect.errors import ConfigError, ConsistencyError, FormatError, IoError
 
 # ---------------------------------------------------------------------------
@@ -243,3 +245,43 @@ def test_pattern_images_shape_and_determinism():
     assert np.array_equal(a.features, b.features)
     with pytest.raises(ConfigError):
         ms.generate_pattern_images(7, 5)
+
+
+def _reference_pattern_images(num_classes, per_class_count, height, width, noise, jitter_px,
+                              seed):
+    """The per-sample generator loop, the oracle for the batched one."""
+    rng = np.random.default_rng(seed)
+    samples = []
+    for c in range(num_classes):
+        base = _template(c, height, width)
+        for _ in range(per_class_count):
+            dy, dx = rng.integers(-jitter_px, jitter_px + 1, size=2)
+            brightness = rng.uniform(0.7, 1.0)
+            img = brightness * _shift(base, int(dy), int(dx))
+            img = img + noise * rng.standard_normal((height, width))
+            samples.append(np.clip(img, 0.0, 1.0).ravel())
+    return np.vstack(samples)
+
+
+# sample counts below, at and across multiples of the 64-row batch
+@pytest.mark.parametrize("args", [
+    (6, 300, 28, 28, 0.1, 2, 3),
+    (3, 43, 5, 9, 0.05, 1, 4),
+    (2, 35, 1, 1, 0.3, 0, 2),
+    (4, 32, 7, 6, 0.0, 3, 9),
+    (5, 13, 10, 12, 0.2, 0, 1),
+    (1, 1, 4, 4, 1.5, 1, 0),
+])
+def test_pattern_images_equal_per_sample_oracle(args):
+    got = ms.generate_pattern_images(*args)
+    assert got.features.tobytes() == _reference_pattern_images(*args).tobytes()
+
+
+def test_pattern_images_peak_memory_is_about_one_features_array():
+    tracemalloc.start()
+    try:
+        ds = ms.generate_pattern_images(6, 700, height=28, width=28, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * ds.features.nbytes

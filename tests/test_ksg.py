@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 import miselect as ms
 from miselect import ksg, neighbors
+from miselect._util import write_json_atomic
 from miselect.errors import ConfigError, DomainError, FormatError
 
 # ---------------------------------------------------------------------------
@@ -276,6 +278,71 @@ def test_score_invariants(data):
             assert a.global_mi == b.global_mi
 
 
+def _joint_onehot(ds, k, label_scale, strict, jitter_seed):
+    """score_onehot by definition: the continuous estimator on the joint space."""
+    onehot = np.eye(ds.num_classes)[ds.labels] * label_scale
+    general = ms.score_continuous(ds.features, onehot, k, strict=strict, jitter_seed=jitter_seed,
+                                  variant=ksg.VARIANT_ONEHOT)
+    return replace(general, label_scale=float(label_scale))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_onehot_equals_joint_space_estimator(data):
+    """score_onehot equals the joint-space estimator bit for bit in every
+    field, whether or not its per-class route applies: with classes of k
+    members or fewer, with label_scale below some kth radii, with ties and
+    duplicate points on a quarter grid, and with jitter."""
+    k = data.draw(st.integers(1, 3), label="k")
+    strict = data.draw(st.booleans(), label="strict")
+    # half the draws keep every class above k members, as the route needs
+    smallest = data.draw(st.sampled_from([1, k + 1]), label="smallest allowed class")
+    sizes = data.draw(st.lists(st.integers(smallest, k + 2), min_size=1, max_size=4),
+                      label="class sizes")
+    n = sum(sizes)
+    assume(n >= k + 2)
+    d = data.draw(st.integers(1, 3), label="d")
+    grid = data.draw(st.lists(st.integers(-3, 3), min_size=n * d, max_size=n * d),
+                     label="grid")
+    points = 0.25 * np.asarray(grid, dtype=np.float64).reshape(n, d)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    label_scale = 0.25 * data.draw(st.integers(1, 12), label="label_scale / 0.25")
+    jitter_seed = data.draw(st.sampled_from([None, None, 3]), label="jitter_seed")
+    ds = ms.LabeledDataset.from_arrays(points, labels)
+
+    got = ms.score_onehot(ds, k, label_scale, strict=strict, jitter_seed=jitter_seed)
+    want = _joint_onehot(ds, k, label_scale, strict, jitter_seed)
+    for field in fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field.name
+        else:
+            assert type(a) is type(b) and a == b, field.name
+
+
+@pytest.mark.parametrize("label_scale, per_class", [(100.0, True), (1e-3, False)])
+def test_onehot_per_class_route_skips_the_joint_space(monkeypatch, label_scale, per_class):
+    emb = _separated(3, 20, seed=4, stddev=1.0, sep=4.0)
+    want = _joint_onehot(emb, 3, label_scale, True, None)
+    calls = []
+    monkeypatch.setattr(ksg, "score_continuous",
+                        lambda *a, **kw: calls.append(1) or ms.score_continuous(*a, **kw))
+    got = ms.score_onehot(emb, 3, label_scale)
+    assert calls == ([] if per_class else [1])
+    assert np.array_equal(got.local_scores, want.local_scores)
+    assert got.per_sample_n_y.tolist() == want.per_sample_n_y.tolist()
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_onehot_kth_radius_equal_to_label_scale(strict):
+    # every kth radius is 1.0 = label_scale: the per-class route applies, and
+    # only non-strict counting takes in the other class in y
+    ds = ms.LabeledDataset.from_arrays(np.array([[0.0], [1.0], [5.0], [6.0]]), [0, 0, 1, 1])
+    got = ms.score_onehot(ds, 1, 1.0, strict=strict)
+    assert got.per_sample_n_y.tolist() == ([1] * 4 if strict else [3] * 4)
+    _assert_same_scores(_joint_onehot(ds, 1, 1.0, strict, None), got)
+
+
 def test_structure_choice_does_not_change_scores(monkeypatch):
     """Scores do not depend on the bulk kernel's row blocks, and their
     neighbour counts equal the single-query oracle's."""
@@ -442,15 +509,31 @@ def test_score_artifact_write_is_atomic(tmp_path, monkeypatch):
     before = path.read_bytes()
     assert [p.name for p in tmp_path.iterdir()] == ["scores.json"]
 
-    def interrupted(payload, f, **kwargs):
-        f.write('{"schema_version": 1, "local_')
+    def interrupted(payload, **kwargs):
+        # the temporary file is open by now, as an interrupted encode leaves it
+        assert [p.name for p in tmp_path.iterdir()] != ["scores.json"]
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(ksg.json, "dump", interrupted)
+    monkeypatch.setattr(ksg.json, "dumps", interrupted)
     with pytest.raises(KeyboardInterrupt):
         ms.save_scores(result, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["scores.json"]
+
+
+def test_atomic_json_bytes_match_json_dump(tmp_path):
+    payload = {
+        "b": {"z": [1, None, -0.0, True], "a": 5e-324, "m": {"y": 2.2250738585072014e-308 / 3}},
+        "a": [1e308, -1e308, 0.1, 123456789012345678901234567890, "x\u00e9\n"],
+        "c": None,
+    }
+    expected = tmp_path / "expected.json"
+    with open(expected, "w", newline="\n") as f:
+        json.dump(payload, f, sort_keys=True)
+        f.write("\n")
+    got = tmp_path / "got.json"
+    write_json_atomic(got, payload)
+    assert got.read_bytes() == expected.read_bytes()
 
 
 def test_content_hash_sensitivity():

@@ -300,6 +300,32 @@ def test_window_pruned_count_matches_oracle(data):
                 assert idx.count_within_bulk(radii, strict).tolist() == singles[strict]
 
 
+def _walked_blocks(order, lo, hi, budget):
+    """_window_blocks' row-by-row walk, the oracle for its whole-set runs."""
+    lows, highs = lo[order].tolist(), hi[order].tolist()
+    start, b_lo, b_hi = 0, lows[0], highs[0]
+    for j in range(1, len(order)):
+        new_lo, new_hi = min(b_lo, lows[j]), max(b_hi, highs[j])
+        if (j - start + 1) * (new_hi - new_lo) > budget:
+            yield order[start:j], b_lo, b_hi
+            start, new_lo, new_hi = j, lows[j], highs[j]
+        b_lo, b_hi = new_lo, new_hi
+    yield order[start:], b_lo, b_hi
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+@pytest.mark.parametrize("budget", [1, 5, 299, 300, 1000, 1 << 16])
+@pytest.mark.parametrize("whole", [True, False])
+def test_window_blocks_match_the_row_walk(n, budget, whole):
+    order = np.random.default_rng(n).permutation(n)
+    lo, hi = np.zeros(n, dtype=np.intp), np.full(n, n, dtype=np.intp)
+    if not whole:
+        hi[order[-1]] = n - 1
+    got = [(r.tolist(), a, b) for r, a, b in neighbors._window_blocks(order, lo, hi, budget)]
+    want = [(r.tolist(), a, b) for r, a, b in _walked_blocks(order, lo, hi, budget)]
+    assert got == want
+
+
 @pytest.mark.parametrize("bad", [-1.0, -np.inf, np.nan])
 def test_count_rejects_negative_or_nan_radius(bad):
     idx = ms.NeighborIndex(LINE)
