@@ -65,7 +65,11 @@ class LabeledDataset:
             raise ConsistencyError(
                 "labels, original_labels and input_corruption must all have length N"
             )
-        if not np.all(np.isfinite(feats)):
+        # NaN propagates through min and max, and +-inf is one of them, so the
+        # two reductions test finiteness without an (N, dim) temporary
+        with np.errstate(invalid="ignore"):
+            lo, hi = (feats.min(), feats.max()) if feats.size else (0.0, 0.0)
+        if not (np.isfinite(lo) and np.isfinite(hi)):
             raise ConsistencyError("all feature values must be finite")
         if n > 0 and (labels.min() < 0 or labels.max() >= self.num_classes):
             raise ConsistencyError("labels must lie in [0, num_classes)")
@@ -77,7 +81,7 @@ class LabeledDataset:
             h, w = self.image_shape
             if h * w != feats.shape[1]:
                 raise ConsistencyError("image_shape does not match feature dim")
-            if feats.size and (feats.min() < 0.0 or feats.max() > 1.0):
+            if lo < 0.0 or hi > 1.0:
                 raise ConsistencyError("image features must lie in [0, 1]")
         object.__setattr__(self, "features", _frozen(feats))
         object.__setattr__(self, "labels", _frozen(labels))
@@ -180,20 +184,49 @@ class SyntheticSpec:
         return cls(num_classes, per_class_count, dim, means, stddev, seed)
 
 
-def generate_synthetic(spec):
+def _outputs(labels, num_classes, dim, split):
+    """The feature arrays a generator writes its samples into.
+
+    Returns (sample indices, features) pairs: one holding every sample when
+    ``split`` is None, else a train and a test pair cut as
+    ``train_test_split`` cuts the generated dataset with ``split`` =
+    (test_fraction, seed). Indices ascend, so rows keep the sample order,
+    and only the samples' own rows are ever allocated.
+    """
+    if split is None:
+        parts = [np.arange(len(labels))]
+    else:
+        parts = _split_indices(labels, num_classes, *split)
+    return [(idx, np.empty((len(idx), dim))) for idx in parts]
+
+
+def _datasets(outputs, labels, num_classes, split, image_shape=None):
+    made = tuple(
+        LabeledDataset.from_arrays(features, labels[idx], num_classes=num_classes,
+                                   image_shape=image_shape)
+        for idx, features in outputs
+    )
+    return made[0] if split is None else made
+
+
+def generate_synthetic(spec, split=None):
     """Draw ``per_class_count`` samples per class around each class mean.
 
     Samples are emitted in class order and the draw is fully determined by
-    ``spec.seed``.
+    ``spec.seed``. With ``split`` = (test_fraction, seed) the result is the
+    (train, test) pair ``train_test_split`` would cut, with each sample
+    written straight into its part.
     """
     rng = np.random.default_rng(spec.seed)
-    blocks = []
+    p = spec.per_class_count
+    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), p)
+    outputs = _outputs(labels, spec.num_classes, spec.dim, split)
     for c in range(spec.num_classes):
-        noise = rng.standard_normal((spec.per_class_count, spec.dim))
-        blocks.append(spec.class_means[c] + spec.class_stddev * noise)
-    features = np.vstack(blocks)
-    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), spec.per_class_count)
-    return LabeledDataset.from_arrays(features, labels, num_classes=spec.num_classes)
+        block = spec.class_means[c] + spec.class_stddev * rng.standard_normal((p, spec.dim))
+        for idx, features in outputs:
+            lo, hi = np.searchsorted(idx, (c * p, (c + 1) * p))
+            features[lo:hi] = block[idx[lo:hi] - c * p]
+    return _datasets(outputs, labels, spec.num_classes, split)
 
 
 # Class templates for synthetic images: index -> painter(height, width) in [0, 1].
@@ -237,46 +270,57 @@ def _shift(img, dy, dx):
 
 
 def generate_pattern_images(
-    num_classes, per_class_count, height=12, width=12, noise=0.05, jitter_px=1, seed=0
+    num_classes, per_class_count, height=12, width=12, noise=0.05, jitter_px=1, seed=0,
+    split=None,
 ):
     """Synthetic image dataset: one geometric pattern per class.
 
     Each sample is its class template shifted by up to ``jitter_px`` pixels,
     scaled by a random brightness in [0.7, 1.0], plus Gaussian pixel noise,
     clipped to [0, 1]. A deterministic desk-scale stand-in for a digit
-    corpus in input-noise experiments.
+    corpus in input-noise experiments. ``split`` works as in
+    ``generate_synthetic``.
     """
     if num_classes < 1 or num_classes > 6:
         raise ConfigError("generate_pattern_images supports 1..6 classes")
     if per_class_count < 1:
         raise ConfigError("per_class_count must be positive")
+    if not 0 <= jitter_px <= min(height, width):
+        raise ConfigError(f"jitter_px {jitter_px} must lie in [0, min(height, width) = "
+                          f"{min(height, width)}]")
     n = num_classes * per_class_count
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class_count)
+    outputs = _outputs(labels, num_classes, height * width, split)
+    # sample i goes to row row_of[i] of the output part part_of[i]
+    part_of, row_of = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    for part, (idx, _) in enumerate(outputs):
+        part_of[idx], row_of[idx] = part, np.arange(len(idx))
+    arrays = [features for _, features in outputs]
     # per sample, in draw order: the shift, the brightness, then the noise
     # written straight into the sample's row
     rng = np.random.default_rng(seed)
-    features = np.empty((n, height * width))
     shifts = np.empty((n, 2), dtype=np.int64)
     brightness = np.empty(n)
-    for i in range(n):
+    for i, (part, row) in enumerate(zip(part_of.tolist(), row_of.tolist())):
         shifts[i] = rng.integers(-jitter_px, jitter_px + 1, size=2)
         brightness[i] = rng.uniform(0.7, 1.0)
-        rng.standard_normal(out=features[i])
+        rng.standard_normal(out=arrays[part][row])
     # img = noise * z + brightness * shifted template, clipped, a block of
     # rows at a time, with each (class, dy, dx) template shifted once per block
     bases = [_template(c, height, width) for c in range(num_classes)]
-    for start in range(0, n, _GENERATE_CHUNK):
-        rows = slice(start, start + _GENERATE_CHUNK)
-        keys, which = np.unique(np.column_stack([labels[rows], shifts[rows]]), axis=0,
-                                return_inverse=True)
-        templates = np.array([_shift(bases[c], dy, dx).ravel() for c, dy, dx in keys.tolist()])
-        block = features[rows]
-        block *= noise
-        block += brightness[rows, None] * templates[which.ravel()]
-        np.clip(block, 0.0, 1.0, out=block)
-    return LabeledDataset.from_arrays(
-        features, labels, num_classes=num_classes, image_shape=(height, width)
-    )
+    for idx, features in outputs:
+        for start in range(0, len(idx), _GENERATE_CHUNK):
+            rows = slice(start, start + _GENERATE_CHUNK)
+            samples = idx[rows]
+            keys, which = np.unique(np.column_stack([labels[samples], shifts[samples]]),
+                                    axis=0, return_inverse=True)
+            templates = np.array([_shift(bases[c], dy, dx).ravel()
+                                  for c, dy, dx in keys.tolist()])
+            block = features[rows]
+            block *= noise
+            block += brightness[samples, None] * templates[which.ravel()]
+            np.clip(block, 0.0, 1.0, out=block)
+    return _datasets(outputs, labels, num_classes, split, image_shape=(height, width))
 
 
 def _read_exact(f, count, path):
@@ -327,6 +371,35 @@ def load_idx(images_path, labels_path):
     )
 
 
+def _split_indices(labels, num_classes, test_fraction, seed):
+    """(train indices, test indices) of a stratified split, both ascending.
+
+    The test set size is round(test_fraction * N), apportioned across
+    classes by largest remainder; membership within each class is a seeded
+    uniform draw. Depends only on the labels and the seed.
+    """
+    n = len(labels)
+    if not (0.0 < test_fraction < 1.0):
+        raise ConfigError("test_fraction must lie strictly between 0 and 1")
+    if n < 2:
+        raise ConfigError("need at least 2 samples to split")
+    m_test = round_half_even(test_fraction * n)
+    if m_test < 1 or m_test >= n:
+        raise ConfigError(
+            f"test_fraction {test_fraction} leaves an empty part for N={n}"
+        )
+    counts = np.bincount(labels, minlength=num_classes)
+    quotas = largest_remainder_quotas(m_test, counts)
+    rng = np.random.default_rng(seed)
+    test_mask = np.zeros(n, dtype=bool)
+    for c in range(num_classes):
+        members = np.flatnonzero(labels == c)
+        if quotas[c] > 0:
+            picked = rng.permutation(members)[: quotas[c]]
+            test_mask[picked] = True
+    return np.flatnonzero(~test_mask), np.flatnonzero(test_mask)
+
+
 def train_test_split(ds, test_fraction, seed):
     """Split a dataset into (train, test), stratified by class.
 
@@ -334,24 +407,5 @@ def train_test_split(ds, test_fraction, seed):
     classes by largest remainder; membership within each class is a seeded
     uniform draw. Deterministic given the seed.
     """
-    if not (0.0 < test_fraction < 1.0):
-        raise ConfigError("test_fraction must lie strictly between 0 and 1")
-    if ds.n < 2:
-        raise ConfigError("need at least 2 samples to split")
-    m_test = round_half_even(test_fraction * ds.n)
-    if m_test < 1 or m_test >= ds.n:
-        raise ConfigError(
-            f"test_fraction {test_fraction} leaves an empty part for N={ds.n}"
-        )
-    counts = np.bincount(ds.labels, minlength=ds.num_classes)
-    quotas = largest_remainder_quotas(m_test, counts)
-    rng = np.random.default_rng(seed)
-    test_mask = np.zeros(ds.n, dtype=bool)
-    for c in range(ds.num_classes):
-        members = np.flatnonzero(ds.labels == c)
-        if quotas[c] > 0:
-            picked = rng.permutation(members)[: quotas[c]]
-            test_mask[picked] = True
-    test_idx = np.flatnonzero(test_mask)
-    train_idx = np.flatnonzero(~test_mask)
+    train_idx, test_idx = _split_indices(ds.labels, ds.num_classes, test_fraction, seed)
     return ds.subset(train_idx), ds.subset(test_idx)

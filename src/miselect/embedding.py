@@ -71,12 +71,17 @@ def fit_pca(ds, d, whiten=False):
         raise ConfigError(f"latent dim {d} must lie in [1, min(N={n}, dim={dim})]")
     mean = x.mean(axis=0)
     xc = x - mean
-    total_var = float((xc**2).sum()) / (n - 1)
-    if total_var == 0.0:
+    # zero exactly when every centred value squares to zero, as
+    # (xc**2).sum() == 0 would decide, without that (N, dim) temporary
+    if np.vdot(xc, xc) == 0.0:
         raise DegenerateInputError("zero-variance dataset, nothing to embed")
 
     if dim <= 1024:
-        cov = (xc.T @ xc) / (n - 1)
+        cov = xc.T @ xc
+        cov /= n - 1
+        # the centred copy is dead once the covariance is formed: free it
+        # before the eigensolver allocates its workspace
+        del xc
         eigvals, eigvecs = np.linalg.eigh(cov)
         order = np.argsort(eigvals)[::-1][:d]
         ev = eigvals[order]

@@ -41,7 +41,6 @@ from .data import (
     generate_pattern_images,
     generate_synthetic,
     load_idx,
-    train_test_split,
 )
 from .embedding import fit_pca, transform
 from .errors import ConfigError, MiselectError, StageError
@@ -139,7 +138,7 @@ def _synthetic_sizes(ds):
     if None in sizes + dims or not _is_num(frac) or not 0.0 < frac < 1.0:
         return None
     n = sizes[0] * sizes[1]
-    # the test split takes round_half_even(test_fraction * N), as in train_test_split
+    # the test split takes round_half_even(test_fraction * N), as in data._split_indices
     return n, round_half_even(frac * n), math.prod(dims)
 
 
@@ -223,14 +222,19 @@ def validate_config(config):
             else:
                 if not _is_int(ds.get("num_classes"), 1) or ds["num_classes"] > 6:
                     bad.append("dataset.num_classes: pattern images support 1..6 classes")
-                for key in ("height", "width"):
-                    if not _is_int(ds.get(key, 12), 4):
+                sides = [ds.get(key, 12) for key in ("height", "width")]
+                for key, side in zip(("height", "width"), sides):
+                    if not _is_int(side, 4):
                         bad.append(f"dataset.{key}: must be an integer >= 4")
                 noise = ds.get("noise", 0.05)
                 if not _is_num(noise) or noise < 0:
                     bad.append("dataset.noise: must be a non-negative number")
-                if not _is_int(ds.get("jitter_px", 1), 0):
+                jitter = ds.get("jitter_px", 1)
+                if not _is_int(jitter, 0):
                     bad.append("dataset.jitter_px: must be a non-negative integer")
+                elif all(_is_int(side, 4) for side in sides) and jitter > min(sides):
+                    bad.append(f"dataset.jitter_px: {jitter} exceeds the image side "
+                               f"min(height, width) = {min(sides)}")
         else:
             bad.append("dataset.type: must be one of idx, synthetic, synthetic_images")
 
@@ -352,6 +356,8 @@ def _build_dataset(ds_cfg, master_seed):
     data_seed = ds_cfg.get("seed")
     if data_seed is None:
         data_seed = stage_seed(master_seed, "dataset")
+    # each sample is generated straight into its train or test rows
+    split = (ds_cfg.get("test_fraction", 0.25), stage_seed(master_seed, "split"))
     if kind == "synthetic":
         if "class_means" in ds_cfg and ds_cfg["class_means"] is not None:
             spec = SyntheticSpec(
@@ -371,19 +377,17 @@ def _build_dataset(ds_cfg, master_seed):
                 stddev=float(ds_cfg["class_stddev"]),
                 seed=data_seed,
             )
-        full = generate_synthetic(spec)
-    else:
-        full = generate_pattern_images(
-            num_classes=ds_cfg["num_classes"],
-            per_class_count=ds_cfg["per_class_count"],
-            height=ds_cfg.get("height", 12),
-            width=ds_cfg.get("width", 12),
-            noise=ds_cfg.get("noise", 0.05),
-            jitter_px=ds_cfg.get("jitter_px", 1),
-            seed=data_seed,
-        )
-    frac = ds_cfg.get("test_fraction", 0.25)
-    return train_test_split(full, frac, stage_seed(master_seed, "split"))
+        return generate_synthetic(spec, split=split)
+    return generate_pattern_images(
+        num_classes=ds_cfg["num_classes"],
+        per_class_count=ds_cfg["per_class_count"],
+        height=ds_cfg.get("height", 12),
+        width=ds_cfg.get("width", 12),
+        noise=ds_cfg.get("noise", 0.05),
+        jitter_px=ds_cfg.get("jitter_px", 1),
+        seed=data_seed,
+        split=split,
+    )
 
 
 def _corruption_spec(cor_cfg, index, master_seed):

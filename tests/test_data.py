@@ -6,6 +6,7 @@ import pytest
 
 import miselect as ms
 from miselect.data import _shift, _template
+from miselect.experiment import _build_dataset
 from miselect.errors import ConfigError, ConsistencyError, FormatError, IoError
 
 # ---------------------------------------------------------------------------
@@ -228,6 +229,16 @@ def test_dataset_validation_errors():
         ms.LabeledDataset.from_arrays(np.full((2, 4), 2.0), [0, 1], image_shape=(2, 2))
 
 
+@pytest.mark.parametrize("image_shape", [None, (3, 4)])
+@pytest.mark.parametrize("where", [0, 17, -1], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_dataset_rejects_a_single_non_finite_value(bad, where, image_shape):
+    feats = np.full((3, 12), 0.5)
+    feats.flat[where] = bad
+    with pytest.raises(ConsistencyError, match="finite"):
+        ms.LabeledDataset.from_arrays(feats, [0, 1, 0], image_shape=image_shape)
+
+
 def test_dataset_immutable():
     ds = _two_class_ds(3)
     with pytest.raises(ValueError):
@@ -285,3 +296,61 @@ def test_pattern_images_peak_memory_is_about_one_features_array():
     finally:
         tracemalloc.stop()
     assert peak <= 1.3 * ds.features.nbytes
+
+
+def test_pattern_images_jitter_is_bounded_by_the_image_side():
+    ds = ms.generate_pattern_images(2, 20, height=6, width=8, jitter_px=6, seed=0)
+    assert ds.n == 40
+    for jitter in (7, 9, -1):
+        with pytest.raises(ConfigError, match="jitter_px"):
+            ms.generate_pattern_images(2, 20, height=6, width=8, jitter_px=jitter)
+
+
+def _assert_same_dataset(got, expected):
+    assert got.features.shape == expected.features.shape
+    assert got.features.tobytes() == expected.features.tobytes()
+    for field in ("labels", "original_labels", "input_corruption"):
+        assert np.array_equal(getattr(got, field), getattr(expected, field))
+    assert (got.num_classes, got.image_shape) == (expected.num_classes, expected.image_shape)
+
+
+def _blobs(classes, per_class, split=None):
+    spec = ms.SyntheticSpec.separated(classes, per_class, dim=5, separation=4.0, stddev=1.0,
+                                      seed=11)
+    return ms.generate_synthetic(spec, split=split)
+
+
+def _images(classes, per_class, split=None):
+    return ms.generate_pattern_images(classes, per_class, height=5, width=7, noise=0.2,
+                                      jitter_px=2, seed=11, split=split)
+
+
+# 1-sample classes, and per-class counts below, at and across the 64-row batch
+@pytest.mark.parametrize("generate", [_blobs, _images], ids=["synthetic", "images"])
+@pytest.mark.parametrize("classes, per_class", [(2, 1), (3, 1), (4, 63), (2, 64), (3, 130)])
+@pytest.mark.parametrize("fraction", [0.1, 0.25, 0.5, 0.9])
+def test_direct_split_equals_split_of_the_generated_dataset(generate, classes, per_class,
+                                                            fraction):
+    full = generate(classes, per_class)
+    try:
+        expected = ms.train_test_split(full, fraction, seed=5)
+    except ConfigError:  # an empty part: the direct split refuses it too
+        with pytest.raises(ConfigError):
+            generate(classes, per_class, split=(fraction, 5))
+        return
+    got = generate(classes, per_class, split=(fraction, 5))
+    assert len(got) == 2
+    for part, expected_part in zip(got, expected):
+        _assert_same_dataset(part, expected_part)
+
+
+def test_generated_split_peak_memory_is_about_its_features():
+    cfg = {"type": "synthetic_images", "num_classes": 6, "per_class_count": 700,
+           "height": 28, "width": 28, "noise": 0.1, "jitter_px": 2}
+    tracemalloc.start()
+    try:
+        train, test = _build_dataset(cfg, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * (train.features.nbytes + test.features.nbytes)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,32 @@ def test_fit_pca_errors():
     constant = ms.LabeledDataset.from_arrays(np.ones((6, 3)), [0] * 6, num_classes=1)
     with pytest.raises(DegenerateInputError):
         ms.fit_pca(constant, 2)
+
+
+# rows of +-t centre to themselves (the mean is exactly 0); 1e-170 squares to
+# zero while 1e-160 squares to a subnormal, so only the first has no variance
+@pytest.mark.parametrize("tiny, degenerate", [(1e-170, True), (1e-162, True), (1e-160, False)])
+def test_fit_pca_zero_variance_means_every_centred_square_is_zero(tiny, degenerate):
+    x = np.array([[tiny, -tiny], [-tiny, tiny], [tiny, tiny], [-tiny, -tiny]])
+    ds = ms.LabeledDataset.from_arrays(x, [0] * 4, num_classes=1)
+    if degenerate:
+        with pytest.raises(DegenerateInputError):
+            ms.fit_pca(ds, 1)
+    else:
+        assert ms.fit_pca(ds, 1).explained_variance[0] > 0.0
+
+
+def test_fit_pca_peak_memory_is_one_centred_copy():
+    n, dim = 4000, 200
+    ds = _random_ds(n=n, dim=dim)
+    tracemalloc.start()
+    try:
+        ms.fit_pca(ds, 8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the centred copy plus a few (dim, dim) arrays: covariance and eigenvectors
+    assert peak <= 1.15 * n * dim * 8 + 2 * dim * dim * 8
 
 
 def test_transform_dim_mismatch():

@@ -755,6 +755,32 @@ def test_cli_synthetic_means_the_dataset_rejects_exit_2(tmp_path, capsys, datase
     assert not out.exists()
 
 
+# a shift wider than the image side leaves the shifted template nowhere to go
+@pytest.mark.parametrize("fields", [{"height": 6, "width": 6, "jitter_px": 9},
+                                    {"height": 6, "width": 6, "jitter_px": 7},
+                                    {"height": 9, "width": 6, "jitter_px": 7},
+                                    {"jitter_px": 13}],
+                         ids=["9-on-6x6", "7-on-6x6", "7-on-9x6", "13-on-default-12x12"])
+def test_cli_jitter_wider_than_the_image_exits_2(tmp_path, capsys, fields):
+    path = _write_cfg(tmp_path, base_config(dataset=_small_dataset("synthetic_images", **fields)))
+    assert cli_main(["validate", "--config", path]) == 2
+    assert "dataset.jitter_px" in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert cli_main(["run", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config: dataset.jitter_px" in err
+    assert "Traceback" not in err and "[stage:" not in err
+    assert not out.exists()
+
+
+def test_jitter_equal_to_the_image_side_runs(tmp_path):
+    dataset = _small_dataset("synthetic_images", height=6, width=6, jitter_px=6)
+    cfg = base_config(dataset=dataset)
+    assert validate_config(cfg) == []
+    run_experiment(cfg, out_dir=tmp_path / "o", through="score")
+    assert (tmp_path / "o" / "scores.csv").exists()
+
+
 # JSON NaN and Infinity parse, and every order comparison with NaN is false
 @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
 @pytest.mark.parametrize(
