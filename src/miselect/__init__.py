@@ -26,12 +26,7 @@ from .data import (
     load_idx,
     train_test_split,
 )
-from .embedding import (
-    PcaModel,
-    fit_pca,
-    transform,
-    transform_points,
-)
+from .embedding import PcaModel, fit_pca, transform
 from .errors import (
     ConfigError,
     ConsistencyError,
@@ -39,17 +34,11 @@ from .errors import (
     DivergenceError,
     DomainError,
     FormatError,
-    InsufficientNeighborsError,
     IoError,
     MiselectError,
     StageError,
 )
-from .experiment import (
-    ExperimentReport,
-    run_experiment,
-    stage_seed,
-    validate_config,
-)
+from .experiment import run_experiment, stage_seed, validate_config
 from .ksg import (
     MIScoreSet,
     dataset_content_hash,
@@ -63,5 +52,5 @@ from .ksg import (
     score_onehot,
 )
 from .logreg import LogRegModel, TrainConfig, evaluate, predict_proba, train
-from .neighbors import NeighborIndex, NeighborResult, chebyshev
+from .neighbors import NeighborIndex
 from .selection import SelectionPlan, SelectionResult, save_selection, select

@@ -102,20 +102,14 @@ def fit_pca(ds, d, whiten=False):
     return PcaModel(mean=mean, components=comps, explained_variance=ev, whiten=whiten)
 
 
-def transform_points(model, x):
-    """Project raw feature rows into the latent space."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[1] != model.source_dim:
-        raise ConsistencyError(
-            f"feature dim {x.shape[1]} does not match model source dim {model.source_dim}"
-        )
-    p = (x - model.mean) @ model.components.T
-    if model.whiten:
-        p = p / np.sqrt(model.explained_variance)
-    return p
-
-
 def transform(model, ds):
     """Embed a labeled dataset: a LabeledDataset whose features are the
     projected points; labels and provenance pass through unchanged."""
-    return replace(ds, features=transform_points(model, ds.features), image_shape=None)
+    if ds.dim != model.source_dim:
+        raise ConsistencyError(
+            f"feature dim {ds.dim} does not match model source dim {model.source_dim}"
+        )
+    p = (ds.features - model.mean) @ model.components.T
+    if model.whiten:
+        p = p / np.sqrt(model.explained_variance)
+    return replace(ds, features=p, image_shape=None)

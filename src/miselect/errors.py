@@ -25,10 +25,6 @@ class DegenerateInputError(MiselectError):
     """Input data has no usable variation for the requested operation."""
 
 
-class InsufficientNeighborsError(MiselectError):
-    """A restricted neighbor query has fewer candidates than requested."""
-
-
 class DomainError(MiselectError):
     """A numeric argument lies outside the mathematical domain."""
 

@@ -415,39 +415,43 @@ def _corruption_spec(cor_cfg, index, master_seed):
 
 def _cached_scores(embedded, est_cfg, cache_dir):
     """Score one embedded training split, through the score cache."""
+    settings = {
+        "k": est_cfg.get("k", 3),
+        "variant": est_cfg.get("variant", VARIANT_DISCRETE),
+        "strict": est_cfg.get("strict", True),
+        "label_scale": est_cfg.get("label_scale"),
+        "jitter_seed": est_cfg.get("jitter_seed"),
+    }
     key_material = json.dumps(
         {
             "hash": dataset_content_hash(embedded.features, embedded.labels),
-            "k": est_cfg.get("k", 3),
-            "variant": est_cfg.get("variant", VARIANT_DISCRETE),
-            "strict": est_cfg.get("strict", True),
-            "label_scale": est_cfg.get("label_scale"),
-            "jitter_seed": est_cfg.get("jitter_seed"),
+            **settings,
             "package_version": __version__,
         },
         sort_keys=True,
     )
     cache_key = hashlib.sha256(key_material.encode()).hexdigest()
+    # the outputs report the stored fields, so they must be this request's
+    expected = {"n_samples": embedded.n, **settings}
+    if settings["variant"] == VARIANT_DISCRETE:
+        expected["label_scale"] = None  # the discrete scorer takes no scale
+    elif settings["label_scale"] is None:
+        del expected["label_scale"]  # the one-hot scorer derives it from the data
     cache_path = None
     if cache_dir is not None:
         cache_path = Path(cache_dir) / f"scores-{cache_key}.json"
         if cache_path.exists():
-            # an unreadable entry, or one stored for other data, is a miss
-            # and gets overwritten below
+            # an unreadable entry, or one stored for other data or other
+            # settings, is a miss and gets overwritten below
             try:
                 scores, stored_key = load_scores(cache_path)
             except MiselectError:
                 stored_key = None
-            if stored_key == cache_key:
+            if stored_key == cache_key and all(
+                getattr(scores, name) == value for name, value in expected.items()
+            ):
                 return scores
-    scores = score_dataset(
-        embedded,
-        est_cfg.get("k", 3),
-        variant=est_cfg.get("variant", VARIANT_DISCRETE),
-        strict=est_cfg.get("strict", True),
-        label_scale=est_cfg.get("label_scale"),
-        jitter_seed=est_cfg.get("jitter_seed"),
-    )
+    scores = score_dataset(embedded, **settings)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         save_scores(scores, cache_path, dataset_hash=cache_key)

@@ -1,32 +1,27 @@
 """Exact nearest-neighbor queries under the Chebyshev (max) metric.
 
-Both bulk queries drive one sweep: the points are sorted on one coordinate
-and each row is compared, one cache-sized block at a time, with its window,
-the sorted points whose gap on that coordinate can lie within the row's
-radius. The radius counts prune to those windows; the kth neighbor distance
-has no radius, so its windows are the whole set. The single queries are a
-linear scan per point and serve as their oracle. Max and abs are exact, so
-both give identical distances. Single queries rank neighbors by (distance,
-point index). Queries address an indexed point by its index and exclude it.
+An index answers two bulk queries for all of its points at once: the
+distance to each point's kth nearest neighbor, and the number of points
+within each point's radius. Both drive one sweep: the points are sorted on
+one coordinate and each row is compared, one cache-sized block at a time,
+with its window, the sorted points whose gap on that coordinate can lie
+within the row's radius. The radius counts prune to those windows; the kth
+neighbor distance has no radius, so its windows are the whole set. Every
+query excludes the point itself. Max and abs are exact, so the results are
+those of a linear scan per point, bit for bit.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ConsistencyError, InsufficientNeighborsError
+from .errors import ConfigError, ConsistencyError
 
 JITTER_SCALE = 1e-10
 BLOCK_BYTES = 1 << 19  # size of each (rows, window) working buffer of the sweep
 _UFUNC_BUFSIZE = 256  # numpy iteration buffer, in elements, while a bulk query runs
-
-
-def chebyshev(points, q):
-    """Max-norm distances from row vectors ``points`` to a single point ``q``."""
-    return np.abs(points - q).max(axis=1)
 
 
 def add_jitter(points, seed):
@@ -140,20 +135,6 @@ def _sweep(points, radii):
             yield sort[rows], rows - b_lo, dist
 
 
-def _check_radius(radius):
-    # `not >=` also rejects NaN
-    if not np.all(np.asarray(radius) >= 0):
-        raise ConfigError("radius must be non-negative (inf allowed, NaN not)")
-
-
-@dataclass(frozen=True)
-class NeighborResult:
-    """k nearest neighbors: distances non-decreasing, ties by smaller index."""
-
-    indices: np.ndarray
-    distances: np.ndarray
-
-
 class NeighborIndex:
     """Immutable index over a fixed point set; supports concurrent queries."""
 
@@ -167,82 +148,36 @@ class NeighborIndex:
         points.flags.writeable = False
         self.points = points
 
-    @property
-    def n(self):
-        return self.points.shape[0]
-
-    def _check_query(self, q_index, k=None):
-        if not (0 <= q_index < self.n):
-            raise ConfigError(f"query index {q_index} out of range [0, {self.n})")
-        if k is not None and not (1 <= k <= self.n - 1):
-            raise ConfigError(f"k={k} must lie in [1, N-1={self.n - 1}]")
-
-    # -- single queries (linear scan; the oracle for the bulk queries) ---
-
-    def knn(self, q_index, k):
-        """k nearest neighbors of an indexed point, self excluded."""
-        self._check_query(q_index, k)
-        return self._knn_scan(q_index, k, None)
-
-    def knn_among(self, q_index, k, candidate_mask):
-        """knn restricted to points where ``candidate_mask`` is True."""
-        self._check_query(q_index)
-        mask = np.asarray(candidate_mask, dtype=bool)
-        if mask.shape != (self.n,):
-            raise ConsistencyError("candidate_mask must have one entry per indexed point")
-        available = int(mask.sum()) - (1 if mask[q_index] else 0)
-        if k < 1:
-            raise ConfigError("k must be positive")
-        if available < k:
-            raise InsufficientNeighborsError(
-                f"only {available} candidates besides self, need {k}"
-            )
-        return self._knn_scan(q_index, k, mask)
-
-    def count_within(self, q_index, radius, strict=True):
-        """Number of other points at distance < radius (strict) or <= radius."""
-        self._check_query(q_index)
-        _check_radius(radius)
-        d = chebyshev(self.points, self.points[q_index])
-        hit = d < radius if strict else d <= radius
-        hit[q_index] = False
-        return int(hit.sum())
-
-    def _knn_scan(self, q_index, k, mask):
-        d = chebyshev(self.points, self.points[q_index])
-        cand = np.arange(self.n) if mask is None else np.flatnonzero(mask)
-        cand = cand[cand != q_index]
-        dc = d[cand]
-        order = np.lexsort((cand, dc))[:k]
-        return NeighborResult(indices=cand[order].astype(np.int64), distances=dc[order])
-
-    # -- bulk queries (same results as looping the single queries) ------
-
     def kth_distance_bulk(self, k):
         """Distance to the kth nearest neighbor for every indexed point."""
-        if not (1 <= k <= self.n - 1):
-            raise ConfigError(f"k={k} must lie in [1, N-1={self.n - 1}]")
-        out = np.empty(self.n)
+        n = len(self.points)
+        if not (1 <= k <= n - 1):
+            raise ConfigError(f"k={k} must lie in [1, N-1={n - 1}]")
+        out = np.empty(n)
         # no radius bounds the kth, so every window is the whole set
-        for rows, own, dist in _sweep(self.points, np.full(self.n, np.inf)):
+        for rows, own, dist in _sweep(self.points, np.full(n, np.inf)):
             dist[np.arange(len(rows)), own] = np.inf
             dist.partition(k - 1, axis=1)
             out[rows] = dist[:, k - 1]
         return out
 
     def count_within_bulk(self, radii, strict=True):
-        """count_within for every indexed point with per-point radii.
+        """For every indexed point, the number of other points at distance
+        < its radius (strict) or <= it.
 
         Each row is compared only with its window of the sweep: the points
         whose gap on the sorting coordinate can lie within its radius.
         """
+        n = len(self.points)
         radii = np.asarray(radii, dtype=np.float64)
-        if radii.shape != (self.n,):
+        if radii.shape != (n,):
             raise ConsistencyError("radii must have one entry per indexed point")
-        _check_radius(radii)
+        # `not >=` also rejects NaN
+        if not np.all(radii >= 0):
+            raise ConfigError("radius must be non-negative (inf allowed, NaN not)")
         compare = np.less if strict else np.less_equal
-        hit_buf = np.empty(_block_capacity(self.n), dtype=bool)
-        counts = np.empty(self.n, dtype=np.int64)
+        hit_buf = np.empty(_block_capacity(n), dtype=bool)
+        counts = np.empty(n, dtype=np.int64)
         for rows, _, dist in _sweep(self.points, radii):
             hit = hit_buf[: dist.size].reshape(dist.shape)
             compare(dist, radii[rows, None], out=hit)

@@ -84,7 +84,8 @@ def test_transform_is_affine():
     for _ in range(5):
         a = rng.standard_normal(6)
         b = rng.standard_normal(6)
-        lhs = ms.transform_points(model, a[None]) - ms.transform_points(model, b[None])
+        pair = ms.transform(model, ms.LabeledDataset.from_arrays(np.vstack([a, b]), [0, 0]))
+        lhs = pair.features[:1] - pair.features[1:]
         rhs = (a - b) @ model.components.T
         assert np.allclose(lhs[0], rhs, atol=1e-10)
 
@@ -116,7 +117,7 @@ def test_reconstruction_error_non_increasing_in_d():
     for d in range(1, 9):
         model = ms.fit_pca(ds, d)
         # least-squares lift of the projection back into the source space
-        lifted = ms.transform_points(model, ds.features) @ model.components + model.mean
+        lifted = ms.transform(model, ds).features @ model.components + model.mean
         errs.append(float(np.mean((ds.features - lifted) ** 2)))
     for lo, hi in zip(errs[1:], errs[:-1]):
         assert lo <= hi + 1e-12
@@ -192,7 +193,8 @@ def test_transform_returns_labeled_dataset_with_provenance():
     emb = ms.transform(model, flipped)
     assert isinstance(emb, ms.LabeledDataset)
     assert emb.image_shape is None
-    assert np.array_equal(emb.features, ms.transform_points(model, flipped.features))
+    plain = ms.LabeledDataset.from_arrays(flipped.features, flipped.labels)
+    assert np.array_equal(emb.features, ms.transform(model, plain).features)
     assert np.array_equal(emb.labels, flipped.labels)
     assert np.array_equal(emb.provenance(), flipped.provenance())
     assert emb.num_classes == flipped.num_classes

@@ -15,6 +15,7 @@ from miselect import experiment
 from miselect.cli import main as cli_main
 from miselect.errors import ConfigError, StageError
 from miselect.experiment import run_experiment, stage_seed, validate_config
+from miselect.ksg import VARIANT_ONEHOT
 from test_data import write_idx_pair
 
 
@@ -344,6 +345,38 @@ def test_poisoned_score_cache_is_recomputed(tmp_path):
     assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
     assert {name: (out / name).read_bytes() for name in expected} == expected
     assert [entry.read_bytes() for entry in entries] == good
+
+
+def _truncate_entry(payload, n=10):
+    payload["n_samples"] = n
+    for name in ("local_scores", "n_x", "n_y", "k_effective", "degenerate"):
+        payload[name] = payload[name][:n]
+    for name in ("n_x", "n_y"):
+        payload[name] = [min(count, n - 1) for count in payload[name]]
+
+
+def _other_estimator_entry(payload):
+    payload.update(variant=VARIANT_ONEHOT, k=5, strict=False)
+
+
+@pytest.mark.parametrize("tamper", [_truncate_entry, _other_estimator_entry],
+                         ids=["fewer_samples", "other_estimator"])
+def test_score_cache_entry_for_other_settings_is_rescored(tmp_path, tamper):
+    """A well-formed entry under the right key whose sample count or
+    estimator settings are not the run's is a miss, and gets rewritten."""
+    cfg = base_config(dataset={**base_config()["dataset"], "num_classes": 3})
+    path = _write_cfg(tmp_path, cfg)
+    fresh, out = tmp_path / "fresh", tmp_path / "out"
+    assert cli_main(["run", "--config", path, "--out", str(fresh)]) == 0
+    assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
+    entries = sorted((out / "cache").glob("scores-*.json"))
+    assert entries
+    for entry in entries:
+        payload = json.loads(entry.read_text())
+        tamper(payload)
+        entry.write_text(json.dumps(payload))
+    assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
+    assert read_tree(out) == read_tree(fresh)
 
 
 def test_package_version_change_misses_the_score_cache(tmp_path, monkeypatch):

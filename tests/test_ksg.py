@@ -11,6 +11,7 @@ import miselect as ms
 from miselect import ksg, neighbors
 from miselect._util import write_json_atomic
 from miselect.errors import ConfigError, DomainError, FormatError
+import _oracle
 
 # ---------------------------------------------------------------------------
 # frozen high-precision digamma values (40-digit series evaluation, computed
@@ -345,17 +346,16 @@ def test_onehot_kth_radius_equal_to_label_scale(strict):
 
 def test_structure_choice_does_not_change_scores(monkeypatch):
     """Scores do not depend on the bulk kernel's row blocks, and their
-    neighbour counts equal the single-query oracle's."""
+    neighbour counts equal the linear-scan oracle's."""
     emb = _separated(3, 40, seed=10, stddev=1.0, sep=4.0)
-    n, k = emb.n, 3
-    joint = np.hstack([emb.features, np.eye(3)[emb.labels] * 100.0])
-    eps = [ms.NeighborIndex(joint).knn(i, k).distances[-1] for i in range(n)]
-    x_index = ms.NeighborIndex(emb.features)
-    oracle_nx = [
-        x_index.count_within(i, x_index.knn_among(i, k, emb.labels == emb.labels[i]).distances[-1])
-        for i in range(n)
-    ]
-    oracle_onehot_nx = [x_index.count_within(i, eps[i]) for i in range(n)]
+    x, n, k = emb.features, emb.n, 3
+    joint = np.hstack([x, np.eye(3)[emb.labels] * 100.0])
+    same_class_kth = np.empty(n)
+    for c in range(3):
+        members = emb.labels == c
+        same_class_kth[members] = _oracle.kth_distances(x, k, members)[members]
+    oracle_nx = _oracle.radius_counts(x, same_class_kth).tolist()
+    oracle_onehot_nx = _oracle.radius_counts(x, _oracle.kth_distances(joint, k)).tolist()
     results = []
     for budget in (1, 8 * n * 7, 8 * n * n):  # 1 row, 7 rows (N=120), all rows
         monkeypatch.setattr(neighbors, "BLOCK_BYTES", budget)

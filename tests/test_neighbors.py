@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 import miselect as ms
 from miselect import neighbors
-from miselect.errors import ConfigError, ConsistencyError, InsufficientNeighborsError
+from miselect.errors import ConfigError, ConsistencyError
+import _oracle
 
 
 # ---------------------------------------------------------------------------
-# independent linear-scan oracle (plain Python, no package machinery)
+# plain-Python linear scan, the reference for the numpy one in _oracle.py
 # ---------------------------------------------------------------------------
 
 def oracle_knn(points, q, k, mask=None):
@@ -44,15 +45,12 @@ def block_layouts(n):
     return (1, 8 * n * rows, 8 * n * n)
 
 
-def assert_bulk_matches_singles(idx, k, radii, monkeypatch):
-    """Bulk kth distances and counts equal the single-query oracle under
+def assert_bulk_matches_oracle(idx, k, radii, monkeypatch):
+    """Bulk kth distances and counts equal the linear-scan oracle under
     every block layout."""
-    kth = np.array([idx.knn(i, k).distances[-1] for i in range(idx.n)])
-    counts = {
-        strict: np.array([idx.count_within(i, float(radii[i]), strict) for i in range(idx.n)])
-        for strict in (True, False)
-    }
-    for budget in block_layouts(idx.n):
+    kth = _oracle.kth_distances(idx.points, k)
+    counts = {strict: _oracle.radius_counts(idx.points, radii, strict) for strict in (True, False)}
+    for budget in block_layouts(len(idx.points)):
         monkeypatch.setattr(neighbors, "BLOCK_BYTES", budget)
         assert np.array_equal(idx.kth_distance_bulk(k), kth)
         for strict in (True, False):
@@ -75,76 +73,73 @@ def structure(request, monkeypatch):
 class TestHandGeometry:
     def test_knn_collinear(self, structure):
         idx = ms.NeighborIndex(LINE)
-        res = idx.knn(1, 1)
-        assert list(res.indices) == [0]
-        assert list(res.distances) == [1.0]
         assert idx.kth_distance_bulk(1).tolist() == [1.0, 1.0, 2.0]
+        indices, distances = _oracle.knn(LINE, 1, 1)
+        assert list(indices) == [0]
+        assert list(distances) == [1.0]
 
     def test_knn_from_endpoint(self, structure):
         idx = ms.NeighborIndex(LINE)
-        res = idx.knn(2, 2)
-        assert list(res.indices) == [1, 0]
-        assert list(res.distances) == [2.0, 3.0]
         assert idx.kth_distance_bulk(2).tolist() == [3.0, 2.0, 3.0]
+        indices, distances = _oracle.knn(LINE, 2, 2)
+        assert list(indices) == [1, 0]
+        assert list(distances) == [2.0, 3.0]
 
     def test_knn_all_others(self, structure):
+        # with k = N - 1 every other point is a neighbour: the kth is the farthest
         idx = ms.NeighborIndex(LINE)
-        res = idx.knn(0, 2)
-        assert sorted(res.indices.tolist()) == [1, 2]
+        assert idx.kth_distance_bulk(2).tolist() == [3.0, 2.0, 3.0]
+        assert sorted(_oracle.knn(LINE, 0, 2)[0].tolist()) == [1, 2]
 
     def test_count_boundary_semantics(self, structure):
         idx = ms.NeighborIndex(LINE)
-        assert idx.count_within(0, 1.0, strict=True) == 0
-        assert idx.count_within(0, 1.0, strict=False) == 1
+        # the neighbour at distance exactly 1 counts only in the closed ball
+        assert idx.count_within_bulk(np.ones(3), strict=True).tolist() == [0, 0, 0]
+        assert idx.count_within_bulk(np.ones(3), strict=False).tolist() == [1, 1, 0]
         radii = np.array([1.0, 1.0, 2.0])
         assert idx.count_within_bulk(radii, strict=True).tolist() == [0, 0, 0]
         assert idx.count_within_bulk(radii, strict=False).tolist() == [1, 1, 1]
 
     def test_count_radius_beyond_diameter(self, structure):
         idx = ms.NeighborIndex(LINE)
-        assert idx.count_within(1, 100.0, strict=True) == 2
         assert idx.count_within_bulk(np.full(3, 100.0)).tolist() == [2, 2, 2]
 
     def test_duplicates_retrievable(self, structure):
         pts = np.array([[1.0, 1.0], [1.0, 1.0], [5.0, 5.0]])
         idx = ms.NeighborIndex(pts)
-        res = idx.knn(2, 2)
-        assert sorted(res.indices.tolist()) == [0, 1]
-        assert list(res.distances) == [4.0, 4.0]
-        # exact duplicate of the query point is a neighbor at distance 0
-        assert idx.knn(0, 1).indices[0] == 1
-        assert idx.knn(0, 1).distances[0] == 0.0
+        # an exact duplicate of a point is its neighbour at distance 0
         assert idx.kth_distance_bulk(1).tolist() == [0.0, 0.0, 4.0]
+        assert idx.kth_distance_bulk(2).tolist() == [4.0, 4.0, 4.0]
         assert idx.count_within_bulk(np.zeros(3), strict=False).tolist() == [1, 1, 0]
+        assert idx.count_within_bulk(np.zeros(3), strict=True).tolist() == [0, 0, 0]
 
     def test_mask_singleton(self, structure):
-        idx = ms.NeighborIndex(LINE)
-        mask = np.array([False, False, True])
-        res = idx.knn_among(0, 1, mask)
-        assert list(res.indices) == [2]
-        assert list(res.distances) == [3.0]
+        indices, distances = _oracle.knn(LINE, 0, 1, np.array([False, False, True]))
+        assert list(indices) == [2]
+        assert list(distances) == [3.0]
+        # the kth among a mask is the bulk kth over the masked points, here
+        # with the query point joined to the singleton
+        assert ms.NeighborIndex(LINE[[0, 2]]).kth_distance_bulk(1).tolist() == [3.0, 3.0]
 
     def test_mask_all_true_equals_knn(self, structure):
         idx = ms.NeighborIndex(LINE)
-        a = idx.knn_among(1, 2, np.ones(3, dtype=bool))
-        b = idx.knn(1, 2)
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.distances, b.distances)
+        everyone = np.ones(3, dtype=bool)
+        for k in (1, 2):
+            among = _oracle.kth_distances(LINE, k, everyone)
+            assert np.array_equal(among, idx.kth_distance_bulk(k))
 
     def test_errors(self, structure):
         idx = ms.NeighborIndex(LINE)
         with pytest.raises(ConfigError):
-            idx.knn(0, 3)  # k >= N
+            idx.kth_distance_bulk(3)  # k >= N
         with pytest.raises(ConfigError):
-            idx.knn(5, 1)
-        with pytest.raises(InsufficientNeighborsError):
-            idx.knn_among(0, 2, np.array([True, True, False]))
-        with pytest.raises(ConsistencyError):
-            idx.knn_among(0, 1, np.ones(4, dtype=bool))
+            idx.kth_distance_bulk(0)
         with pytest.raises(ConfigError):
-            idx.kth_distance_bulk(3)
+            ms.NeighborIndex(LINE[:1]).kth_distance_bulk(1)
         with pytest.raises(ConsistencyError):
             idx.count_within_bulk(np.ones(2))
+        with pytest.raises(ConsistencyError):
+            idx.count_within_bulk(np.ones((3, 1)))
 
 
 def test_build_index_validation():
@@ -167,7 +162,7 @@ def test_index_leaves_caller_array_writeable_and_unchanged(jitter_seed):
 
 
 def test_tree_equals_brute_on_random_instances(monkeypatch):
-    """Blocked bulk kernel vs single-query oracle on tie-heavy instances."""
+    """Blocked bulk kernel vs linear-scan oracle on tie-heavy instances."""
     rng = np.random.default_rng(123)
     for _ in range(30):
         n = int(rng.integers(4, 160))
@@ -178,16 +173,16 @@ def test_tree_equals_brute_on_random_instances(monkeypatch):
         k = int(rng.integers(1, n))
         # random radii, exact kth distances (ties at the boundary) and zeros
         radii = rng.uniform(0, 4, size=n)
-        radii[::3] = np.array([idx.knn(i, k).distances[-1] for i in range(n)])[::3]
+        radii[::3] = _oracle.kth_distances(pts, k)[::3]
         radii[::7] = 0.0
-        assert_bulk_matches_singles(idx, k, radii, monkeypatch)
+        assert_bulk_matches_oracle(idx, k, radii, monkeypatch)
         # kth among a mask, as the same-class radius is taken: bulk over the
-        # masked subset equals knn_among on the full index
+        # masked subset equals the oracle's masked scan of the full set
         mask = rng.random(n) < 0.5
         members = np.flatnonzero(mask)
         if len(members) >= 2:
             kk = int(rng.integers(1, len(members)))
-            among = [idx.knn_among(int(q), kk, mask).distances[-1] for q in members]
+            among = _oracle.kth_distances(pts, kk, mask)[members]
             sub = ms.NeighborIndex(pts[members])
             for budget in block_layouts(len(members)):
                 monkeypatch.setattr(neighbors, "BLOCK_BYTES", budget)
@@ -195,23 +190,25 @@ def test_tree_equals_brute_on_random_instances(monkeypatch):
 
 
 def test_results_match_python_oracle():
+    """The numpy linear scan against the plain-Python one."""
     rng = np.random.default_rng(77)
     pts = np.round(rng.uniform(-3, 3, size=(40, 3)), 1)
-    idx = ms.NeighborIndex(pts)
+    mask = (np.arange(40) % 3) == 0
+    counts = {strict: _oracle.radius_counts(pts, 1.7, strict) for strict in (True, False)}
+    kth = _oracle.kth_distances(pts, 5)
+    kth_among = _oracle.kth_distances(pts, 3, mask)
     for q in range(0, 40, 7):
         ref_idx, ref_d = oracle_knn(pts.tolist(), q, 5)
-        res = idx.knn(q, 5)
-        assert res.indices.tolist() == ref_idx
-        assert np.allclose(res.distances, ref_d)
+        indices, distances = _oracle.knn(pts, q, 5)
+        assert indices.tolist() == ref_idx
+        assert distances.tolist() == ref_d
+        assert kth[q] == ref_d[-1]
         for strict in (True, False):
-            assert idx.count_within(q, 1.7, strict) == oracle_count(
-                pts.tolist(), q, 1.7, strict
-            )
-        mask = (np.arange(40) % 3) == 0
-        mask_q = mask.copy()
-        ref_idx, ref_d = oracle_knn(pts.tolist(), q, 3, mask_q)
-        res = idx.knn_among(q, 3, mask_q)
-        assert res.indices.tolist() == ref_idx
+            assert counts[strict][q] == oracle_count(pts.tolist(), q, 1.7, strict)
+        ref_idx, ref_d = oracle_knn(pts.tolist(), q, 3, mask)
+        indices, distances = _oracle.knn(pts, q, 3, mask)
+        assert indices.tolist() == ref_idx
+        assert kth_among[q] == ref_d[-1]
 
 
 def test_bulk_queries_match_single_queries(monkeypatch):
@@ -220,7 +217,7 @@ def test_bulk_queries_match_single_queries(monkeypatch):
     idx = ms.NeighborIndex(pts)
     radii = rng.uniform(0, 2, size=60)
     for k in (1, 3, 10, 59):
-        assert_bulk_matches_singles(idx, k, radii, monkeypatch)
+        assert_bulk_matches_oracle(idx, k, radii, monkeypatch)
 
 
 @settings(max_examples=150, deadline=None)
@@ -236,7 +233,7 @@ def test_bulk_kernel_property_matches_oracle(data):
     k = data.draw(st.integers(1, n - 1), label="k")
     rows = data.draw(st.integers(1, n + 1), label="rows per block")
     idx = ms.NeighborIndex(pts)
-    kth = np.array([idx.knn(i, k).distances[-1] for i in range(n)])
+    kth = _oracle.kth_distances(pts, k)
     # radii drawn from zero, the kth distances themselves and the grid steps
     choices = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n), label="radii")
     radii = np.where(np.asarray(choices) == 4, kth, np.asarray(choices) * 0.5)
@@ -244,8 +241,8 @@ def test_bulk_kernel_property_matches_oracle(data):
         mp.setattr(neighbors, "BLOCK_BYTES", 8 * n * rows)
         assert np.array_equal(idx.kth_distance_bulk(k), kth)
         for strict in (True, False):
-            singles = [idx.count_within(i, float(radii[i]), strict) for i in range(n)]
-            assert idx.count_within_bulk(radii, strict).tolist() == singles
+            counts = _oracle.radius_counts(pts, radii, strict)
+            assert np.array_equal(idx.count_within_bulk(radii, strict), counts)
 
 
 # coordinates on a coarse grid of float spacings around 0, +-1e15 (where
@@ -259,8 +256,8 @@ _OFFSETS = (0.0, 1e15, -1e15, 1e308, -1e308)
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_window_pruned_count_matches_oracle(data):
-    """The sorted-window bulk count equals count_within, strict and closed,
-    and the bulk kth distance equals knn, under every block layout."""
+    """The sorted-window bulk count equals the oracle's, strict and closed,
+    and so does the bulk kth distance, under every block layout."""
     n = data.draw(st.integers(2, 20), label="n")
     d = data.draw(st.integers(1, 3), label="d")
     offsets = data.draw(st.lists(st.sampled_from(_OFFSETS), min_size=n * d, max_size=n * d),
@@ -286,18 +283,16 @@ def test_window_pruned_count_matches_oracle(data):
             "below": np.nextafter(pair, 0.0),
             "above": np.nextafter(pair, np.inf),
         }[kind]
-    singles = {
-        strict: [idx.count_within(i, float(radii[i]), strict) for i in range(n)]
-        for strict in (True, False)
-    }
+    counts = {strict: _oracle.radius_counts(idx.points, radii, strict).tolist()
+              for strict in (True, False)}
     k = data.draw(st.integers(1, n - 1), label="k")
-    kth = [idx.knn(i, k).distances[-1] for i in range(n)]
+    kth = _oracle.kth_distances(idx.points, k).tolist()
     for budget in block_layouts(n):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(neighbors, "BLOCK_BYTES", budget)
             assert idx.kth_distance_bulk(k).tolist() == kth
             for strict in (True, False):
-                assert idx.count_within_bulk(radii, strict).tolist() == singles[strict]
+                assert idx.count_within_bulk(radii, strict).tolist() == counts[strict]
 
 
 def _walked_blocks(order, lo, hi, budget):
@@ -329,8 +324,6 @@ def test_window_blocks_match_the_row_walk(n, budget, whole):
 @pytest.mark.parametrize("bad", [-1.0, -np.inf, np.nan])
 def test_count_rejects_negative_or_nan_radius(bad):
     idx = ms.NeighborIndex(LINE)
-    with pytest.raises(ConfigError):
-        idx.count_within(0, bad)
     radii = np.array([1.0, bad, 1.0])
     for strict in (True, False):
         with pytest.raises(ConfigError):
@@ -340,7 +333,6 @@ def test_count_rejects_negative_or_nan_radius(bad):
 def test_count_allows_infinite_radius():
     idx = ms.NeighborIndex(LINE)
     for strict in (True, False):
-        assert idx.count_within(0, np.inf, strict) == 2
         assert idx.count_within_bulk(np.full(3, np.inf), strict).tolist() == [2, 2, 2]
 
 
@@ -374,13 +366,13 @@ def test_count_monotone_in_radius_and_knn_prefix_consistent():
     pts = rng.standard_normal((50, 3))
     idx = ms.NeighborIndex(pts)
     radii = np.sort(rng.uniform(0, 3, size=10))
-    counts = [idx.count_within(7, float(r)) for r in radii]
-    assert counts == sorted(counts)
-    full = idx.knn(7, 20)
-    for k in range(1, 20):
-        part = idx.knn(7, k)
-        assert np.array_equal(part.indices, full.indices[:k])
-        assert np.array_equal(part.distances, full.distances[:k])
+    counts = np.array([idx.count_within_bulk(np.full(50, r)) for r in radii])
+    assert np.all(np.diff(counts, axis=0) >= 0)
+    # the kth distances for k = 1..20 are the sorted distances to the 20 nearest
+    kth = np.array([idx.kth_distance_bulk(k) for k in range(1, 21)])
+    assert np.all(np.diff(kth, axis=0) >= 0)
+    for q in (0, 7, 49):
+        assert np.array_equal(kth[:, q], _oracle.knn(pts, q, 20)[1])
 
 
 def test_jitter_breaks_duplicates_deterministically():
