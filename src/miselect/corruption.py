@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._util import round_half_even
-from .data import _TAG_DTYPE
 from .errors import ConfigError
 
 KIND_LABEL_FLIP = "label_flip"
@@ -92,10 +91,11 @@ def _sample_rng(seed, index):
 
 
 def _add_tags(tags, chosen, kind):
-    out = tags.astype(_TAG_DTYPE).copy()
+    # object strings grow freely; the string array is then sized to its content
+    out = tags.astype(object)
     for i in chosen:
         out[i] = f"{out[i]}+{kind}" if out[i] else kind
-    return out
+    return out.astype(str)
 
 
 def flip_labels(ds, rate, seed):

@@ -20,8 +20,6 @@ from .errors import ConfigError, ConsistencyError, FormatError, IoError
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
-# width of the per-sample input-corruption tag strings
-_TAG_DTYPE = "<U64"
 _GENERATE_CHUNK = 64  # image rows per batch of generate_pattern_images' arithmetic
 
 
@@ -57,7 +55,7 @@ class LabeledDataset:
         feats = np.asarray(self.features, dtype=np.float64)
         labels = np.asarray(self.labels, dtype=np.int64)
         original = np.asarray(self.original_labels, dtype=np.int64)
-        tags = np.asarray(self.input_corruption, dtype=_TAG_DTYPE)
+        tags = np.asarray(self.input_corruption, dtype=str)
         if feats.ndim != 2:
             raise ConsistencyError("features must be a 2-D (N, dim) array")
         n = feats.shape[0]
@@ -99,7 +97,7 @@ class LabeledDataset:
             labels=labels,
             num_classes=num_classes,
             original_labels=labels.copy(),
-            input_corruption=np.full(len(labels), "", dtype=_TAG_DTYPE),
+            input_corruption=np.full(len(labels), "", dtype=str),
             image_shape=image_shape,
         )
 
@@ -128,7 +126,7 @@ class LabeledDataset:
             if self.input_corruption[i]:
                 parts.append(str(self.input_corruption[i]))
             out.append("+".join(parts) if parts else "clean")
-        return np.asarray(out, dtype=_TAG_DTYPE)
+        return np.asarray(out, dtype=str)
 
     def subset(self, indices):
         """New dataset restricted to ``indices`` (order preserved)."""

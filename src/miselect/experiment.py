@@ -515,14 +515,16 @@ def _scores_rows(ds, scores):
 
 @dataclass
 class _Run:
-    """State the pipeline stages share; each stage fills in its own fields."""
+    """State the pipeline stages share; each stage fills in its own fields.
+    ``train`` holds one training split at a time: the clean split, then each
+    corruption's output as the scoring stage applies it."""
 
     cfg: dict
     master: int
     out: Path | None
     threads: int
     written: list = field(default_factory=list)
-    stages: list = field(default_factory=list)  # (name, training split) per corruption stage
+    train: LabeledDataset | None = None
     test: LabeledDataset | None = None
     corruption_meta: list = field(default_factory=list)
     embedded_train: LabeledDataset | None = None
@@ -532,11 +534,6 @@ class _Run:
     data: dict = field(default_factory=dict)  # becomes ExperimentReport.data
     selections: dict = field(default_factory=dict)
     accuracy: dict = field(default_factory=dict)
-
-    @property
-    def train(self):
-        """The training split after the last corruption stage."""
-        return self.stages[-1][1]
 
     def emit(self, write, *names):
         """Record output files and write them with ``write(*paths)``.
@@ -553,38 +550,41 @@ class _Run:
 
 
 def _dataset_stage(run):
-    train, run.test = _build_dataset(run.cfg["dataset"], run.master)
-    run.stages = [("clean", train)]
+    run.train, run.test = _build_dataset(run.cfg["dataset"], run.master)
 
 
-def _corruption_stage(run):
-    for i, cor_cfg in enumerate(run.cfg.get("corruptions", [])):
-        spec = _corruption_spec(cor_cfg, i, run.master)
-        before = run.train
-        after = apply_corruption(before, spec)
-        run.stages.append((f"{i + 1}:{spec.kind}", after))
-        affected = int(
-            (after.labels != before.labels).sum()
-            + (after.input_corruption != before.input_corruption).sum()
-        )
-        run.corruption_meta.append({"kind": spec.kind, "seed": spec.seed, "affected": affected})
+def _corrupt(run, index):
+    """Replace ``run.train`` by corruption ``index`` of it, failing as the
+    ``corruption`` stage; returns the stage name and whether features changed.
+    The previous split goes with this frame, before the new one is fitted."""
+    try:
+        spec = _corruption_spec(run.cfg["corruptions"][index], index, run.master)
+        before, run.train = run.train, apply_corruption(run.train, spec)
+    except MiselectError as exc:
+        raise StageError("corruption", str(exc)) from exc
+    affected = int(
+        (run.train.labels != before.labels).sum()
+        + (run.train.input_corruption != before.input_corruption).sum()
+    )
+    run.corruption_meta.append({"kind": spec.kind, "seed": spec.seed, "affected": affected})
+    return f"{index + 1}:{spec.kind}", run.train.features is not before.features
 
 
 def _scoring_stage(run):
+    """Score the clean split, then corrupt and score one stage at a time."""
     cache_dir = run.out / "cache" if run.out is not None else None
     emb_cfg = run.cfg.get("embedding", {})
     mi_by_stage = []
-    raw = None
-    for name, ds in run.stages:
+    for i in range(len(run.cfg.get("corruptions", [])) + 1):
+        name, refit = _corrupt(run, i - 1) if i else ("clean", True)
         # a label flip keeps the very feature array, and the same features
         # give the same PCA fit, so the previous fit and projection carry over
-        if ds.features is raw:
-            projected = run.embedded_train.features
-            run.embedded_train = replace(ds, features=projected, image_shape=None)
+        if refit:
+            model = fit_pca(run.train, emb_cfg.get("dim", 16), whiten=emb_cfg.get("whiten", False))
+            run.embedded_train = transform(model, run.train)
         else:
-            model = fit_pca(ds, emb_cfg.get("dim", 16), whiten=emb_cfg.get("whiten", False))
-            run.embedded_train = transform(model, ds)
-            raw = ds.features
+            projected = run.embedded_train.features
+            run.embedded_train = replace(run.train, features=projected, image_shape=None)
         scores = _cached_scores(run.embedded_train, run.cfg.get("estimator", {}), cache_dir)
         mi_by_stage.append(
             {
@@ -772,11 +772,11 @@ def _report_stage(run):
 
 
 # (stage name, the ``through`` value that stops after it, stage function).
-# The name tags a stage's StageError; on any failure every file written so
-# far moves to ``quarantine/``.
+# The name tags a stage's StageError unless the step raised one itself, as
+# the scoring stage does for a corruption; on any failure every file
+# written so far moves to ``quarantine/``.
 _PIPELINE = (
     ("dataset", None, _dataset_stage),
-    ("corruption", None, _corruption_stage),
     ("scoring", "score", _scoring_stage),
     ("selection", "select", _selection_stage),
     ("classifier", "train", _classifier_stage),
@@ -825,6 +825,8 @@ def run_experiment(config, out_dir=None, seed_override=None, threads=1, through=
                 for path in run.written:
                     if path.exists():
                         shutil.move(str(path), quarantine / path.name)
+            if isinstance(exc, StageError):
+                raise
             raise StageError(stage, str(exc)) from exc
         if stops_after == through:
             break

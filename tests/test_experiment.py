@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -512,6 +513,45 @@ def test_pca_is_fitted_once_per_distinct_feature_matrix(tmp_path, monkeypatch):
         assert entry["global_mi"] == ms.score_dataset(embedded, 3).global_mi
 
 
+def test_six_stacked_affine_corruptions_keep_every_provenance_tag(tmp_path):
+    kinds = ["affine_strong", "affine_mild"] * 3
+    dataset = _small_dataset("synthetic_images", num_classes=4, per_class_count=20,
+                             height=8, width=8)
+    cfg = base_config(dataset=dataset,
+                      corruptions=[{"kind": kind, "fraction": 1.0} for kind in kinds])
+    run_experiment(cfg, out_dir=tmp_path, through="score")
+    rows = (tmp_path / "scores.csv").read_text().splitlines()[1:]
+    # every sample carries all six tags, 83 characters
+    assert {row.split(",")[3] for row in rows} == {"+".join(kinds)}
+
+
+def _traced_peak(cfg):
+    tracemalloc.start()
+    try:
+        run_experiment(cfg, through="score")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_peak_memory_does_not_grow_with_the_corruption_count():
+    """Each stage is corrupted, fitted and scored before the next corruption
+    runs, so only one stage's raw training features stay live."""
+    dataset = _small_dataset("synthetic_images", num_classes=6, per_class_count=60,
+                             height=16, width=16)
+
+    def config(kinds):
+        corruptions = [{"kind": kind, "fraction": 0.5, "noise_factor": 0.3} for kind in kinds]
+        return base_config(dataset=dataset, corruptions=corruptions)
+
+    one = config(["affine_strong"])
+    run_experiment(one, through="score")  # imports and first-call caches stay out of the peaks
+    raw_bytes = 270 * 16 * 16 * 8  # N_train: 360 samples less a test split of 90
+    # keeping every stage's features would add two more copies: 2 * raw_bytes
+    assert (_traced_peak(config(["affine_strong", "gaussian", "affine_mild"]))
+            <= _traced_peak(one) + 0.25 * raw_bytes)
+
+
 def test_stage_error_quarantines_partial_outputs(tmp_path):
     cfg = base_config()
     # 0.004 of 120 training samples rounds to zero retained
@@ -562,6 +602,37 @@ def test_fault_at_each_stage_boundary_quarantines_earlier_outputs(
     assert cli_main(argv) == 1
     assert f"[stage:{stage}]" in capsys.readouterr().err
     _assert_quarantined(out, earlier)
+
+
+@pytest.mark.parametrize("callee, stage, scored", [
+    ("apply_corruption", "corruption", 2),
+    ("score_dataset", "scoring", 1),
+])
+def test_second_stage_fault_keeps_its_stage_tag(tmp_path, monkeypatch, capsys,
+                                                callee, stage, scored):
+    """Corruption and scoring alternate stage by stage: the second call of
+    either fails after the stages before it were scored, tagged with its own
+    stage. Their cache entries stay; no output file was written yet."""
+    original = getattr(experiment, callee)
+    calls = []
+
+    def faulty_on_second_call(*args, **kwargs):
+        calls.append(callee)
+        if len(calls) == 2:
+            raise ms.MiselectError("injected fault")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, callee, faulty_on_second_call)
+    cfg = base_config(corruptions=[{"kind": "label_flip", "rate": 0.2},
+                                   {"kind": "label_flip", "rate": 0.3}])
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"[stage:{stage}]" in err
+    assert "Traceback" not in err
+    assert len(list((out / "cache").glob("scores-*.json"))) == scored
+    assert not (out / "scores.csv").exists()
+    _assert_quarantined(out, [])
 
 
 def _assert_quarantined(out, earlier):
