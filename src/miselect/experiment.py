@@ -517,7 +517,9 @@ def _scores_rows(ds, scores):
 class _Run:
     """State the pipeline stages share; each stage fills in its own fields.
     ``train`` holds one training split at a time: the clean split, then each
-    corruption's output as the scoring stage applies it."""
+    corruption's output as the scoring stage applies it. ``dataset`` is the
+    report's summary of the final split, which outlives ``train`` and
+    ``test`` when the classifier stage drops them."""
 
     cfg: dict
     master: int
@@ -531,6 +533,7 @@ class _Run:
     embedded_test: LabeledDataset | None = None
     scores: object = None
     estimator: dict | None = None
+    dataset: dict | None = None
     data: dict = field(default_factory=dict)  # becomes ExperimentReport.data
     selections: dict = field(default_factory=dict)
     accuracy: dict = field(default_factory=dict)
@@ -597,6 +600,13 @@ def _scoring_stage(run):
         )
     run.scores = scores
     run.embedded_test = transform(model, run.test)
+    run.dataset = {
+        "n_train": run.train.n,
+        "n_test": run.test.n,
+        "num_classes": run.train.num_classes,
+        "dim": run.train.dim,
+        "image_shape": list(run.train.image_shape) if run.train.image_shape else None,
+    }
     run.data = {
         "mi_by_stage": mi_by_stage,
         "per_class_mi": per_class_summary(scores, run.train.labels),
@@ -706,12 +716,13 @@ def _classifier_stage(run):
         batch_size=clf_cfg.get("batch_size"),
         seed=clf_seed,
     )
-    on_raw = clf_cfg.get("on_raw_features", False)
-    inputs = (
-        run.train if on_raw else run.embedded_train,
-        run.test if on_raw else run.embedded_test,
-        tcfg,
-    )
+    if clf_cfg.get("on_raw_features", False):
+        inputs = (run.train, run.test, tcfg)
+    else:
+        # nothing reads the raw splits from here on; dropping them before
+        # the pool forks keeps their pages out of every worker
+        inputs = (run.embedded_train, run.embedded_test, tcfg)
+        run.train = run.test = None
 
     # train() is a pure function of the retained indices, so plans that keep
     # the same set (every plan at ratio 1.0, for one) share one cell; cells
@@ -733,7 +744,7 @@ def _classifier_stage(run):
 
 
 def _report_stage(run):
-    train_ds, scores = run.train, run.scores
+    scores = run.scores
     run.data = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "package_version": __version__,
@@ -742,13 +753,7 @@ def _report_stage(run):
             name: stage_seed(run.master, name) for name in ("dataset", "split", "classifier")
         },
         "config": run.cfg,
-        "dataset": {
-            "n_train": train_ds.n,
-            "n_test": run.test.n,
-            "num_classes": train_ds.num_classes,
-            "dim": train_ds.dim,
-            "image_shape": list(train_ds.image_shape) if train_ds.image_shape else None,
-        },
+        "dataset": run.dataset,
         "corruption_stages": run.corruption_meta,
         **run.data,  # mi_by_stage and per_class_mi from the scoring stage
         "estimator": run.estimator,

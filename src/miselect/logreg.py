@@ -61,44 +61,79 @@ def _softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _forward(weights, x, labels, l2):
-    """Loss of ``loss_and_gradient`` plus the softmax parts its gradient reuses.
+# numpy adds a row of fewer than 8 values in order and a longer one
+# pairwise; the class-major sum adds the classes in order, so from this many
+# classes on the kernel sums the (n, C) rows with numpy's own reduction
+_PAIRWISE_FROM = 8
 
-    Returns (loss, e, s, flat, penalty): ``e`` holds the max-subtracted
-    exponentials, ``s`` their row sums and ``flat`` the positions of the
-    labels in ``e`` raveled. The row max is a running ``np.maximum`` over the
-    C columns, which is exact and much cheaper than ``max(axis=1)`` on short
-    rows; ``e.sum(axis=1)`` stays a numpy reduction so that its summation
-    order, pairwise from 8 columns on, matches the reference.
+
+class _Buffers:
+    """The arrays of one softmax pass over fixed labels, which one fit reuses
+    across its full-data calls.
+
+    ``z`` holds the class-major (C, n) logits, then their max-subtracted
+    exponentials; ``s`` the per-sample max, then the per-sample sum; ``p``
+    the (n, C) probabilities; ``pos`` the positions of the labels in ``z``
+    raveled and ``onehot`` the labels one-hot in the (n, C) layout.
     """
-    logits = x @ weights.T
-    n, c = logits.shape
-    row_max = logits[:, 0].copy()
-    for j in range(1, c):
-        np.maximum(row_max, logits[:, j], out=row_max)
-    z = logits - row_max[:, None]
-    e = np.exp(z)
-    s = e.sum(axis=1)
-    flat = np.arange(n) * c + labels
-    loss = -float((z.take(flat) - np.log(s)).mean())
+
+    def __init__(self, labels, num_classes):
+        n = labels.shape[0]
+        self.z = np.empty((num_classes, n))
+        self.s = np.empty(n)
+        self.p = np.empty((n, num_classes))
+        self.pos = labels * n + np.arange(n)
+        self.onehot = np.eye(num_classes).take(labels, axis=0)
+
+
+def _forward(weights, x, l2, buf):
+    """Loss of ``loss_and_gradient`` and its penalty weights; leaves the
+    softmax parts its gradient reuses in ``buf``.
+
+    The elementwise work runs on the (C, n) copy of the logits, where the
+    per-sample max and sum are contiguous reductions over axis 0 and ``exp``
+    has contiguous input and output. Below 8 classes that sum adds the
+    classes in order, as numpy's row sum does; from 8 on, the exponentials
+    go to ``buf.p`` and are summed there by row, pairwise, as numpy does.
+    """
+    z, s = buf.z, buf.s
+    np.copyto(z, (x @ weights.T).T)
+    np.maximum.reduce(z, axis=0, out=s)
+    z -= s
+    picked = z.take(buf.pos)
+    np.exp(z, out=z)
+    if z.shape[0] < _PAIRWISE_FROM:
+        np.add.reduce(z, axis=0, out=s)
+    else:
+        np.copyto(buf.p.T, z)
+        np.add.reduce(buf.p, axis=1, out=s)
+    picked -= np.log(s)
+    loss = -float(np.add.reduce(picked) / picked.size)  # .mean(), without its overhead
     penalty = weights.copy()
     penalty[:, -1] = 0.0
     # a diverging fit squares huge weights; the caller reports the inf loss
     with np.errstate(over="ignore"):
         loss += 0.5 * l2 * float((penalty**2).sum())
-    return loss, e, s, flat, penalty
+    return loss, penalty
 
 
-def loss_and_gradient(weights, x, labels, l2):
+def loss_and_gradient(weights, x, labels, l2, buf=None):
     """Mean cross-entropy + (l2/2)*||W||^2 (bias excluded) and its gradient.
 
     ``x`` must already carry the bias column of ones. The log-probabilities
     and the probabilities share one max-subtracted ``exp``; the probabilities
-    equal ``_softmax(logits)`` bit for bit.
+    equal ``_softmax(logits)`` bit for bit. ``buf`` is a ``_Buffers`` for
+    these labels, reused across calls; without it the call makes its own.
     """
-    loss, e, s, flat, penalty = _forward(weights, x, labels, l2)
-    p = e / s[:, None]
-    p.ravel()[flat] -= 1.0
+    if buf is None:
+        buf = _Buffers(labels, weights.shape[0])
+    loss, penalty = _forward(weights, x, l2, buf)
+    p = buf.p
+    if weights.shape[0] < _PAIRWISE_FROM:
+        np.divide(buf.z, buf.s, out=p.T)
+    else:
+        np.divide(p, buf.s[:, None], out=p)  # the exponentials are in p already
+    p -= buf.onehot
     grad = (p.T @ x) / x.shape[0] + l2 * penalty
     return loss, grad
 
@@ -123,28 +158,30 @@ def train(data, retained=None, cfg=TrainConfig()):
     weights = np.zeros((num_classes, dim + 1))
     rng = np.random.default_rng(cfg.seed)
     batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
+    buf = _Buffers(labels, num_classes)
 
     # The full-data call that records an epoch's loss also yields the
     # gradient of the next full-batch step, so a full-batch epoch makes one
     # call and the last epoch, with no step after it, records the loss alone;
     # a mini-batch epoch steps on its batches and records the loss alone.
+    # Every full-data call reuses the fit's buffers; a batch makes its own.
     history = []
     if batch == n:
-        _, grad = loss_and_gradient(weights, xb, labels, cfg.l2)
+        _, grad = loss_and_gradient(weights, xb, labels, cfg.l2, buf)
     for epoch in range(cfg.epochs):
         if batch == n:
             weights = weights - cfg.learning_rate * grad
             if epoch + 1 < cfg.epochs:
-                loss, grad = loss_and_gradient(weights, xb, labels, cfg.l2)
+                loss, grad = loss_and_gradient(weights, xb, labels, cfg.l2, buf)
             else:
-                loss = _forward(weights, xb, labels, cfg.l2)[0]
+                loss = _forward(weights, xb, cfg.l2, buf)[0]
         else:
             order = rng.permutation(n)
             for start in range(0, n, batch):
                 rows = order[start : start + batch]
                 _, grad = loss_and_gradient(weights, xb[rows], labels[rows], cfg.l2)
                 weights = weights - cfg.learning_rate * grad
-            loss = _forward(weights, xb, labels, cfg.l2)[0]
+            loss = _forward(weights, xb, cfg.l2, buf)[0]
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch}")
         history.append(loss)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -303,6 +304,34 @@ def test_grid_cells_run_in_worker_processes_where_fork_exists(tmp_path, monkeypa
         assert parent not in pids
     else:
         assert pids == [parent] * 3
+
+
+@pytest.mark.parametrize("on_raw", [False, True])
+def test_raw_splits_are_released_before_the_grid_forks(tmp_path, monkeypatch, on_raw):
+    # a classifier on embedded features reads no raw split, so the workers
+    # must not fork from a parent that holds one; the report's dataset
+    # section does not depend on it
+    build, raw, alive = experiment._build_dataset, [], []
+
+    def recording_build(*args):
+        splits = build(*args)
+        raw.extend(weakref.ref(ds.features) for ds in splits)
+        return splits
+
+    def recording_fork(cells, inputs, workers):
+        alive.append([ref() is not None for ref in raw])
+        return None  # the cells then train in-process
+
+    monkeypatch.setattr(experiment, "_build_dataset", recording_build)
+    monkeypatch.setattr(experiment, "_forked_accuracies", recording_fork)
+    cfg = base_config()
+    cfg["classifier"]["on_raw_features"] = on_raw
+    run_experiment(cfg, out_dir=tmp_path, threads=2)
+    assert alive == [[on_raw, on_raw]]
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["dataset"] == {
+        "n_train": 120, "n_test": 40, "num_classes": 4, "dim": 6, "image_shape": None
+    }
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

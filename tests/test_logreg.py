@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -227,19 +229,54 @@ def test_loss_and_gradient_matches_reference_bit_for_bit_property(n, c, d, prese
     assert grad.tobytes() == ref_grad.tobytes()
 
 
+def test_numpy_sums_short_rows_in_order_and_long_rows_pairwise():
+    # the kernel sums fewer than 8 classes over axis 0 of its (C, n) layout,
+    # in class order, and relies on numpy's (n, C) row sum doing the same
+    # below 8 columns; from 8 on it takes numpy's pairwise row sum. In order,
+    # the first row sums to 0 (1 + big rounds to big) where pairing the big
+    # values first gives 1, and the second to big where adding the two ones
+    # first, as the pairwise sum does, gives big + 2
+    big = 2.0**53
+    heads = ([1.0, big, -big], [big, 0.0, 1.0, 1.0])
+    for c in range(2, 13):
+        rows = np.zeros((2, c))
+        for row, head in zip(rows, heads):
+            row[: min(c, len(head))] = head[:c]
+        in_order = [functools.reduce(operator.add, row.tolist()) for row in rows]
+        assert np.ascontiguousarray(rows.T).sum(axis=0).tolist() == in_order
+        if c < 8:
+            assert rows.sum(axis=1).tolist() == in_order
+        else:
+            assert rows.sum(axis=1).tolist() != in_order
+
+
 @pytest.mark.parametrize(
-    "cfg, subset",
+    "cfg, subset, classes",
     [
-        (ms.TrainConfig(epochs=60, l2=0.0), False),
-        (ms.TrainConfig(epochs=60, l2=1e-3), False),
-        (ms.TrainConfig(epochs=60, batch_size=10_000), False),
-        (ms.TrainConfig(epochs=60, learning_rate=0.3), True),
-        (ms.TrainConfig(epochs=25, batch_size=16, seed=123), False),
+        (ms.TrainConfig(epochs=60, l2=0.0), False, 4),
+        (ms.TrainConfig(epochs=60, l2=1e-3), False, 4),
+        (ms.TrainConfig(epochs=60, batch_size=10_000), False, 4),
+        (ms.TrainConfig(epochs=60, learning_rate=0.3), True, 4),
+        (ms.TrainConfig(epochs=25, batch_size=16, seed=123), False, 4),
+        # either side of the switch to numpy's pairwise row sum at 8 classes,
+        # over enough epochs that a buffer reused stale would show
+        (ms.TrainConfig(epochs=60, l2=1e-3), False, 2),
+        (ms.TrainConfig(epochs=60, l2=1e-3), False, 10),
+        (ms.TrainConfig(epochs=25, batch_size=16, seed=123), False, 10),
     ],
-    ids=["full-l2-zero", "full-l2", "batch-over-n", "subset-absent-class", "mini-batch"],
+    ids=[
+        "full-l2-zero",
+        "full-l2",
+        "batch-over-n",
+        "subset-absent-class",
+        "mini-batch",
+        "full-2-classes",
+        "full-10-classes",
+        "mini-batch-10-classes",
+    ],
 )
-def test_training_matches_two_pass_reference_bit_for_bit(cfg, subset):
-    emb = _blobs(n_per_class=30, classes=4, dim=4, sep=3.0, seed=13)
+def test_training_matches_two_pass_reference_bit_for_bit(cfg, subset, classes):
+    emb = _blobs(n_per_class=30, classes=classes, dim=max(4, classes), sep=3.0, seed=13)
     retained = np.flatnonzero(emb.labels != 2)[::2] if subset else np.arange(emb.n)
     model = ms.train(emb, retained, cfg)
     weights, history = _reference_train(emb, retained, cfg)
