@@ -11,6 +11,7 @@ independently reproducible.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import math
@@ -54,12 +55,10 @@ from .ksg import (
     score_dataset,
 )
 from .logreg import TrainConfig, evaluate, train
-from .selection import SelectionPlan, save_selection, select
+from .selection import BANDS, SCOPES, SelectionPlan, save_selection, select
 
 CONFIG_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
-
-_CORRUPTION_KINDS = (KIND_LABEL_FLIP, KIND_GAUSSIAN, KIND_AFFINE_STRONG, KIND_AFFINE_MILD)
 
 SCORES_CSV_COLUMNS = (
     "index", "label", "original_label", "provenance",
@@ -94,14 +93,17 @@ def _is_num(v):
             and abs(v) <= sys.float_info.max)
 
 
-def _is_int(v, least):
-    """An integer, not a bool (JSON true/false), no smaller than ``least``."""
-    return isinstance(v, int) and not isinstance(v, bool) and v >= least
+def _num(ok):
+    return lambda v: _is_num(v) and ok(v)
 
 
-def _is_seed(v):
-    """A seed field is null (derive it from the master seed) or an int >= 0."""
-    return v is None or _is_int(v, 0)
+def _int(least, most=math.inf):
+    """An integer, not a bool (JSON true/false), in [least, most]."""
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and least <= v <= most
+
+
+def _one_of(*values):
+    return lambda v: v in values
 
 
 def _is_affine_params(p):
@@ -116,34 +118,209 @@ def _is_affine_params(p):
     )
 
 
-def _synthetic_sizes(ds):
-    """(N, N_test, feature dim) of a synthetic dataset section, or None when
-    a field they derive from is invalid.
+# The config table, which validate_config and resolve both walk. A node
+# takes a value, its dotted path and the list of violations to append to,
+# and returns the value's filled copy.
 
-    An idx dataset has no sizes here: they are only known by reading its
-    files.
-    """
-    def count(key, default=None, least=1):
-        value = ds.get(key, default)
-        return value if _is_int(value, least) else None
+_REQUIRED = object()  # the default of a field that must be given
 
-    sizes = [count("num_classes"), count("per_class_count")]
-    if ds.get("type") == "synthetic":
-        dims = [count("dim")]
-    elif ds.get("type") == "synthetic_images":
-        dims = [count("height", 12, least=4), count("width", 12, least=4)]
-    else:
-        return None
-    frac = ds.get("test_fraction", 0.25)
-    if None in sizes + dims or not _is_num(frac) or not 0.0 < frac < 1.0:
-        return None
-    n = sizes[0] * sizes[1]
-    # the test split takes round_half_even(test_fraction * N), as in data._split_indices
-    return n, round_half_even(frac * n), math.prod(dims)
+
+def _fields(*rows):
+    """A mapping node. A row is (key, default, check, message[, node]). The
+    check is a type or a predicate; it sees the value, or the default when
+    the key is absent. A _REQUIRED field reads as None when absent, which
+    its check rejects; a field whose default is None may also be null. The
+    message is a string or a function of the value. A value that passes is
+    walked by the row's node, a list item by item at ``key[i]``. The filled
+    copy gives every absent field its default, leaves out every field that
+    fails its check and keeps the keys the table does not name."""
+    def walk(record, path, bad):
+        filled = dict(record)
+        for key, default, check, message, *node in rows:
+            where = f"{path}.{key}" if path else key
+            value = record.get(key, None if default is _REQUIRED else default)
+            ok = isinstance(value, check) if isinstance(check, type) else check(value)
+            if not ok and (value is not None or default is not None):
+                bad.append(f"{where}: {message(value) if callable(message) else message}")
+                filled.pop(key, None)
+            elif node and isinstance(value, list):
+                filled[key] = [node[0](item, f"{where}[{i}]", bad) for i, item in enumerate(value)]
+            elif node:
+                filled[key] = node[0](value, where, bad)
+            else:
+                filled[key] = value
+        return filled
+    return walk
+
+
+def _kinds(key, nodes, message):
+    """A record whose ``key`` field names the node that walks it; flagged at
+    ``key`` when it is not a mapping or names none."""
+    def walk(record, path, bad):
+        kind = record.get(key) if isinstance(record, dict) else None
+        if not isinstance(kind, str) or kind not in nodes:
+            bad.append(f"{path}.{key}: {message}")
+            return {}
+        return nodes[kind](record, path, bad)
+    return walk
+
+
+def _item(check, message):
+    def walk(value, path, bad):
+        if not check(value):
+            bad.append(f"{path}: {message}")
+        return value
+    return walk
+
+
+def _is_non_empty_list(v):
+    return isinstance(v, list) and bool(v)
+
+
+_SEED = (_int(0), "must be null or a non-negative integer")
+_POSITIVE_INT = (_int(1), "must be a positive integer")
+_NON_NEGATIVE = _num(lambda v: v >= 0)
+_IN_UNIT = (_num(lambda v: 0.0 <= v <= 1.0), "must lie in [0, 1]")
+_SYNTHETIC = (
+    ("num_classes", _REQUIRED, *_POSITIVE_INT),
+    ("per_class_count", _REQUIRED, *_POSITIVE_INT),
+    ("test_fraction", 0.25, _num(lambda v: 0.0 < v < 1.0), "must lie in (0, 1)"),
+    ("seed", None, *_SEED),
+)
+_DATASET = _kinds("type", {
+    "idx": _fields(*(
+        (key, _REQUIRED, lambda v: isinstance(v, str) and Path(v).exists(),
+         lambda v: f"file not found: {v}" if isinstance(v, str) else "required path missing")
+        for key in ("train_images", "train_labels", "test_images", "test_labels"))),
+    "synthetic": _fields(
+        *_SYNTHETIC,
+        ("dim", _REQUIRED, *_POSITIVE_INT),
+        ("class_stddev", _REQUIRED, _NON_NEGATIVE, "must be a non-negative number"),
+        # class_separation, needed without class_means, is a cross-field rule
+        ("class_means", None, lambda v: isinstance(v, list) and all(
+            isinstance(row, list) and all(map(_is_num, row)) for row in v),
+         "must be a list of finite numeric rows"),
+    ),
+    "synthetic_images": _fields(
+        *_SYNTHETIC,
+        ("num_classes", _REQUIRED, _int(1, 6), "pattern images support 1..6 classes"),
+        ("height", 12, _int(4), "must be an integer >= 4"),
+        ("width", 12, _int(4), "must be an integer >= 4"),
+        ("noise", 0.05, _NON_NEGATIVE, "must be a non-negative number"),
+        ("jitter_px", 1, _int(0), "must be a non-negative integer"),
+    ),
+}, "must be one of idx, synthetic, synthetic_images")
+_CORRUPTION = (
+    ("rate", 0.0, *_IN_UNIT),
+    ("fraction", 0.0, *_IN_UNIT),
+    ("noise_factor", 0.0, _NON_NEGATIVE, "must be non-negative"),
+    ("seed", None, *_SEED),
+    ("params", None, _is_affine_params, "need non-negative rotation_deg, shear_deg "
+     "and translate_frac, and scale_range [min, max] with 0 < min <= max"),
+)
+# each corruption kind's node: the fields the kind needs have no default
+_CORRUPTIONS = {
+    kind: _fields(*((key, _REQUIRED if key in needed else default, *rest)
+                    for key, default, *rest in _CORRUPTION))
+    for kind, needed in ((KIND_LABEL_FLIP, {"rate"}), (KIND_GAUSSIAN, {"fraction", "noise_factor"}),
+                         (KIND_AFFINE_STRONG, {"fraction"}), (KIND_AFFINE_MILD, {"fraction"}))
+}
+_PLAN = _fields(("band", _REQUIRED, _one_of(*BANDS), "must be top, middle, bottom or random"))
+_CONFIG = _fields(
+    ("schema_version", _REQUIRED, _one_of(CONFIG_SCHEMA_VERSION),
+     f"must be {CONFIG_SCHEMA_VERSION}"),
+    ("seed", 0, _int(0), "must be a non-negative integer"),
+    ("output_dir", None, str, "must be a string path when given"),
+    ("dataset", _REQUIRED, dict, "required section missing", _DATASET),
+    ("embedding", {}, dict, "must be a mapping", _fields(
+        ("dim", 16, *_POSITIVE_INT),
+        ("whiten", False, bool, "must be a boolean"),
+    )),
+    ("corruptions", [], list, "must be a list",
+     _kinds("kind", _CORRUPTIONS, f"must be one of {tuple(_CORRUPTIONS)}")),
+    ("estimator", {}, dict, "must be a mapping", _fields(
+        ("variant", VARIANT_DISCRETE, _one_of(VARIANT_DISCRETE, VARIANT_ONEHOT),
+         "must be discrete_label or onehot_continuous"),
+        ("k", 3, *_POSITIVE_INT),
+        ("strict", True, bool, "must be a boolean"),
+        ("label_scale", None, _num(lambda v: v > 0), "must be positive when given"),
+        ("jitter_seed", None, *_SEED),
+    )),
+    ("selection", _REQUIRED, dict, "required section missing", _fields(
+        ("plans", _REQUIRED, _is_non_empty_list, "need at least one plan", _kinds(
+            "scope", dict.fromkeys(SCOPES, _PLAN), "must be global or class_wise")),
+        ("ratios", _REQUIRED, _is_non_empty_list, "need at least one ratio",
+         _item(_num(lambda r: 0.0 < r <= 1.0), "must lie in (0, 1]")),
+    )),
+    ("classifier", {}, dict, "must be a mapping", _fields(
+        ("learning_rate", 0.1, _num(lambda v: v > 0), "must be positive"),
+        ("epochs", 300, *_POSITIVE_INT),
+        ("l2", 1e-4, _NON_NEGATIVE, "must be non-negative"),
+        ("batch_size", None, _int(1), "must be a positive integer or null"),
+        ("seed", None, *_SEED),
+        ("on_raw_features", False, bool, "must be a boolean"),
+    )),
+)
+
+
+def _cross_field(cfg):
+    """The rules between fields of a filled config, in section order; each
+    reads only fields that passed their own rows."""
+    bad, ds = [], cfg.get("dataset", {})
+    kind, classes, dim = ds.get("type"), ds.get("num_classes"), ds.get("dim")
+    # the sizes of a synthetic dataset; an idx dataset's are known only from its files
+    sides = {"synthetic": ("dim",), "synthetic_images": ("height", "width")}.get(kind, ())
+    n_train = None
+    if sides and {"num_classes", "per_class_count", "test_fraction", *sides} <= ds.keys():
+        n = classes * ds["per_class_count"]
+        # the test split takes round_half_even(test_fraction * N), as in data._split_indices
+        n_test = round_half_even(ds["test_fraction"] * n)
+        feature_dim = math.prod(ds[key] for key in sides)
+        if 1 <= n_test <= n - 1:
+            n_train = n - n_test
+        else:
+            bad.append(f"dataset.test_fraction: {ds['test_fraction']} leaves an empty split "
+                       f"for N={n}")
+    if kind == "synthetic" and "class_means" in ds:
+        means, sized = ds["class_means"], classes is not None and dim is not None
+        if means is None:
+            separation = ds.get("class_separation")
+            if not (_is_num(separation) and separation > 0):
+                bad.append("dataset.class_separation: must be a positive number "
+                           "unless class_means is given")
+            elif sized and dim < classes:
+                # separated() puts each class mean on its own coordinate axis
+                bad.append(f"dataset.dim: class_separation needs dim >= num_classes ({classes})")
+        elif sized and (len(means) != classes or any(len(row) != dim for row in means)):
+            bad.append(f"dataset.class_means: must have shape (num_classes, dim) "
+                       f"= ({classes}, {dim})")
+        elif len({tuple(map(float, row)) for row in means}) < len(means):
+            bad.append("dataset.class_means: two classes share a mean")
+    if kind == "synthetic_images" and {"height", "width", "jitter_px"} <= ds.keys():
+        side = min(ds["height"], ds["width"])
+        if ds["jitter_px"] > side:
+            bad.append(f"dataset.jitter_px: {ds['jitter_px']} exceeds the image side "
+                       f"min(height, width) = {side}")
+    emb_dim = cfg.get("embedding", {}).get("dim")
+    if n_train is not None and emb_dim is not None and emb_dim > min(n_train, feature_dim):
+        bad.append(f"embedding.dim: {emb_dim} exceeds min(N_train={n_train}, "
+                   f"feature dim={feature_dim})")
+    for i, cor in enumerate(cfg.get("corruptions", [])):
+        if cor.get("kind") in (KIND_AFFINE_STRONG, KIND_AFFINE_MILD) and kind == "synthetic":
+            bad.append(f"corruptions[{i}].kind: {cor['kind']} requires an image dataset, "
+                       "not synthetic")
+        elif cor.get("kind") == KIND_LABEL_FLIP and sides and classes == 1 and cor.get("rate"):
+            bad.append(f"corruptions[{i}].rate: cannot flip labels with fewer than 2 classes")
+    # the scorers need k + 2 samples
+    k = cfg.get("estimator", {}).get("k")
+    if n_train is not None and k is not None and k > n_train - 2:
+        bad.append(f"estimator.k: {k} exceeds N_train - 2 = {n_train - 2}")
+    return bad
 
 
 def validate_config(config):
-    """Range and consistency checks; returns a list of violation strings.
+    """Range and consistency checks; returns a list of violation strings:
+    the table's in table order, then the cross-field rules'.
 
     Accepts a config dict or a path to a JSON file. Performs no side
     effects beyond reading referenced files' existence.
@@ -154,185 +331,15 @@ def validate_config(config):
         except ConfigError as exc:
             return [str(exc)]
     bad = []
+    filled = _CONFIG(config, "", bad)
+    return bad + _cross_field(filled)
 
-    if config.get("schema_version") != CONFIG_SCHEMA_VERSION:
-        bad.append(f"schema_version: must be {CONFIG_SCHEMA_VERSION}")
-    if not _is_int(config.get("seed", 0), 0):
-        bad.append("seed: must be a non-negative integer")
-    out_dir = config.get("output_dir")
-    if out_dir is not None and not isinstance(out_dir, str):
-        bad.append("output_dir: must be a string path when given")
 
-    # (N_train, feature dim) of a synthetic dataset, the bounds of its PCA dim
-    bound = None
-    ds = config.get("dataset")
-    if not isinstance(ds, dict):
-        bad.append("dataset: required section missing")
-    else:
-        kind = ds.get("type")
-        if kind == "idx":
-            for key in ("train_images", "train_labels", "test_images", "test_labels"):
-                path = ds.get(key)
-                if not isinstance(path, str):
-                    bad.append(f"dataset.{key}: required path missing")
-                elif not Path(path).exists():
-                    bad.append(f"dataset.{key}: file not found: {path}")
-        elif kind in ("synthetic", "synthetic_images"):
-            for key in ("num_classes", "per_class_count"):
-                if not _is_int(ds.get(key), 1):
-                    bad.append(f"dataset.{key}: must be a positive integer")
-            frac = ds.get("test_fraction", 0.25)
-            if not _is_num(frac) or not (0.0 < frac < 1.0):
-                bad.append("dataset.test_fraction: must lie in (0, 1)")
-            sizes = _synthetic_sizes(ds)
-            if sizes is not None:
-                n, n_test, feature_dim = sizes
-                if 1 <= n_test <= n - 1:
-                    bound = n - n_test, feature_dim
-                else:
-                    bad.append(f"dataset.test_fraction: {frac} leaves an empty split "
-                               f"for N={n}")
-            if not _is_seed(ds.get("seed")):
-                bad.append("dataset.seed: must be null or a non-negative integer")
-            if kind == "synthetic":
-                classes, dim = ds.get("num_classes"), ds.get("dim")
-                if not _is_int(dim, 1):
-                    bad.append("dataset.dim: must be a positive integer")
-                sized = _is_int(classes, 1) and _is_int(dim, 1)
-                if not _is_num(ds.get("class_stddev")) or ds.get("class_stddev", -1) < 0:
-                    bad.append("dataset.class_stddev: must be a non-negative number")
-                means = ds.get("class_means")
-                has_sep = _is_num(ds.get("class_separation")) and ds.get("class_separation", 0) > 0
-                if means is not None:
-                    if not (isinstance(means, list) and all(
-                            isinstance(row, list) and all(map(_is_num, row)) for row in means)):
-                        bad.append("dataset.class_means: must be a list of finite numeric rows")
-                    elif sized and (len(means) != classes or any(len(r) != dim for r in means)):
-                        bad.append(f"dataset.class_means: must have shape (num_classes, dim) "
-                                   f"= ({classes}, {dim})")
-                    elif len({tuple(map(float, row)) for row in means}) < len(means):
-                        bad.append("dataset.class_means: two classes share a mean")
-                elif not has_sep:
-                    bad.append("dataset.class_separation: must be a positive number "
-                               "unless class_means is given")
-                elif sized and dim < classes:
-                    # separated() puts each class mean on its own coordinate axis
-                    bad.append(f"dataset.dim: class_separation needs dim >= num_classes "
-                               f"({classes})")
-            else:
-                if not _is_int(ds.get("num_classes"), 1) or ds["num_classes"] > 6:
-                    bad.append("dataset.num_classes: pattern images support 1..6 classes")
-                sides = [ds.get(key, 12) for key in ("height", "width")]
-                for key, side in zip(("height", "width"), sides):
-                    if not _is_int(side, 4):
-                        bad.append(f"dataset.{key}: must be an integer >= 4")
-                noise = ds.get("noise", 0.05)
-                if not _is_num(noise) or noise < 0:
-                    bad.append("dataset.noise: must be a non-negative number")
-                jitter = ds.get("jitter_px", 1)
-                if not _is_int(jitter, 0):
-                    bad.append("dataset.jitter_px: must be a non-negative integer")
-                elif all(_is_int(side, 4) for side in sides) and jitter > min(sides):
-                    bad.append(f"dataset.jitter_px: {jitter} exceeds the image side "
-                               f"min(height, width) = {min(sides)}")
-        else:
-            bad.append("dataset.type: must be one of idx, synthetic, synthetic_images")
-
-    emb = config.get("embedding", {})
-    if not isinstance(emb, dict):
-        bad.append("embedding: must be a mapping")
-    else:
-        dim = emb.get("dim", 16)
-        if not _is_int(dim, 1):
-            bad.append("embedding.dim: must be a positive integer")
-        elif bound is not None and dim > min(bound):
-            bad.append(f"embedding.dim: {dim} exceeds min(N_train={bound[0]}, "
-                       f"feature dim={bound[1]})")
-        if not isinstance(emb.get("whiten", False), bool):
-            bad.append("embedding.whiten: must be a boolean")
-
-    corruptions = config.get("corruptions", [])
-    if not isinstance(corruptions, list):
-        bad.append("corruptions: must be a list")
-        corruptions = []
-    for i, cor in enumerate(corruptions):
-        if not isinstance(cor, dict) or cor.get("kind") not in _CORRUPTION_KINDS:
-            bad.append(f"corruptions[{i}].kind: must be one of {_CORRUPTION_KINDS}")
-            continue
-        kind = cor["kind"]
-        # a field the kind needs has no default; the others default to 0
-        for key, needed in (("rate", kind == KIND_LABEL_FLIP),
-                            ("fraction", kind != KIND_LABEL_FLIP)):
-            value = cor.get(key, None if needed else 0.0)
-            if not _is_num(value) or not (0.0 <= value <= 1.0):
-                bad.append(f"corruptions[{i}].{key}: must lie in [0, 1]")
-        nf = cor.get("noise_factor", None if kind == KIND_GAUSSIAN else 0.0)
-        if not _is_num(nf) or nf < 0:
-            bad.append(f"corruptions[{i}].noise_factor: must be non-negative")
-        if not _is_seed(cor.get("seed")):
-            bad.append(f"corruptions[{i}].seed: must be null or a non-negative integer")
-        if cor.get("params") is not None and not _is_affine_params(cor["params"]):
-            bad.append(
-                f"corruptions[{i}].params: need non-negative rotation_deg, shear_deg and "
-                "translate_frac, and scale_range [min, max] with 0 < min <= max"
-            )
-
-    est = config.get("estimator", {})
-    if not isinstance(est, dict):
-        bad.append("estimator: must be a mapping")
-    else:
-        if est.get("variant", VARIANT_DISCRETE) not in (VARIANT_DISCRETE, VARIANT_ONEHOT):
-            bad.append("estimator.variant: must be discrete_label or onehot_continuous")
-        if not _is_int(est.get("k", 3), 1):
-            bad.append("estimator.k: must be a positive integer")
-        if not isinstance(est.get("strict", True), bool):
-            bad.append("estimator.strict: must be a boolean")
-        scale = est.get("label_scale")
-        if scale is not None and (not _is_num(scale) or scale <= 0):
-            bad.append("estimator.label_scale: must be positive when given")
-        if not _is_seed(est.get("jitter_seed")):
-            bad.append("estimator.jitter_seed: must be null or a non-negative integer")
-
-    sel = config.get("selection")
-    if not isinstance(sel, dict):
-        bad.append("selection: required section missing")
-    else:
-        plans = sel.get("plans")
-        if not isinstance(plans, list) or not plans:
-            bad.append("selection.plans: need at least one plan")
-        else:
-            for i, plan in enumerate(plans):
-                if not isinstance(plan, dict) or plan.get("scope") not in ("global", "class_wise"):
-                    bad.append(f"selection.plans[{i}].scope: must be global or class_wise")
-                elif plan.get("band") not in ("top", "middle", "bottom", "random"):
-                    bad.append(f"selection.plans[{i}].band: must be top, middle, bottom or random")
-        ratios = sel.get("ratios")
-        if not isinstance(ratios, list) or not ratios:
-            bad.append("selection.ratios: need at least one ratio")
-        else:
-            for i, r in enumerate(ratios):
-                if not _is_num(r) or not (0.0 < r <= 1.0):
-                    bad.append(f"selection.ratios[{i}]: must lie in (0, 1]")
-
-    clf = config.get("classifier", {})
-    if not isinstance(clf, dict):
-        bad.append("classifier: must be a mapping")
-    else:
-        if not _is_num(clf.get("learning_rate", 0.1)) or clf.get("learning_rate", 0.1) <= 0:
-            bad.append("classifier.learning_rate: must be positive")
-        if not _is_int(clf.get("epochs", 300), 1):
-            bad.append("classifier.epochs: must be a positive integer")
-        if not _is_num(clf.get("l2", 1e-4)) or clf.get("l2", 1e-4) < 0:
-            bad.append("classifier.l2: must be non-negative")
-        bs = clf.get("batch_size")
-        if bs is not None and not _is_int(bs, 1):
-            bad.append("classifier.batch_size: must be a positive integer or null")
-        if not _is_seed(clf.get("seed")):
-            bad.append("classifier.seed: must be null or a non-negative integer")
-        if not isinstance(clf.get("on_raw_features", False), bool):
-            bad.append("classifier.on_raw_features: must be a boolean")
-
-    return bad
+def resolve(config):
+    """A new config with every default of the table filled in; ``config``
+    itself is left as it is. A field that fails its check is left out, so
+    resolve a config that ``validate_config`` accepts."""
+    return _CONFIG(config, "", [])
 
 
 @dataclass
@@ -353,13 +360,13 @@ def _build_dataset(ds_cfg, master_seed):
         if train.dim != test.dim or train.num_classes != test.num_classes:
             raise ConfigError("train and test IDX datasets are inconsistent")
         return train, test
-    data_seed = ds_cfg.get("seed")
+    data_seed = ds_cfg["seed"]
     if data_seed is None:
         data_seed = stage_seed(master_seed, "dataset")
     # each sample is generated straight into its train or test rows
-    split = (ds_cfg.get("test_fraction", 0.25), stage_seed(master_seed, "split"))
+    split = (ds_cfg["test_fraction"], stage_seed(master_seed, "split"))
     if kind == "synthetic":
-        if "class_means" in ds_cfg and ds_cfg["class_means"] is not None:
+        if ds_cfg["class_means"] is not None:
             spec = SyntheticSpec(
                 num_classes=ds_cfg["num_classes"],
                 per_class_count=ds_cfg["per_class_count"],
@@ -381,47 +388,43 @@ def _build_dataset(ds_cfg, master_seed):
     return generate_pattern_images(
         num_classes=ds_cfg["num_classes"],
         per_class_count=ds_cfg["per_class_count"],
-        height=ds_cfg.get("height", 12),
-        width=ds_cfg.get("width", 12),
-        noise=ds_cfg.get("noise", 0.05),
-        jitter_px=ds_cfg.get("jitter_px", 1),
+        height=ds_cfg["height"],
+        width=ds_cfg["width"],
+        noise=ds_cfg["noise"],
+        jitter_px=ds_cfg["jitter_px"],
         seed=data_seed,
         split=split,
     )
 
 
 def _corruption_spec(cor_cfg, index, master_seed):
-    seed = cor_cfg.get("seed")
+    seed = cor_cfg["seed"]
     if seed is None:
         seed = stage_seed(master_seed, f"corrupt.{index}")
-    params = None
-    if "params" in cor_cfg and cor_cfg["params"] is not None:
-        p = cor_cfg["params"]
-        params = AffineParams(
-            rotation_deg=p["rotation_deg"],
-            scale_range=tuple(p["scale_range"]),
-            shear_deg=p["shear_deg"],
-            translate_frac=p["translate_frac"],
-        )
+    p = cor_cfg["params"]
+    params = None if p is None else AffineParams(
+        rotation_deg=p["rotation_deg"],
+        scale_range=tuple(p["scale_range"]),
+        shear_deg=p["shear_deg"],
+        translate_frac=p["translate_frac"],
+    )
     return CorruptionSpec(
         kind=cor_cfg["kind"],
-        rate=cor_cfg.get("rate", 0.0),
-        fraction=cor_cfg.get("fraction", 0.0),
-        noise_factor=cor_cfg.get("noise_factor", 0.0),
+        rate=cor_cfg["rate"],
+        fraction=cor_cfg["fraction"],
+        noise_factor=cor_cfg["noise_factor"],
         params=params,
         seed=seed,
     )
 
 
+# the estimator section's fields, which an MIScoreSet records under the same names
+_ESTIMATOR_SETTINGS = ("k", "variant", "strict", "label_scale", "jitter_seed")
+
+
 def _cached_scores(embedded, est_cfg, cache_dir):
     """Score one embedded training split, through the score cache."""
-    settings = {
-        "k": est_cfg.get("k", 3),
-        "variant": est_cfg.get("variant", VARIANT_DISCRETE),
-        "strict": est_cfg.get("strict", True),
-        "label_scale": est_cfg.get("label_scale"),
-        "jitter_seed": est_cfg.get("jitter_seed"),
-    }
+    settings = {key: est_cfg[key] for key in _ESTIMATOR_SETTINGS}
     key_material = json.dumps(
         {
             "hash": dataset_content_hash(embedded.features, embedded.labels),
@@ -521,7 +524,8 @@ class _Run:
     report's summary of the final split, which outlives ``train`` and
     ``test`` when the classifier stage drops them."""
 
-    cfg: dict
+    cfg: dict               # the resolved config
+    raw: dict               # the config as given, which the report embeds
     master: int
     out: Path | None
     threads: int
@@ -573,22 +577,36 @@ def _corrupt(run, index):
     return f"{index + 1}:{spec.kind}", run.train.features is not before.features
 
 
+_malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
+
+
+def _release_free_heap():
+    """Hand the C heap's free pages back to the OS (a no-op without glibc).
+    Freed numpy temporaries otherwise stay resident until an allocation fits
+    in them, so one run's peak RSS moved ~5 MiB with its output path's length."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
 def _scoring_stage(run):
     """Score the clean split, then corrupt and score one stage at a time."""
     cache_dir = run.out / "cache" if run.out is not None else None
-    emb_cfg = run.cfg.get("embedding", {})
+    emb_cfg = run.cfg["embedding"]
     mi_by_stage = []
-    for i in range(len(run.cfg.get("corruptions", [])) + 1):
+    for i in range(len(run.cfg["corruptions"]) + 1):
         name, refit = _corrupt(run, i - 1) if i else ("clean", True)
         # a label flip keeps the very feature array, and the same features
         # give the same PCA fit, so the previous fit and projection carry over
         if refit:
-            model = fit_pca(run.train, emb_cfg.get("dim", 16), whiten=emb_cfg.get("whiten", False))
+            # the previous split's pages go back before the fit, its temporaries' after
+            _release_free_heap()
+            model = fit_pca(run.train, emb_cfg["dim"], whiten=emb_cfg["whiten"])
             run.embedded_train = transform(model, run.train)
+            _release_free_heap()
         else:
             projected = run.embedded_train.features
             run.embedded_train = replace(run.train, features=projected, image_shape=None)
-        scores = _cached_scores(run.embedded_train, run.cfg.get("estimator", {}), cache_dir)
+        scores = _cached_scores(run.embedded_train, run.cfg["estimator"], cache_dir)
         mi_by_stage.append(
             {
                 "stage": name,
@@ -611,13 +629,7 @@ def _scoring_stage(run):
         "mi_by_stage": mi_by_stage,
         "per_class_mi": per_class_summary(scores, run.train.labels),
     }
-    run.estimator = {
-        "variant": scores.variant,
-        "k": scores.k,
-        "strict": scores.strict,
-        "label_scale": scores.label_scale,
-        "jitter_seed": scores.jitter_seed,
-    }
+    run.estimator = {key: getattr(scores, key) for key in _ESTIMATOR_SETTINGS}
     run.emit(
         lambda path: _write_csv(path, SCORES_CSV_COLUMNS, _scores_rows(run.train, scores)),
         "scores.csv",
@@ -705,18 +717,18 @@ def _forked_accuracies(cells, inputs, workers):
 
 
 def _classifier_stage(run):
-    clf_cfg = run.cfg.get("classifier", {})
-    clf_seed = clf_cfg.get("seed")
+    clf_cfg = run.cfg["classifier"]
+    clf_seed = clf_cfg["seed"]
     if clf_seed is None:
         clf_seed = stage_seed(run.master, "classifier") % (2**32)
     tcfg = TrainConfig(
-        learning_rate=clf_cfg.get("learning_rate", 0.1),
-        epochs=clf_cfg.get("epochs", 300),
-        l2=clf_cfg.get("l2", 1e-4),
-        batch_size=clf_cfg.get("batch_size"),
+        learning_rate=clf_cfg["learning_rate"],
+        epochs=clf_cfg["epochs"],
+        l2=clf_cfg["l2"],
+        batch_size=clf_cfg["batch_size"],
         seed=clf_seed,
     )
-    if clf_cfg.get("on_raw_features", False):
+    if clf_cfg["on_raw_features"]:
         inputs = (run.train, run.test, tcfg)
     else:
         # nothing reads the raw splits from here on; dropping them before
@@ -752,7 +764,7 @@ def _report_stage(run):
         "stage_seeds": {
             name: stage_seed(run.master, name) for name in ("dataset", "split", "classifier")
         },
-        "config": run.cfg,
+        "config": run.raw,
         "dataset": run.dataset,
         "corruption_stages": run.corruption_meta,
         **run.data,  # mi_by_stage and per_class_mi from the scoring stage
@@ -804,19 +816,21 @@ def run_experiment(config, out_dir=None, seed_override=None, threads=1, through=
     """
     if through not in _STAGES:
         raise ConfigError(f"through must be one of {_STAGES}")
-    if not _is_int(threads, 1):
+    if not _int(1)(threads):
         raise ConfigError(f"threads: must be a positive integer, got {threads!r}")
     cfg = load_config(config) if isinstance(config, (str, Path)) else config
     violations = validate_config(cfg)
-    if not _is_seed(seed_override):
+    if not (seed_override is None or _int(0)(seed_override)):
         violations.append("seed override: must be a non-negative integer")
     if violations:
         raise ConfigError("invalid config: " + "; ".join(violations))
+    resolved = resolve(cfg)
     if out_dir is None:
-        out_dir = cfg.get("output_dir")
+        out_dir = resolved["output_dir"]
     run = _Run(
-        cfg=cfg,
-        master=int(cfg.get("seed", 0) if seed_override is None else seed_override),
+        cfg=resolved,
+        raw=cfg,
+        master=int(resolved["seed"] if seed_override is None else seed_override),
         out=Path(out_dir) if out_dir is not None else None,
         threads=threads,
     )

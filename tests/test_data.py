@@ -6,7 +6,7 @@ import pytest
 
 import miselect as ms
 from miselect.data import _shift, _template
-from miselect.experiment import _build_dataset
+from miselect.experiment import _build_dataset, resolve
 from miselect.errors import ConfigError, ConsistencyError, FormatError, IoError
 
 # ---------------------------------------------------------------------------
@@ -349,7 +349,7 @@ def test_generated_split_peak_memory_is_about_its_features():
            "height": 28, "width": 28, "noise": 0.1, "jitter_px": 2}
     tracemalloc.start()
     try:
-        train, test = _build_dataset(cfg, 0)
+        train, test = _build_dataset(resolve({"dataset": cfg})["dataset"], 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

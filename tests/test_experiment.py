@@ -156,7 +156,8 @@ def test_validate_accepts_null_seeds_and_full_affine_params():
     cfg["classifier"]["seed"] = 0
     cfg["classifier"]["on_raw_features"] = True
     assert validate_config(cfg) == []
-    assert validate_config(base_config(corruptions=_affine())) == []
+    images = {"type": "synthetic_images", "num_classes": 3, "per_class_count": 10}
+    assert validate_config(base_config(dataset=images, corruptions=_affine())) == []
 
 
 def _small_dataset(kind, **fields):
@@ -531,15 +532,39 @@ def test_pca_is_fitted_once_per_distinct_feature_matrix(tmp_path, monkeypatch):
     monkeypatch.undo()
 
     # every stage's global MI equals a fresh fit, embedding and scoring of it
-    train, _ = experiment._build_dataset(cfg["dataset"], cfg["seed"])
+    resolved = experiment.resolve(cfg)
+    train, _ = experiment._build_dataset(resolved["dataset"], cfg["seed"])
     stages = [train]
-    for i, cor in enumerate(corruptions):
+    for i, cor in enumerate(resolved["corruptions"]):
         stages.append(ms.apply_corruption(stages[-1], experiment._corruption_spec(cor, i, 42)))
     report = json.loads((tmp_path / "report.json").read_text())
     assert len(report["mi_by_stage"]) == len(stages)
     for entry, ds in zip(report["mi_by_stage"], stages):
         embedded = ms.transform(ms.fit_pca(ds, 4), ds)
         assert entry["global_mi"] == ms.score_dataset(embedded, 3).global_mi
+
+
+def test_free_heap_goes_back_around_each_pca_fit(tmp_path, monkeypatch):
+    # freed temporaries left resident made a run's peak RSS hinge on heap layout
+    corruptions = [
+        {"kind": "gaussian", "fraction": 0.3, "noise_factor": 0.5},
+        {"kind": "label_flip", "rate": 0.2},
+    ]
+    dataset = _small_dataset("synthetic_images", num_classes=4, per_class_count=20,
+                             height=8, width=8)
+    events = []
+    real_fit_pca = experiment.fit_pca
+
+    def recording_fit_pca(*args, **kwargs):
+        events.append("fit")
+        return real_fit_pca(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "_malloc_trim", lambda pad: events.append(("trim", pad)))
+    monkeypatch.setattr(experiment, "fit_pca", recording_fit_pca)
+    run_experiment(base_config(dataset=dataset, corruptions=corruptions), out_dir=tmp_path,
+                   through="score")
+    # clean and gaussian are fitted; the label flip keeps the previous projection
+    assert events == [("trim", 0), "fit", ("trim", 0)] * 2
 
 
 def test_six_stacked_affine_corruptions_keep_every_provenance_tag(tmp_path):
@@ -953,6 +978,110 @@ def test_cli_empty_test_split_exits_2(tmp_path, capsys):
     assert "dataset.test_fraction" in capsys.readouterr().err
     assert cli_main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
     assert "[stage:" not in capsys.readouterr().err
+
+
+# a stage would fail each of these with exit code 1, so validate rejects them
+@pytest.mark.parametrize(
+    "dataset, corruptions, flagged",
+    [
+        # a synthetic dataset has no image shape to warp
+        (_small_dataset("synthetic"), [{"kind": "affine_mild", "fraction": 0.2}],
+         "corruptions[0].kind"),
+        (_small_dataset("synthetic"), [{"kind": "affine_strong", "fraction": 0.0}],
+         "corruptions[0].kind"),
+        # a flipped label must move to another class
+        (_small_dataset("synthetic", num_classes=1), [{"kind": "label_flip", "rate": 0.2}],
+         "corruptions[0].rate"),
+        (_small_dataset("synthetic_images", num_classes=1),
+         [{"kind": "label_flip", "rate": 0.2}], "corruptions[0].rate"),
+        # N = 6: the test split takes round_half_even(1.5) = 2, and N_train = 4 < k + 2
+        (_small_dataset("synthetic", per_class_count=3), [], "estimator.k"),
+    ],
+    ids=["affine-mild-on-synthetic", "affine-strong-on-synthetic", "flip-one-class",
+         "flip-one-class-images", "k-above-n-train"],
+)
+def test_cli_config_a_stage_would_reject_exits_2(tmp_path, capsys, dataset, corruptions,
+                                                 flagged):
+    cfg = base_config(dataset=dataset, corruptions=corruptions)
+    violations = validate_config(cfg)
+    assert any(v.startswith(flagged) for v in violations), violations
+    path = _write_cfg(tmp_path, cfg)
+    assert cli_main(["validate", "--config", path]) == 2
+    assert flagged in capsys.readouterr().err
+    out = tmp_path / "o"
+    assert cli_main(["run", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config: " + flagged in err
+    assert "Traceback" not in err and "[stage:" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "dataset, corruptions, estimator",
+    [
+        (_small_dataset("synthetic", per_class_count=3), [], {"k": 2}),
+        (_small_dataset("synthetic", num_classes=1), [{"kind": "label_flip", "rate": 0.0}],
+         {"k": 3}),
+    ],
+    ids=["k-equal-to-n-train-minus-2", "flip-rate-0-one-class"],
+)
+def test_configs_at_the_bounds_run(tmp_path, dataset, corruptions, estimator):
+    cfg = base_config(dataset=dataset, corruptions=corruptions, estimator=estimator)
+    assert validate_config(cfg) == []
+    run_experiment(cfg, out_dir=tmp_path / "o", through="score")
+    assert (tmp_path / "o" / "scores.csv").exists()
+
+
+_MINIMAL = {
+    "schema_version": 1,
+    "dataset": {"type": "synthetic_images", "num_classes": 3, "per_class_count": 12},
+    "corruptions": [{"kind": "label_flip", "rate": 0.2},
+                    {"kind": "gaussian", "fraction": 0.3, "noise_factor": 0.5}],
+    "selection": {"plans": [{"scope": "global", "band": "top"},
+                            {"scope": "class_wise", "band": "random"}],
+                  "ratios": [0.5, 1.0]},
+}
+_SPELLED_OUT = {
+    "schema_version": 1,
+    "seed": 0,
+    "output_dir": None,
+    "dataset": {"type": "synthetic_images", "num_classes": 3, "per_class_count": 12,
+                "test_fraction": 0.25, "seed": None, "height": 12, "width": 12,
+                "noise": 0.05, "jitter_px": 1},
+    "embedding": {"dim": 16, "whiten": False},
+    "corruptions": [
+        {"kind": "label_flip", "rate": 0.2, "fraction": 0.0, "noise_factor": 0.0,
+         "seed": None, "params": None},
+        {"kind": "gaussian", "rate": 0.0, "fraction": 0.3, "noise_factor": 0.5,
+         "seed": None, "params": None},
+    ],
+    "estimator": {"variant": "discrete_label", "k": 3, "strict": True, "label_scale": None,
+                  "jitter_seed": None},
+    "selection": _MINIMAL["selection"],
+    "classifier": {"learning_rate": 0.1, "epochs": 300, "l2": 1e-4, "batch_size": None,
+                   "seed": None, "on_raw_features": False},
+}
+
+
+def test_resolve_fills_every_default_and_leaves_its_input_alone():
+    minimal = json.loads(json.dumps(_MINIMAL))
+    assert experiment.resolve(minimal) == _SPELLED_OUT
+    assert minimal == _MINIMAL
+    assert experiment.resolve(_SPELLED_OUT) == _SPELLED_OUT
+    blobs = _small_dataset("synthetic")
+    assert experiment.resolve({"dataset": blobs})["dataset"] == {
+        **blobs, "test_fraction": 0.25, "seed": None, "class_means": None}
+
+
+def test_defaults_run_as_if_spelled_out(tmp_path):
+    run_experiment(_MINIMAL, out_dir=tmp_path / "minimal")
+    run_experiment(_SPELLED_OUT, out_dir=tmp_path / "spelled")
+    minimal, spelled = read_tree(tmp_path / "minimal"), read_tree(tmp_path / "spelled")
+    assert minimal.keys() == spelled.keys()
+    reports = [json.loads(tree.pop("report.json")) for tree in (minimal, spelled)]
+    assert minimal == spelled
+    assert [r.pop("config") for r in reports] == [_MINIMAL, _SPELLED_OUT]
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("problem", ["missing", "malformed"])
