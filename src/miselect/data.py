@@ -9,6 +9,7 @@ validated against ground truth.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -321,11 +322,26 @@ def generate_pattern_images(
     return _datasets(outputs, labels, num_classes, split, image_shape=(height, width))
 
 
-def _read_exact(f, count, path):
-    data = f.read(count)
-    if len(data) < count:
-        raise IoError(f"{path}: truncated file (wanted {count} bytes, got {len(data)})")
-    return data
+def _read_idx(path, magic, kind, data):
+    """One IDX file's dimensions and its uint8 payload, which must hold
+    exactly the bytes they give. The magic's low byte is the number of
+    dimensions; ``kind`` and ``data`` name the file and its payload in
+    errors."""
+    with open(path, "rb") as f:
+        wanted = 4 * (1 + (magic & 0xFF))
+        header = f.read(wanted)
+        if len(header) < wanted:
+            raise IoError(f"{path}: truncated file (wanted {wanted} bytes, got {len(header)})")
+        found, *dims = struct.unpack(f">{wanted // 4}i", header)
+        if found != magic:
+            raise FormatError(f"{path}: bad {kind} magic 0x{found:08x}")
+        payload = f.read()
+    expected = math.prod(dims)
+    if len(payload) < expected:
+        raise IoError(f"{path}: truncated {data} data")
+    if len(payload) > expected:
+        raise FormatError(f"{path}: {len(payload) - expected} trailing bytes")
+    return dims, np.frombuffer(payload, dtype=np.uint8)
 
 
 def load_idx(images_path, labels_path):
@@ -335,28 +351,9 @@ def load_idx(images_path, labels_path):
     the canonical format: images carry magic 0x00000803 then count, rows,
     cols; labels carry magic 0x00000801 then count.
     """
-    with open(images_path, "rb") as f:
-        magic, count, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, images_path))
-        if magic != IDX_IMAGE_MAGIC:
-            raise FormatError(f"{images_path}: bad image magic 0x{magic:08x}")
-        payload = f.read()
-    expected = count * rows * cols
-    if len(payload) < expected:
-        raise IoError(f"{images_path}: truncated pixel data")
-    if len(payload) > expected:
-        raise FormatError(f"{images_path}: {len(payload) - expected} trailing bytes")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
-
-    with open(labels_path, "rb") as f:
-        magic, label_count = struct.unpack(">ii", _read_exact(f, 8, labels_path))
-        if magic != IDX_LABEL_MAGIC:
-            raise FormatError(f"{labels_path}: bad label magic 0x{magic:08x}")
-        label_payload = f.read()
-    if len(label_payload) < label_count:
-        raise IoError(f"{labels_path}: truncated label data")
-    if len(label_payload) > label_count:
-        raise FormatError(f"{labels_path}: {len(label_payload) - label_count} trailing bytes")
-    labels = np.frombuffer(label_payload, dtype=np.uint8).astype(np.int64)
+    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", "pixel")
+    pixels = pixels.reshape(count, rows * cols)
+    (label_count,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", "label")
 
     if count != label_count:
         raise ConsistencyError(

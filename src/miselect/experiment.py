@@ -306,7 +306,9 @@ def _cross_field(cfg):
         bad.append(f"embedding.dim: {emb_dim} exceeds min(N_train={n_train}, "
                    f"feature dim={feature_dim})")
     for i, cor in enumerate(cfg.get("corruptions", [])):
-        if cor.get("kind") in (KIND_AFFINE_STRONG, KIND_AFFINE_MILD) and kind == "synthetic":
+        # gaussian noise needs pixel values in [0, 1], an affine warp an image shape
+        if (cor.get("kind") in (KIND_GAUSSIAN, KIND_AFFINE_STRONG, KIND_AFFINE_MILD)
+                and kind == "synthetic"):
             bad.append(f"corruptions[{i}].kind: {cor['kind']} requires an image dataset, "
                        "not synthetic")
         elif cor.get("kind") == KIND_LABEL_FLIP and sides and classes == 1 and cor.get("rate"):
@@ -315,6 +317,12 @@ def _cross_field(cfg):
     k = cfg.get("estimator", {}).get("k")
     if n_train is not None and k is not None and k > n_train - 2:
         bad.append(f"estimator.k: {k} exceeds N_train - 2 = {n_train - 2}")
+    # selection keeps round_half_even(ratio * N_train) samples, as in selection.select
+    ratios = cfg.get("selection", {}).get("ratios", []) if n_train is not None else []
+    for i, ratio in enumerate(ratios):
+        if _is_num(ratio) and ratio > 0 and round_half_even(ratio * n_train) == 0:
+            bad.append(f"selection.ratios[{i}]: {ratio} of N_train={n_train} rounds to "
+                       "an empty training set")
     return bad
 
 
@@ -497,23 +505,10 @@ def _write_json(path, payload):
 
 
 def _scores_rows(ds, scores):
-    provenance = ds.provenance()
-    rows = []
-    for i in range(ds.n):
-        rows.append(
-            (
-                i,
-                int(ds.labels[i]),
-                int(ds.original_labels[i]),
-                str(provenance[i]),
-                float(scores.local_scores[i]),
-                int(scores.per_sample_n_x[i]),
-                int(scores.per_sample_n_y[i]),
-                int(scores.k_effective[i]),
-                int(scores.degenerate[i]),
-            )
-        )
-    return rows
+    columns = (ds.labels, ds.original_labels, ds.provenance(), scores.local_scores,
+               scores.per_sample_n_x, scores.per_sample_n_y, scores.k_effective,
+               scores.degenerate.astype(np.int64))
+    return zip(range(ds.n), *(c.tolist() for c in columns))
 
 
 @dataclass

@@ -135,23 +135,46 @@ class MIScoreSet:
         return self.global_mi / math.log(2.0)
 
 
-def _finalize(scores, nx, ny, keff, deg, k, variant, strict, label_scale, jitter_seed):
+def _check_k(n, k):
+    """The one check of k against the sample count N that every scorer makes."""
+    if n < k + 2:
+        raise ConfigError(f"need at least k+2={k + 2} samples, have {n}")
+    if k < 1:
+        raise ConfigError("k must be positive")
+
+
+def _score_set(k, nx, ny, variant, strict, jitter_seed, keff=None, deg=None):
+    """The score set from per-sample counts: psi(k) + psi(N) - psi(n_x + 1)
+    - psi(n_y + 1) for each usable sample, -inf for each degenerate one, and
+    the usable samples' mean as the global estimate.
+
+    The discrete scorer passes its per-sample k (``keff``) and ``deg``
+    flags; for the others every sample uses ``k`` and none is degenerate.
+    """
+    n = len(nx)
+    if deg is None:
+        deg = np.zeros(n, dtype=bool)
     usable = ~deg
     if not usable.any():
         raise DegenerateInputError("every sample is degenerate; no global MI")
-    global_mi = float(np.mean(scores[usable]))
+    if keff is None:
+        keff, psi_k = np.full(n, k, dtype=np.int64), digamma(float(k))
+    else:
+        psi_k = digamma(keff[usable].astype(float))
+    scores = np.full(n, -np.inf)
+    scores[usable] = (psi_k + digamma(float(n))
+                      - digamma(nx[usable] + 1.0) - digamma(ny[usable] + 1.0))
     return MIScoreSet(
         local_scores=scores,
-        global_mi=global_mi,
+        global_mi=float(np.mean(scores[usable])),
         k=k,
-        n_samples=len(scores),
+        n_samples=n,
         variant=variant,
         per_sample_n_x=nx,
         per_sample_n_y=ny,
         k_effective=keff,
         degenerate=deg,
         strict=strict,
-        label_scale=label_scale,
         jitter_seed=jitter_seed,
     )
 
@@ -181,28 +204,13 @@ def score_discrete(points, k, strict=True, jitter_seed=None):
     -inf sentinel and excluded from the global mean.
     """
     labels = points.labels
-    n = len(labels)
-    if n < k + 2:
-        raise ConfigError(f"need at least k+2={k + 2} samples, have {n}")
-    if k < 1:
-        raise ConfigError("k must be positive")
-
+    _check_k(len(labels), k)
     x = add_jitter(points.features, jitter_seed)
     radii, keff, sizes = _class_kth(x, labels, k)
     deg = sizes == 1
-    ny = sizes - 1
     nx = NeighborIndex(x).count_within_bulk(radii, strict=strict)
-    usable = ~deg
     nx[deg] = 0
-
-    scores = np.full(n, -np.inf)
-    scores[usable] = (
-        digamma(keff[usable].astype(float))
-        + digamma(float(n))
-        - digamma(nx[usable] + 1.0)
-        - digamma(ny[usable] + 1.0)
-    )
-    return _finalize(scores, nx, ny, keff, deg, k, VARIANT_DISCRETE, strict, None, jitter_seed)
+    return _score_set(k, nx, sizes - 1, VARIANT_DISCRETE, strict, jitter_seed, keff, deg)
 
 
 def score_continuous(x, y, k, strict=True, jitter_seed=None, variant=VARIANT_CONTINUOUS):
@@ -220,12 +228,7 @@ def score_continuous(x, y, k, strict=True, jitter_seed=None, variant=VARIANT_CON
         y = y[:, None]
     if x.shape[0] != y.shape[0]:
         raise ConsistencyError("x and y must have the same number of samples")
-    n = x.shape[0]
-    if n < k + 2:
-        raise ConfigError(f"need at least k+2={k + 2} samples, have {n}")
-    if k < 1:
-        raise ConfigError("k must be positive")
-
+    _check_k(x.shape[0], k)
     joint = add_jitter(np.hstack([x, y]), jitter_seed)
     dx = x.shape[1]
     index_joint = NeighborIndex(joint)
@@ -235,11 +238,7 @@ def score_continuous(x, y, k, strict=True, jitter_seed=None, variant=VARIANT_CON
     eps = index_joint.kth_distance_bulk(k)
     nx = index_x.count_within_bulk(eps, strict=strict)
     ny = index_y.count_within_bulk(eps, strict=strict)
-
-    keff = np.full(n, k, dtype=np.int64)
-    deg = np.zeros(n, dtype=bool)
-    scores = digamma(float(k)) + digamma(float(n)) - digamma(nx + 1.0) - digamma(ny + 1.0)
-    return _finalize(scores, nx, ny, keff, deg, k, variant, strict, None, jitter_seed)
+    return _score_set(k, nx, ny, variant, strict, jitter_seed)
 
 
 def score_onehot(points, k, label_scale, strict=True, jitter_seed=None):
@@ -259,6 +258,7 @@ def score_onehot(points, k, label_scale, strict=True, jitter_seed=None):
     """
     if label_scale <= 0:
         raise ConfigError("label_scale must be positive")
+    _check_k(len(points.labels), k)
     result = None
     if jitter_seed is None:
         result = _score_onehot_per_class(points, k, label_scale, strict)
@@ -275,11 +275,10 @@ def score_onehot(points, k, label_scale, strict=True, jitter_seed=None):
 
 def _score_onehot_per_class(points, k, label_scale, strict):
     """``score_onehot`` without jitter, computed per class; None where that
-    would not equal the joint-space result, or where the joint-space path
-    must raise."""
+    would not equal the joint-space result."""
     labels = points.labels
     n = len(labels)
-    if not (k >= 1 and n >= k + 2 and math.isfinite(label_scale)):
+    if not math.isfinite(label_scale):
         return None
     eps, keff, sizes = _class_kth(points.features, labels, k)
     if keff.min() < k or eps.max() > label_scale:
@@ -291,9 +290,7 @@ def _score_onehot_per_class(points, k, label_scale, strict):
         ny = (sizes - 1) * (eps > 0) + cross * (eps > label_scale)
     else:
         ny = (sizes - 1) + cross * (eps >= label_scale)
-    scores = digamma(float(k)) + digamma(float(n)) - digamma(nx + 1.0) - digamma(ny + 1.0)
-    return _finalize(scores, nx, ny, keff, np.zeros(n, dtype=bool), k, VARIANT_ONEHOT, strict,
-                     None, None)
+    return _score_set(k, nx, ny, VARIANT_ONEHOT, strict, None)
 
 
 def score_dataset(points, k, variant=VARIANT_DISCRETE, strict=True, label_scale=None,
@@ -351,30 +348,31 @@ def dataset_content_hash(points, labels):
     return h.hexdigest()
 
 
+# Score-artifact key -> MIScoreSet field, in the field order; save_scores
+# writes these keys beside the schema version and the dataset hash, and
+# load_scores reads them back.
+_ARTIFACT_FIELDS = {
+    "local_scores": "local_scores", "global_mi": "global_mi", "k": "k",
+    "n_samples": "n_samples", "variant": "variant", "n_x": "per_sample_n_x",
+    "n_y": "per_sample_n_y", "k_effective": "k_effective", "degenerate": "degenerate",
+    "strict": "strict", "label_scale": "label_scale", "jitter_seed": "jitter_seed",
+}
+
+
 def save_scores(scores, path, dataset_hash=None):
     """Write a score set to a versioned JSON artifact (exact round trip).
 
-    The artifact is written under a temporary name in the same directory and
-    then renamed over ``path``, so an interrupted write never leaves a
-    partial file at ``path``.
+    Degenerate samples' scores are written as null. The artifact is written
+    under a temporary name in the same directory and then renamed over
+    ``path``, so an interrupted write never leaves a partial file at ``path``.
     """
-    local = [None if d else float(s) for s, d in zip(scores.local_scores, scores.degenerate)]
-    payload = {
-        "schema_version": SCORES_SCHEMA_VERSION,
-        "variant": scores.variant,
-        "k": scores.k,
-        "n_samples": scores.n_samples,
-        "strict": scores.strict,
-        "label_scale": scores.label_scale,
-        "jitter_seed": scores.jitter_seed,
-        "global_mi": scores.global_mi,
-        "local_scores": local,
-        "n_x": scores.per_sample_n_x.tolist(),
-        "n_y": scores.per_sample_n_y.tolist(),
-        "k_effective": scores.k_effective.tolist(),
-        "degenerate": scores.degenerate.tolist(),
-        "dataset_hash": dataset_hash,
-    }
+    payload = {"schema_version": SCORES_SCHEMA_VERSION, "dataset_hash": dataset_hash}
+    for key, field in _ARTIFACT_FIELDS.items():
+        value = getattr(scores, field)
+        payload[key] = value.tolist() if isinstance(value, np.ndarray) else value
+    payload["local_scores"] = [
+        None if d else s for s, d in zip(payload["local_scores"], payload["degenerate"])
+    ]
     write_json_atomic(path, payload)
 
 
@@ -393,23 +391,9 @@ def load_scores(path):
     if payload.get("schema_version") != SCORES_SCHEMA_VERSION:
         raise ConfigError(f"{path}: unsupported score artifact version")
     try:
-        local = np.asarray(
-            [(-np.inf if v is None else v) for v in payload["local_scores"]], dtype=np.float64
-        )
-        scores = MIScoreSet(
-            local_scores=local,
-            global_mi=payload["global_mi"],
-            k=payload["k"],
-            n_samples=payload["n_samples"],
-            variant=payload["variant"],
-            per_sample_n_x=np.asarray(payload["n_x"], dtype=np.int64),
-            per_sample_n_y=np.asarray(payload["n_y"], dtype=np.int64),
-            k_effective=np.asarray(payload["k_effective"], dtype=np.int64),
-            degenerate=np.asarray(payload["degenerate"], dtype=bool),
-            strict=payload["strict"],
-            label_scale=payload["label_scale"],
-            jitter_seed=payload["jitter_seed"],
-        )
+        fields = {field: payload[key] for key, field in _ARTIFACT_FIELDS.items()}
+        fields["local_scores"] = [-np.inf if v is None else v for v in fields["local_scores"]]
+        scores = MIScoreSet(**fields)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: ill-formed score artifact: {exc!r}") from exc
     return scores, payload.get("dataset_hash")

@@ -141,6 +141,36 @@ def test_whiten_flag_scales_to_unit_variance():
     assert np.allclose(emb.features.std(axis=0, ddof=1), 1.0, atol=1e-8)
 
 
+def test_fit_pca_svd_branch_matches_eigh_of_the_covariance(monkeypatch):
+    # more than 1,024 features (images of 33 x 33 and up) take the SVD of the
+    # centred data; a rank-4 signal with spectrum 50 > 30 > 20 > 10 over small noise
+    rng = np.random.default_rng(12)
+    n, dim, spectrum = 60, 1100, np.array([50.0, 30.0, 20.0, 10.0])
+    left = rng.standard_normal((n, 4))
+    left = np.linalg.qr(left - left.mean(axis=0))[0]
+    right = np.linalg.qr(rng.standard_normal((dim, 4)))[0]
+    x = (left * spectrum) @ right.T + 1e-3 * rng.standard_normal((n, dim)) + rng.uniform(size=dim)
+    ds = ms.LabeledDataset.from_arrays(x, np.zeros(n, dtype=int))
+    svd_calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svd_calls.append(1) or svd(*a, **kw))
+    model = ms.fit_pca(ds, 4)
+    assert svd_calls == [1]
+
+    xc = x - x.mean(axis=0)
+    eigvals, eigvecs = np.linalg.eigh(xc.T @ xc / (n - 1))
+    want = eigvecs[:, ::-1][:, :4].T
+    # the sign convention: each component's largest-magnitude coordinate is positive
+    want *= np.sign(want[np.arange(4), np.abs(want).argmax(axis=1)])[:, None]
+    assert np.all(model.components[np.arange(4), np.abs(model.components).argmax(axis=1)] > 0)
+    assert np.allclose(model.components, want, atol=1e-9)
+    assert np.allclose(model.explained_variance, eigvals[::-1][:4], rtol=1e-9)
+    assert np.allclose(model.explained_variance, spectrum**2 / (n - 1), rtol=1e-3)
+
+    whitened = ms.transform(ms.fit_pca(ds, 4, whiten=True), ds)
+    assert np.allclose(whitened.features.std(axis=0, ddof=1), 1.0, atol=1e-8)
+
+
 def test_fit_pca_errors():
     ds = _random_ds(n=10, dim=4)
     with pytest.raises(ConfigError):

@@ -608,11 +608,11 @@ def test_peak_memory_does_not_grow_with_the_corruption_count():
 
 def test_stage_error_quarantines_partial_outputs(tmp_path):
     cfg = base_config()
-    # 0.004 of 120 training samples rounds to zero retained
-    cfg["selection"]["ratios"] = [0.004]
+    # the first gradient step overflows the loss
+    cfg["classifier"]["learning_rate"] = 1e300
     with pytest.raises(StageError) as err:
         run_experiment(cfg, out_dir=tmp_path)
-    assert err.value.stage == "selection"
+    assert err.value.stage == "classifier"
     assert (tmp_path / "quarantine" / "scores.csv").exists()
     assert not (tmp_path / "scores.csv").exists()
 
@@ -855,11 +855,11 @@ def test_cli_select_and_train_prefixes(tmp_path):
 
 def test_cli_stage_error_exit_code(tmp_path, capsys):
     cfg = base_config()
-    cfg["selection"]["ratios"] = [0.004]
+    cfg["classifier"]["learning_rate"] = 1e300
     path = _write_cfg(tmp_path, cfg)
     code = cli_main(["run", "--config", path, "--out", str(tmp_path / "o")])
     assert code == 1
-    assert "[stage:selection]" in capsys.readouterr().err
+    assert "[stage:classifier]" in capsys.readouterr().err
 
 
 def test_cli_seed_override(tmp_path):
@@ -989,6 +989,9 @@ def test_cli_empty_test_split_exits_2(tmp_path, capsys):
          "corruptions[0].kind"),
         (_small_dataset("synthetic"), [{"kind": "affine_strong", "fraction": 0.0}],
          "corruptions[0].kind"),
+        # gaussian noise needs pixel values in [0, 1]; blob features fall outside
+        (_small_dataset("synthetic"), [{"kind": "gaussian", "noise_factor": 0.5,
+                                         "fraction": 0.2}], "corruptions[0].kind"),
         # a flipped label must move to another class
         (_small_dataset("synthetic", num_classes=1), [{"kind": "label_flip", "rate": 0.2}],
          "corruptions[0].rate"),
@@ -997,8 +1000,8 @@ def test_cli_empty_test_split_exits_2(tmp_path, capsys):
         # N = 6: the test split takes round_half_even(1.5) = 2, and N_train = 4 < k + 2
         (_small_dataset("synthetic", per_class_count=3), [], "estimator.k"),
     ],
-    ids=["affine-mild-on-synthetic", "affine-strong-on-synthetic", "flip-one-class",
-         "flip-one-class-images", "k-above-n-train"],
+    ids=["affine-mild-on-synthetic", "affine-strong-on-synthetic", "gaussian-on-synthetic",
+         "flip-one-class", "flip-one-class-images", "k-above-n-train"],
 )
 def test_cli_config_a_stage_would_reject_exits_2(tmp_path, capsys, dataset, corruptions,
                                                  flagged):
@@ -1013,6 +1016,21 @@ def test_cli_config_a_stage_would_reject_exits_2(tmp_path, capsys, dataset, corr
     err = capsys.readouterr().err
     assert "invalid config: " + flagged in err
     assert "Traceback" not in err and "[stage:" not in err
+    assert not out.exists()
+
+
+def test_cli_ratio_rounding_to_an_empty_selection_exits_2(tmp_path, capsys):
+    # N_train = 120: round_half_even(0.48) = 0 and round_half_even(0.6) = 1
+    cfg = base_config()
+    cfg["selection"]["ratios"] = [0.005, 0.004]
+    assert validate_config(cfg) == [
+        "selection.ratios[1]: 0.004 of N_train=120 rounds to an empty training set"]
+    path = _write_cfg(tmp_path, cfg)
+    assert cli_main(["validate", "--config", path]) == 2
+    out = tmp_path / "o"
+    assert cli_main(["run", "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid config: selection.ratios[1]" in err and "[stage:" not in err
     assert not out.exists()
 
 
