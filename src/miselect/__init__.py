@@ -12,7 +12,6 @@ from .corruption import (
     MILD_AFFINE,
     STRONG_AFFINE,
     AffineParams,
-    CorruptionSpec,
     add_gaussian,
     affine_warp,
     apply_corruption,

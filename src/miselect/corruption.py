@@ -53,49 +53,29 @@ MILD_AFFINE = AffineParams(rotation_deg=15.0, scale_range=(0.9, 1.1),
                            shear_deg=5.0, translate_frac=0.07)
 
 
-@dataclass(frozen=True)
-class CorruptionSpec:
-    """Declarative description of one corruption stage."""
-
-    kind: str
-    rate: float = 0.0            # label_flip only
-    fraction: float = 0.0       # input corruptions
-    noise_factor: float = 0.0   # gaussian only
-    params: AffineParams | None = None  # affine overrides
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.kind not in (KIND_LABEL_FLIP, KIND_GAUSSIAN, KIND_AFFINE_STRONG,
-                             KIND_AFFINE_MILD):
-            raise ConfigError(f"unknown corruption kind {self.kind!r}")
-        if not (0.0 <= self.rate <= 1.0) or not (0.0 <= self.fraction <= 1.0):
-            raise ConfigError("rate and fraction must lie in [0, 1]")
-        if self.noise_factor < 0:
-            raise ConfigError("noise_factor must be non-negative")
-
-
-def _check_seed(seed):
+def _choose(n, share, seed, what):
+    """The sorted indices of the round(share*n) samples a stage corrupts,
+    drawn from ``seed``; ``what`` names the share in its range error."""
+    if not (0.0 <= share <= 1.0):
+        raise ConfigError(f"{what} must lie in [0, 1]")
     seed = int(seed)
     if seed < 0:
         raise ConfigError("corruption seeds must be non-negative")
-    return seed
-
-
-def _choose(n, count, seed):
     rng = np.random.default_rng(seed)
-    return np.sort(rng.choice(n, size=count, replace=False))
+    return np.sort(rng.choice(n, size=round_half_even(share * n), replace=False))
 
 
 def _sample_rng(seed, index):
-    return np.random.default_rng([seed, int(index)])
+    return np.random.default_rng([int(seed), int(index)])
 
 
-def _add_tags(tags, chosen, kind):
+def _corrupted_inputs(ds, features, chosen, kind):
+    """``ds`` with ``features`` and ``kind`` added to the chosen samples' tags."""
     # object strings grow freely; the string array is then sized to its content
-    out = tags.astype(object)
+    tags = ds.input_corruption.astype(object)
     for i in chosen:
-        out[i] = f"{out[i]}+{kind}" if out[i] else kind
-    return out.astype(str)
+        tags[i] = f"{tags[i]}+{kind}" if tags[i] else kind
+    return replace(ds, features=features, input_corruption=tags.astype(str))
 
 
 def flip_labels(ds, rate, seed):
@@ -105,15 +85,11 @@ def flip_labels(ds, rate, seed):
     untouched; the flip provenance follows from labels differing from
     original_labels.
     """
-    if not (0.0 <= rate <= 1.0):
-        raise ConfigError("flip rate must lie in [0, 1]")
-    seed = _check_seed(seed)
+    chosen = _choose(ds.n, rate, seed, "flip rate")
     if rate > 0 and ds.num_classes < 2:
         raise ConfigError("cannot flip labels with fewer than 2 classes")
-    n_flip = round_half_even(rate * ds.n)
-    if n_flip == 0:
+    if not chosen.size:
         return replace(ds)
-    chosen = _choose(ds.n, n_flip, seed)
     labels = ds.labels.copy()
     c = ds.num_classes
     for i in chosen:
@@ -130,24 +106,16 @@ def add_gaussian(ds, noise_factor, fraction, seed):
     """
     if noise_factor < 0:
         raise ConfigError("noise_factor must be non-negative")
-    if not (0.0 <= fraction <= 1.0):
-        raise ConfigError("fraction must lie in [0, 1]")
-    seed = _check_seed(seed)
+    chosen = _choose(ds.n, fraction, seed, "fraction")
     if ds.n and (ds.features.min() < 0.0 or ds.features.max() > 1.0):
         raise ConfigError("add_gaussian requires image-valued features in [0, 1]")
-    count = round_half_even(fraction * ds.n)
-    if count == 0:
+    if not chosen.size:
         return replace(ds)
-    chosen = _choose(ds.n, count, seed)
     features = ds.features.copy()
     for i in chosen:
         z = _sample_rng(seed, i).standard_normal(ds.dim)
         features[i] = np.clip(features[i] + noise_factor * z, 0.0, 1.0)
-    return replace(
-        ds,
-        features=features,
-        input_corruption=_add_tags(ds.input_corruption, chosen, KIND_GAUSSIAN),
-    )
+    return _corrupted_inputs(ds, features, chosen, KIND_GAUSSIAN)
 
 
 def _bilinear_sample(imgs, sx, sy):
@@ -213,40 +181,37 @@ def affine_warp(ds, params, fraction, seed, width, height, kind=KIND_AFFINE_STRO
     bilinear with out-of-bounds reads as zero. ``kind`` sets the
     provenance tag.
     """
-    if not (0.0 <= fraction <= 1.0):
-        raise ConfigError("fraction must lie in [0, 1]")
-    seed = _check_seed(seed)
+    chosen = _choose(ds.n, fraction, seed, "fraction")
     if ds.dim != width * height:
         raise ConfigError(f"dataset dim {ds.dim} != width*height={width * height}")
-    count = round_half_even(fraction * ds.n)
-    if count == 0:
+    if not chosen.size:
         return replace(ds)
-    chosen = _choose(ds.n, count, seed)
     features = ds.features.copy()
     # a few images at a time, so the (m, h*w) temporaries stay small
-    for start in range(0, count, _WARP_CHUNK):
+    for start in range(0, chosen.size, _WARP_CHUNK):
         rows = chosen[start : start + _WARP_CHUNK]
         invs, shifts = zip(*(_draw_warp(_sample_rng(seed, i), params, height, width)
                              for i in rows))
         warped = _warp_images(features[rows].reshape(-1, height, width),
                               np.array(invs), np.array(shifts))
         features[rows] = np.clip(warped, 0.0, 1.0)
-    return replace(
-        ds,
-        features=features,
-        input_corruption=_add_tags(ds.input_corruption, chosen, kind),
-    )
+    return _corrupted_inputs(ds, features, chosen, kind)
 
 
-def apply_corruption(ds, spec):
-    """Apply one CorruptionSpec; affine kinds take the image shape from the
-    dataset."""
-    if spec.kind == KIND_LABEL_FLIP:
-        return flip_labels(ds, spec.rate, spec.seed)
-    if spec.kind == KIND_GAUSSIAN:
-        return add_gaussian(ds, spec.noise_factor, spec.fraction, spec.seed)
+_PRESETS = {KIND_AFFINE_STRONG: STRONG_AFFINE, KIND_AFFINE_MILD: MILD_AFFINE}
+
+
+def apply_corruption(ds, kind, seed, rate=0.0, fraction=0.0, noise_factor=0.0, params=None):
+    """Apply one corruption stage, given by its config record's fields;
+    affine kinds take the image shape from the dataset and, without
+    ``params`` (AffineParams), their kind's preset."""
+    if kind == KIND_LABEL_FLIP:
+        return flip_labels(ds, rate, seed)
+    if kind == KIND_GAUSSIAN:
+        return add_gaussian(ds, noise_factor, fraction, seed)
+    if kind not in _PRESETS:
+        raise ConfigError(f"unknown corruption kind {kind!r}")
     if ds.image_shape is None:
         raise ConfigError("affine corruption requires an image dataset")
     height, width = ds.image_shape
-    params = spec.params or (STRONG_AFFINE if spec.kind == KIND_AFFINE_STRONG else MILD_AFFINE)
-    return affine_warp(ds, params, spec.fraction, spec.seed, width, height, kind=spec.kind)
+    return affine_warp(ds, params or _PRESETS[kind], fraction, seed, width, height, kind=kind)

@@ -11,6 +11,7 @@ independently reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import hashlib
 import json
@@ -33,7 +34,6 @@ from .corruption import (
     KIND_GAUSSIAN,
     KIND_LABEL_FLIP,
     AffineParams,
-    CorruptionSpec,
     apply_corruption,
 )
 from .data import (
@@ -189,8 +189,8 @@ _SYNTHETIC = (
 )
 _DATASET = _kinds("type", {
     "idx": _fields(*(
-        (key, _REQUIRED, lambda v: isinstance(v, str) and Path(v).exists(),
-         lambda v: f"file not found: {v}" if isinstance(v, str) else "required path missing")
+        (key, _REQUIRED, lambda v: isinstance(v, str) and Path(v).is_file(),
+         lambda v: f"no regular file at {v}" if isinstance(v, str) else "required path missing")
         for key in ("train_images", "train_labels", "test_images", "test_labels"))),
     "synthetic": _fields(
         *_SYNTHETIC,
@@ -405,25 +405,23 @@ def _build_dataset(ds_cfg, master_seed):
     )
 
 
-def _corruption_spec(cor_cfg, index, master_seed):
-    seed = cor_cfg["seed"]
-    if seed is None:
-        seed = stage_seed(master_seed, f"corrupt.{index}")
-    p = cor_cfg["params"]
-    params = None if p is None else AffineParams(
-        rotation_deg=p["rotation_deg"],
-        scale_range=tuple(p["scale_range"]),
-        shear_deg=p["shear_deg"],
-        translate_frac=p["translate_frac"],
-    )
-    return CorruptionSpec(
-        kind=cor_cfg["kind"],
-        rate=cor_cfg["rate"],
-        fraction=cor_cfg["fraction"],
-        noise_factor=cor_cfg["noise_factor"],
-        params=params,
-        seed=seed,
-    )
+def _corruption_args(cor_cfg, index, master_seed):
+    """apply_corruption's keyword arguments for corruption ``index``: the
+    fields _CORRUPTION gives its record, which apply_corruption takes by
+    name, with the stage's derived seed where the record gives none and
+    ``params`` as AffineParams."""
+    args = {key: cor_cfg[key] for key in ("kind", *(row[0] for row in _CORRUPTION))}
+    if args["seed"] is None:
+        args["seed"] = stage_seed(master_seed, f"corrupt.{index}")
+    p = args["params"]
+    if p is not None:
+        args["params"] = AffineParams(
+            rotation_deg=p["rotation_deg"],
+            scale_range=tuple(p["scale_range"]),
+            shear_deg=p["shear_deg"],
+            translate_frac=p["translate_frac"],
+        )
+    return args
 
 
 # the estimator section's fields, which an MIScoreSet records under the same names
@@ -560,16 +558,16 @@ def _corrupt(run, index):
     ``corruption`` stage; returns the stage name and whether features changed.
     The previous split goes with this frame, before the new one is fitted."""
     try:
-        spec = _corruption_spec(run.cfg["corruptions"][index], index, run.master)
-        before, run.train = run.train, apply_corruption(run.train, spec)
+        args = _corruption_args(run.cfg["corruptions"][index], index, run.master)
+        before, run.train = run.train, apply_corruption(run.train, **args)
     except MiselectError as exc:
         raise StageError("corruption", str(exc)) from exc
     affected = int(
         (run.train.labels != before.labels).sum()
         + (run.train.input_corruption != before.input_corruption).sum()
     )
-    run.corruption_meta.append({"kind": spec.kind, "seed": spec.seed, "affected": affected})
-    return f"{index + 1}:{spec.kind}", run.train.features is not before.features
+    run.corruption_meta.append({"kind": args["kind"], "seed": args["seed"], "affected": affected})
+    return f"{index + 1}:{args['kind']}", run.train.features is not before.features
 
 
 _malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
@@ -784,9 +782,10 @@ def _report_stage(run):
 
 
 # (stage name, the ``through`` value that stops after it, stage function).
-# The name tags a stage's StageError unless the step raised one itself, as
-# the scoring stage does for a corruption; on any failure every file
-# written so far moves to ``quarantine/``.
+# A MiselectError or OSError (an unusable output path, say) from a step
+# becomes a StageError tagged with the stage's name, unless the step raised
+# one itself, as the scoring stage does for a corruption; on any failure
+# every file written so far moves to ``quarantine/``.
 _PIPELINE = (
     ("dataset", None, _dataset_stage),
     ("scoring", "score", _scoring_stage),
@@ -832,13 +831,15 @@ def run_experiment(config, out_dir=None, seed_override=None, threads=1, through=
     for stage, stops_after, step in _PIPELINE:
         try:
             step(run)
-        except MiselectError as exc:
-            if run.written:
-                quarantine = run.out / "quarantine"
-                quarantine.mkdir(parents=True, exist_ok=True)
-                for path in run.written:
-                    if path.exists():
-                        shutil.move(str(path), quarantine / path.name)
+        except (MiselectError, OSError) as exc:
+            # a quarantine that cannot be made must not hide the stage's error
+            with contextlib.suppress(OSError):
+                if run.written:
+                    quarantine = run.out / "quarantine"
+                    quarantine.mkdir(parents=True, exist_ok=True)
+                    for path in run.written:
+                        if path.exists():
+                            shutil.move(str(path), quarantine / path.name)
             if isinstance(exc, StageError):
                 raise
             raise StageError(stage, str(exc)) from exc

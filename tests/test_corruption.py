@@ -209,7 +209,7 @@ def test_batched_warp_equals_per_image_oracle(height, width, n, fraction, params
     ds = ms.LabeledDataset.from_arrays(rng.uniform(0, 1, (n, height * width)), np.arange(n) % 3,
                                        image_shape=(height, width))
     out = ms.affine_warp(ds, params, fraction, seed=4, width=width, height=height)
-    chosen = corruption._choose(n, round(fraction * n), 4)
+    chosen = corruption._choose(n, fraction, 4, "fraction")
     expected = ds.features.copy()
     for i in chosen:
         img = ds.features[i].reshape(height, width)
@@ -286,19 +286,18 @@ def test_corruption_tags_stack():
 
 def test_apply_corruption_dispatch():
     ds = _image_ds(seed=14)
-    flip = ms.CorruptionSpec(kind="label_flip", rate=0.2, seed=15)
-    assert int(ms.apply_corruption(ds, flip).label_flipped.sum()) == round(0.2 * ds.n)
-    gauss = ms.CorruptionSpec(kind="gaussian", noise_factor=0.5, fraction=0.5, seed=16)
-    assert (ms.apply_corruption(ds, gauss).input_corruption == "gaussian").sum() == ds.n // 2
-    strong = ms.CorruptionSpec(kind="affine_strong", fraction=0.5, seed=17)
-    assert (ms.apply_corruption(ds, strong).input_corruption == "affine_strong").sum() == ds.n // 2
-    blob = _blob_ds()
+    flipped = ms.apply_corruption(ds, "label_flip", 15, rate=0.2)
+    assert int(flipped.label_flipped.sum()) == round(0.2 * ds.n)
+    gauss = ms.apply_corruption(ds, "gaussian", 16, noise_factor=0.5, fraction=0.5)
+    assert (gauss.input_corruption == "gaussian").sum() == ds.n // 2
+    strong = ms.apply_corruption(ds, "affine_strong", 17, fraction=0.5)
+    assert (strong.input_corruption == "affine_strong").sum() == ds.n // 2
     with pytest.raises(ConfigError):
-        ms.apply_corruption(blob, strong)  # not an image dataset
+        ms.apply_corruption(_blob_ds(), "affine_strong", 17, fraction=0.5)  # not an image dataset
+    with pytest.raises(ConfigError, match="unknown corruption kind"):
+        ms.apply_corruption(ds, "occlusion", 0)
     with pytest.raises(ConfigError):
-        ms.CorruptionSpec(kind="occlusion")
-    with pytest.raises(ConfigError):
-        ms.CorruptionSpec(kind="label_flip", rate=1.5)
+        ms.apply_corruption(ds, "label_flip", 0, rate=1.5)
 
 
 def test_round_half_even_sample_counts():

@@ -514,6 +514,8 @@ def test_pca_is_fitted_once_per_distinct_feature_matrix(tmp_path, monkeypatch):
         {"kind": "label_flip", "rate": 0.2},
         {"kind": "gaussian", "fraction": 0.3, "noise_factor": 0.5},
         {"kind": "label_flip", "rate": 0.2},
+        # round_half_even(0.005 * 60) = 0 of N_train: nothing is corrupted
+        {"kind": "gaussian", "fraction": 0.005, "noise_factor": 0.5},
     ]
     dataset = _small_dataset("synthetic_images", num_classes=4, per_class_count=20,
                              height=8, width=8)
@@ -527,7 +529,8 @@ def test_pca_is_fitted_once_per_distinct_feature_matrix(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiment, "fit_pca", counting_fit_pca)
     run_experiment(cfg, out_dir=tmp_path)
-    # the label flips keep their input's features: clean and gaussian are fitted
+    # the label flips and the empty gaussian keep their input's features:
+    # clean and the first gaussian are fitted
     assert len(fits) == 2
     monkeypatch.undo()
 
@@ -536,8 +539,9 @@ def test_pca_is_fitted_once_per_distinct_feature_matrix(tmp_path, monkeypatch):
     train, _ = experiment._build_dataset(resolved["dataset"], cfg["seed"])
     stages = [train]
     for i, cor in enumerate(resolved["corruptions"]):
-        stages.append(ms.apply_corruption(stages[-1], experiment._corruption_spec(cor, i, 42)))
+        stages.append(ms.apply_corruption(stages[-1], **experiment._corruption_args(cor, i, 42)))
     report = json.loads((tmp_path / "report.json").read_text())
+    assert report["corruption_stages"][3]["affected"] == 0
     assert len(report["mi_by_stage"]) == len(stages)
     for entry, ds in zip(report["mi_by_stage"], stages):
         embedded = ms.transform(ms.fit_pca(ds, 4), ds)
@@ -763,8 +767,8 @@ def test_grid_cell_workers_exit_when_the_run_is_killed(tmp_path):
             os.kill(pid, signal.SIGKILL)
 
 
-def test_idx_dataset_source(tmp_path):
-    rng = np.random.default_rng(0)
+def _idx_config(tmp_path):
+    """base_config on IDX files written under ``tmp_path``."""
     ds = ms.generate_pattern_images(3, 30, height=8, width=8, seed=5)
     train, test = ms.train_test_split(ds, 0.3, seed=1)
     paths = {}
@@ -781,8 +785,28 @@ def test_idx_dataset_source(tmp_path):
         "test_labels": paths["test"][1],
     }
     cfg["embedding"]["dim"] = 6
-    report = run_experiment(cfg, out_dir=tmp_path / "out", through="train")
+    return cfg
+
+
+def test_idx_dataset_source(tmp_path):
+    report = run_experiment(_idx_config(tmp_path), out_dir=tmp_path / "out", through="train")
     assert len(report.accuracy) == 4
+
+
+def test_idx_file_gone_after_validation_is_a_dataset_stage_failure(tmp_path, monkeypatch,
+                                                                    capsys):
+    cfg = _idx_config(tmp_path)
+    real_load_idx = experiment.load_idx
+
+    def load_after_removal(images_path, labels_path):
+        Path(images_path).unlink()
+        return real_load_idx(images_path, labels_path)
+
+    monkeypatch.setattr(experiment, "load_idx", load_after_removal)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    assert "[stage:dataset]" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_pattern_image_dataset_with_affine(tmp_path):
@@ -803,6 +827,22 @@ def test_pattern_image_dataset_with_affine(tmp_path):
     assert len(tagged) == round(0.3 * len(lines))
 
 
+def test_explicit_affine_params_reach_the_warp(tmp_path):
+    identity = {"rotation_deg": 0, "shear_deg": 0, "translate_frac": 0, "scale_range": [1, 1]}
+    dataset = _small_dataset("synthetic_images", num_classes=4, per_class_count=30,
+                             height=10, width=10)
+    cfg = base_config(dataset=dataset, corruptions=[
+        {"kind": "affine_strong", "fraction": 0.3, "params": identity}])
+    cfg["embedding"]["dim"] = 6
+    report = run_experiment(cfg, out_dir=tmp_path, through="score")
+    # the identity warp leaves every pixel as it is; the strong preset would move the MI
+    clean, warped = report.data["mi_by_stage"]
+    assert warped["global_mi"] == clean["global_mi"]
+    lines = (tmp_path / "scores.csv").read_text().splitlines()[1:]
+    tagged = [line for line in lines if line.split(",")[3] == "affine_strong"]
+    assert len(tagged) == round(0.3 * len(lines))
+
+
 # ---------------------------------------------------------------------------
 # CLI surface
 # ---------------------------------------------------------------------------
@@ -817,6 +857,36 @@ def test_cli_validate_ok(tmp_path, capsys):
     path = _write_cfg(tmp_path, base_config())
     assert cli_main(["validate", "--config", path]) == 0
     assert "config ok" in capsys.readouterr().out
+
+
+def test_cli_idx_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    cfg = base_config()
+    cfg["dataset"] = {"type": "idx", **dict.fromkeys(
+        ("train_images", "train_labels", "test_images", "test_labels"), str(tmp_path))}
+    path = _write_cfg(tmp_path, cfg)
+    assert cli_main(["validate", "--config", path]) == 2
+    assert "dataset.train_images: no regular file at" in capsys.readouterr().err
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_unusable_output_path_is_a_stage_failure(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["run", "--config", _write_cfg(tmp_path, base_config()), "--out", str(blocker / "out")]
+    assert cli_main(argv) == 1
+    assert "[stage:scoring]" in capsys.readouterr().err
+
+
+def test_quarantine_that_cannot_be_made_keeps_the_stage_error(tmp_path):
+    cfg = base_config()
+    cfg["classifier"]["learning_rate"] = 1e300  # the first gradient step overflows
+    (tmp_path / "quarantine").write_text("")  # a file where the directory would go
+    with pytest.raises(StageError) as err:
+        run_experiment(cfg, out_dir=tmp_path)
+    assert err.value.stage == "classifier"
+    assert (tmp_path / "scores.csv").exists()
 
 
 def test_cli_validate_bad(tmp_path, capsys):
