@@ -40,8 +40,7 @@ print(f"  estimated MI : {indep.global_mi:+.4f} nats (should be near 0)")
 
 # --- 3. deterministic limit: perfectly separable classes -> MI = H(Y) -----
 
-spec = ms.SyntheticSpec.separated(4, 200, dim=4, separation=100.0, stddev=0.01, seed=1)
-blobs = ms.generate_synthetic(spec)
+blobs = ms.generate_synthetic(4, 200, dim=4, class_stddev=0.01, class_separation=100.0, seed=1)
 det = ms.score_discrete(blobs, k=3)
 print("\nfour tight, far-apart clusters (labels fully predictable)")
 print(f"  estimated MI : {det.global_mi:.4f} nats")

@@ -11,8 +11,7 @@ import numpy as np
 
 import miselect as ms
 
-spec = ms.SyntheticSpec.separated(4, 200, dim=8, separation=10.0, stddev=0.5, seed=0)
-clean = ms.generate_synthetic(spec)
+clean = ms.generate_synthetic(4, 200, dim=8, class_stddev=0.5, class_separation=10.0, seed=0)
 
 print("global MI vs flip rate (N=800, C=4, k=3)")
 print(f"{'rate':>6} {'global MI':>10} {'flipped mean':>13} {'clean mean':>11}")

@@ -11,8 +11,7 @@ import numpy as np
 
 import miselect as ms
 
-spec = ms.SyntheticSpec.separated(4, 150, dim=8, separation=3.0, stddev=1.0, seed=0)
-full = ms.generate_synthetic(spec)
+full = ms.generate_synthetic(4, 150, dim=8, class_stddev=1.0, class_separation=3.0, seed=0)
 train_ds, test_ds = ms.train_test_split(full, 0.25, seed=1)
 noisy = ms.flip_labels(train_ds, 0.3, seed=2)
 
@@ -22,7 +21,6 @@ scores = ms.score_discrete(etr, k=3)
 print(f"train N={etr.n} with {int(etr.label_flipped.sum())} flipped labels, "
       f"global MI = {scores.global_mi:.3f} nats\n")
 
-cfg = ms.TrainConfig(epochs=300)
 strategies = [
     ("global/top", "global", "top"),
     ("class_wise/top", "class_wise", "top"),
@@ -37,7 +35,7 @@ for name, scope, band in strategies:
     for ratio in ratios:
         plan = ms.SelectionPlan(scope, band, ratio, seed=7 if band == "random" else None)
         sel = ms.select(scores, etr.labels, plan)
-        clf = ms.train(etr, sel.retained_indices, cfg)
+        clf = ms.train(etr, sel.retained_indices, epochs=300)
         row.append(ms.evaluate(clf, ete)["accuracy"])
     print(f"{name:>15} " + " ".join(f"{a:.3f}" for a in row))
 

@@ -19,7 +19,6 @@ from .corruption import (
 )
 from .data import (
     LabeledDataset,
-    SyntheticSpec,
     generate_pattern_images,
     generate_synthetic,
     load_idx,
@@ -50,6 +49,6 @@ from .ksg import (
     score_discrete,
     score_onehot,
 )
-from .logreg import LogRegModel, TrainConfig, evaluate, predict_proba, train
+from .logreg import LogRegModel, evaluate, predict_proba, train
 from .neighbors import NeighborIndex
 from .selection import SelectionPlan, SelectionResult, save_selection, select

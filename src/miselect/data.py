@@ -142,47 +142,6 @@ class LabeledDataset:
         )
 
 
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Recipe for an isotropic-Gaussian-blob dataset.
-
-    ``class_stddev`` may be zero (every sample collapses onto its class
-    mean); negative values are rejected.
-    """
-
-    num_classes: int
-    per_class_count: int
-    dim: int
-    class_means: np.ndarray
-    class_stddev: float
-    seed: int
-
-    def __post_init__(self):
-        means = np.asarray(self.class_means, dtype=np.float64)
-        if self.num_classes < 1 or self.per_class_count < 1 or self.dim < 1:
-            raise ConfigError("num_classes, per_class_count and dim must be positive")
-        if means.shape != (self.num_classes, self.dim):
-            raise ConfigError("class_means must have shape (num_classes, dim)")
-        if self.class_stddev < 0:
-            raise ConfigError("class_stddev must be non-negative")
-        for a in range(self.num_classes):
-            for b in range(a + 1, self.num_classes):
-                if np.array_equal(means[a], means[b]):
-                    raise ConfigError(f"class means {a} and {b} coincide")
-        object.__setattr__(self, "class_means", _frozen(means))
-
-    @classmethod
-    def separated(cls, num_classes, per_class_count, dim, separation, stddev, seed):
-        """Place class means on scaled coordinate axes, pairwise distance
-        ``separation`` in the Chebyshev metric."""
-        if dim < num_classes:
-            raise ConfigError("separated() needs dim >= num_classes")
-        means = np.zeros((num_classes, dim))
-        for c in range(num_classes):
-            means[c, c] = separation
-        return cls(num_classes, per_class_count, dim, means, stddev, seed)
-
-
 def _outputs(labels, num_classes, dim, split):
     """The feature arrays a generator writes its samples into.
 
@@ -208,24 +167,50 @@ def _datasets(outputs, labels, num_classes, split, image_shape=None):
     return made[0] if split is None else made
 
 
-def generate_synthetic(spec, split=None):
-    """Draw ``per_class_count`` samples per class around each class mean.
+def generate_synthetic(num_classes, per_class_count, dim, class_stddev, class_means=None,
+                       class_separation=None, seed=0, split=None):
+    """Draw ``per_class_count`` samples per class around each class mean,
+    isotropic Gaussian with standard deviation ``class_stddev``.
+
+    The means are the rows of ``class_means``, (num_classes, dim) with no
+    two rows equal; without them class c's mean is ``class_separation`` on
+    coordinate axis c, so the means lie pairwise ``class_separation`` apart
+    in the Chebyshev metric. ``class_stddev`` may be zero (every sample
+    collapses onto its class mean); negative values are rejected. A draw too
+    large for float64 overflows to inf, which the dataset rejects.
 
     Samples are emitted in class order and the draw is fully determined by
-    ``spec.seed``. With ``split`` = (test_fraction, seed) the result is the
+    ``seed``. With ``split`` = (test_fraction, seed) the result is the
     (train, test) pair ``train_test_split`` would cut, with each sample
     written straight into its part.
     """
-    rng = np.random.default_rng(spec.seed)
-    p = spec.per_class_count
-    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), p)
-    outputs = _outputs(labels, spec.num_classes, spec.dim, split)
-    for c in range(spec.num_classes):
-        block = spec.class_means[c] + spec.class_stddev * rng.standard_normal((p, spec.dim))
+    if num_classes < 1 or per_class_count < 1 or dim < 1:
+        raise ConfigError("num_classes, per_class_count and dim must be positive")
+    if class_stddev < 0:
+        raise ConfigError("class_stddev must be non-negative")
+    if class_means is not None:
+        means = np.asarray(class_means, dtype=np.float64)
+        if means.shape != (num_classes, dim):
+            raise ConfigError("class_means must have shape (num_classes, dim)")
+    elif class_separation is None or dim < num_classes:
+        raise ConfigError("without class_means, class_separation and dim >= num_classes "
+                          "are needed")
+    else:
+        means = np.zeros((num_classes, dim))
+        np.fill_diagonal(means, class_separation)
+    if len(np.unique(means, axis=0)) < num_classes:
+        raise ConfigError("two class means coincide")
+    rng = np.random.default_rng(seed)
+    p = per_class_count
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), p)
+    outputs = _outputs(labels, num_classes, dim, split)
+    for c in range(num_classes):
+        with np.errstate(over="ignore"):
+            block = means[c] + class_stddev * rng.standard_normal((p, dim))
         for idx, features in outputs:
             lo, hi = np.searchsorted(idx, (c * p, (c + 1) * p))
             features[lo:hi] = block[idx[lo:hi] - c * p]
-    return _datasets(outputs, labels, spec.num_classes, split)
+    return _datasets(outputs, labels, num_classes, split)
 
 
 # Class templates for synthetic images: index -> painter(height, width) in [0, 1].
@@ -248,12 +233,10 @@ def _template(cls_id, h, w):
     elif cls_id == 4:  # solid centered square
         r0, c0 = h // 4, w // 4
         img[r0 : h - r0, c0 : w - c0] = 1.0
-    elif cls_id == 5:  # anti-diagonal stripe
+    else:  # 5: anti-diagonal stripe
         for r in range(h):
             c = (w - 1) - int(round(r * (w - 1) / max(1, h - 1)))
             img[r, max(0, c - t // 2) : min(w, c - t // 2 + t)] = 1.0
-    else:
-        raise ConfigError("pattern image templates support at most 6 classes")
     return img
 
 
@@ -316,8 +299,9 @@ def generate_pattern_images(
             templates = np.array([_shift(bases[c], dy, dx).ravel()
                                   for c, dy, dx in keys.tolist()])
             block = features[rows]
-            block *= noise
-            block += brightness[samples, None] * templates[which.ravel()]
+            with np.errstate(over="ignore"):  # the clip takes an overflow's inf to 0 or 1
+                block *= noise
+                block += brightness[samples, None] * templates[which.ravel()]
             np.clip(block, 0.0, 1.0, out=block)
     return _datasets(outputs, labels, num_classes, split, image_shape=(height, width))
 
@@ -335,6 +319,8 @@ def _read_idx(path, magic, kind, data):
         found, *dims = struct.unpack(f">{wanted // 4}i", header)
         if found != magic:
             raise FormatError(f"{path}: bad {kind} magic 0x{found:08x}")
+        if min(dims) < 1:
+            raise FormatError(f"{path}: {kind} header dimensions {dims} must be positive")
         payload = f.read()
     expected = math.prod(dims)
     if len(payload) < expected:

@@ -69,12 +69,18 @@ def fit_pca(ds, d, whiten=False):
         raise ConfigError("fit_pca needs at least 2 samples")
     if not (1 <= d <= min(n, dim)):
         raise ConfigError(f"latent dim {d} must lie in [1, min(N={n}, dim={dim})]")
-    mean = x.mean(axis=0)
-    xc = x - mean
+    # values near the float64 limit overflow here; the sum of squares then
+    # reads inf or NaN, and while it is finite it bounds every covariance entry
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = x.mean(axis=0)
+        xc = x - mean
+        spread = np.vdot(xc, xc)
     # zero exactly when every centred value squares to zero, as
     # (xc**2).sum() == 0 would decide, without that (N, dim) temporary
-    if np.vdot(xc, xc) == 0.0:
+    if spread == 0.0:
         raise DegenerateInputError("zero-variance dataset, nothing to embed")
+    if not np.isfinite(spread):
+        raise DegenerateInputError("the features' spread overflows float64, nothing to embed")
 
     if dim <= 1024:
         cov = xc.T @ xc

@@ -36,13 +36,7 @@ from .corruption import (
     AffineParams,
     apply_corruption,
 )
-from .data import (
-    LabeledDataset,
-    SyntheticSpec,
-    generate_pattern_images,
-    generate_synthetic,
-    load_idx,
-)
+from .data import LabeledDataset, generate_pattern_images, generate_synthetic, load_idx
 from .embedding import fit_pca, transform
 from .errors import ConfigError, MiselectError, StageError
 from .ksg import (
@@ -54,7 +48,7 @@ from .ksg import (
     save_scores,
     score_dataset,
 )
-from .logreg import TrainConfig, evaluate, train
+from .logreg import evaluate, train
 from .selection import BANDS, SCOPES, SelectionPlan, save_selection, select
 
 CONFIG_SCHEMA_VERSION = 1
@@ -289,7 +283,7 @@ def _cross_field(cfg):
                 bad.append("dataset.class_separation: must be a positive number "
                            "unless class_means is given")
             elif sized and dim < classes:
-                # separated() puts each class mean on its own coordinate axis
+                # generate_synthetic puts each class mean on its own coordinate axis
                 bad.append(f"dataset.dim: class_separation needs dim >= num_classes ({classes})")
         elif sized and (len(means) != classes or any(len(row) != dim for row in means)):
             bad.append(f"dataset.class_means: must have shape (num_classes, dim) "
@@ -360,6 +354,16 @@ class ExperimentReport:
     out_files: list
 
 
+# each generated dataset type's generator, named as in this module, and the
+# record fields it takes; the record also keeps keys the table does not name
+_GENERATORS = {
+    "synthetic": ("generate_synthetic", ("num_classes", "per_class_count", "dim",
+                                         "class_stddev", "class_means", "class_separation")),
+    "synthetic_images": ("generate_pattern_images", ("num_classes", "per_class_count",
+                                                     "height", "width", "noise", "jitter_px")),
+}
+
+
 def _build_dataset(ds_cfg, master_seed):
     kind = ds_cfg["type"]
     if kind == "idx":
@@ -371,37 +375,12 @@ def _build_dataset(ds_cfg, master_seed):
     data_seed = ds_cfg["seed"]
     if data_seed is None:
         data_seed = stage_seed(master_seed, "dataset")
-    # each sample is generated straight into its train or test rows
-    split = (ds_cfg["test_fraction"], stage_seed(master_seed, "split"))
-    if kind == "synthetic":
-        if ds_cfg["class_means"] is not None:
-            spec = SyntheticSpec(
-                num_classes=ds_cfg["num_classes"],
-                per_class_count=ds_cfg["per_class_count"],
-                dim=ds_cfg["dim"],
-                class_means=np.asarray(ds_cfg["class_means"], dtype=np.float64),
-                class_stddev=float(ds_cfg["class_stddev"]),
-                seed=data_seed,
-            )
-        else:
-            spec = SyntheticSpec.separated(
-                num_classes=ds_cfg["num_classes"],
-                per_class_count=ds_cfg["per_class_count"],
-                dim=ds_cfg["dim"],
-                separation=float(ds_cfg["class_separation"]),
-                stddev=float(ds_cfg["class_stddev"]),
-                seed=data_seed,
-            )
-        return generate_synthetic(spec, split=split)
-    return generate_pattern_images(
-        num_classes=ds_cfg["num_classes"],
-        per_class_count=ds_cfg["per_class_count"],
-        height=ds_cfg["height"],
-        width=ds_cfg["width"],
-        noise=ds_cfg["noise"],
-        jitter_px=ds_cfg["jitter_px"],
-        seed=data_seed,
-        split=split,
+    name, fields = _GENERATORS[kind]
+    # looked up at call time, so that a generator wrapped on this module is
+    # the one called; each sample goes straight into its train or test rows
+    return globals()[name](
+        **{key: ds_cfg.get(key) for key in fields}, seed=data_seed,
+        split=(ds_cfg["test_fraction"], stage_seed(master_seed, "split")),
     )
 
 
@@ -652,9 +631,9 @@ def _selection_stage(run):
             )
 
 
-# (train split, test split, TrainConfig) in a forked grid-cell worker, set
-# once per worker by the pool's initializer so that a task carries only
-# indices; it stays empty in the parent process
+# (train split, test split, train's keyword arguments) in a forked
+# grid-cell worker, set once per worker by the pool's initializer so that a
+# task carries only indices; it stays empty in the parent process
 _cell_inputs = ()
 
 
@@ -676,8 +655,8 @@ def _exit_with_parent(parent):
 def _cell_accuracy(retained, *inputs):
     """Test accuracy of the classifier trained on ``retained``; a worker
     takes the split and settings its initializer stored."""
-    train_data, test_data, tcfg = inputs or _cell_inputs
-    return evaluate(train(train_data, retained, tcfg), test_data)["accuracy"]
+    train_data, test_data, fit = inputs or _cell_inputs
+    return evaluate(train(train_data, retained, **fit), test_data)["accuracy"]
 
 
 def _forked_accuracies(cells, inputs, workers):
@@ -711,22 +690,15 @@ def _forked_accuracies(cells, inputs, workers):
 
 def _classifier_stage(run):
     clf_cfg = run.cfg["classifier"]
-    clf_seed = clf_cfg["seed"]
-    if clf_seed is None:
-        clf_seed = stage_seed(run.master, "classifier") % (2**32)
-    tcfg = TrainConfig(
-        learning_rate=clf_cfg["learning_rate"],
-        epochs=clf_cfg["epochs"],
-        l2=clf_cfg["l2"],
-        batch_size=clf_cfg["batch_size"],
-        seed=clf_seed,
-    )
+    fit = {key: clf_cfg[key] for key in ("learning_rate", "epochs", "l2", "batch_size", "seed")}
+    if fit["seed"] is None:
+        fit["seed"] = stage_seed(run.master, "classifier") % (2**32)
     if clf_cfg["on_raw_features"]:
-        inputs = (run.train, run.test, tcfg)
+        inputs = (run.train, run.test, fit)
     else:
         # nothing reads the raw splits from here on; dropping them before
         # the pool forks keeps their pages out of every worker
-        inputs = (run.embedded_train, run.embedded_test, tcfg)
+        inputs = (run.embedded_train, run.embedded_test, fit)
         run.train = run.test = None
 
     # train() is a pure function of the retained indices, so plans that keep
@@ -782,7 +754,8 @@ def _report_stage(run):
 
 
 # (stage name, the ``through`` value that stops after it, stage function).
-# A MiselectError or OSError (an unusable output path, say) from a step
+# A MiselectError, an OSError (an unusable output path, say) or a
+# MemoryError or OverflowError (a dataset too large to allocate) from a step
 # becomes a StageError tagged with the stage's name, unless the step raised
 # one itself, as the scoring stage does for a corruption; on any failure
 # every file written so far moves to ``quarantine/``.
@@ -831,7 +804,7 @@ def run_experiment(config, out_dir=None, seed_override=None, threads=1, through=
     for stage, stops_after, step in _PIPELINE:
         try:
             step(run)
-        except (MiselectError, OSError) as exc:
+        except (MiselectError, OSError, MemoryError, OverflowError) as exc:
             # a quarantine that cannot be made must not hide the stage's error
             with contextlib.suppress(OSError):
                 if run.written:
@@ -842,7 +815,7 @@ def run_experiment(config, out_dir=None, seed_override=None, threads=1, through=
                             shutil.move(str(path), quarantine / path.name)
             if isinstance(exc, StageError):
                 raise
-            raise StageError(stage, str(exc)) from exc
+            raise StageError(stage, str(exc) or type(exc).__name__) from exc
         if stops_after == through:
             break
     return ExperimentReport(

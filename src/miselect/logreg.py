@@ -19,25 +19,6 @@ from .errors import ConfigError, ConsistencyError, DivergenceError
 
 
 @dataclass(frozen=True)
-class TrainConfig:
-    learning_rate: float = 0.1
-    epochs: int = 300
-    l2: float = 1e-4
-    batch_size: int | None = None  # None = full batch
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ConfigError("epochs must be positive")
-        if self.l2 < 0:
-            raise ConfigError("l2 must be non-negative")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ConfigError("batch_size must be positive")
-
-
-@dataclass(frozen=True)
 class LogRegModel:
     """weights has shape (C, d+1) with the bias in the last column."""
 
@@ -138,13 +119,25 @@ def loss_and_gradient(weights, x, labels, l2, buf=None):
     return loss, grad
 
 
-def train(data, retained=None, cfg=TrainConfig()):
+def train(data, retained=None, learning_rate=0.1, epochs=300, l2=1e-4, batch_size=None,
+          seed=0):
     """Fit a multinomial logistic regression on the retained subset.
 
-    The class count is taken from the full dataset, so classes absent from
-    the subset remain valid outputs. Deterministic: zero initialization and
-    a shuffle order derived from cfg.seed when mini-batching.
+    ``epochs`` steps of size ``learning_rate`` on the mean cross-entropy
+    plus (l2/2)*||W||^2, over batches of ``batch_size`` samples (None: the
+    full batch). The class count is taken from the full dataset, so classes
+    absent from the subset remain valid outputs. Deterministic: zero
+    initialization and a shuffle order derived from ``seed`` when
+    mini-batching.
     """
+    if learning_rate <= 0:
+        raise ConfigError("learning_rate must be positive")
+    if epochs < 1:
+        raise ConfigError("epochs must be positive")
+    if l2 < 0:
+        raise ConfigError("l2 must be non-negative")
+    if batch_size is not None and batch_size < 1:
+        raise ConfigError("batch_size must be positive")
     if retained is None:
         retained = np.arange(data.n)
     retained = np.asarray(retained, dtype=np.int64)
@@ -156,8 +149,8 @@ def train(data, retained=None, cfg=TrainConfig()):
     n, dim = x.shape
     xb = np.hstack([x, np.ones((n, 1))])
     weights = np.zeros((num_classes, dim + 1))
-    rng = np.random.default_rng(cfg.seed)
-    batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
+    rng = np.random.default_rng(seed)
+    batch = n if batch_size is None else min(batch_size, n)
     buf = _Buffers(labels, num_classes)
 
     # The full-data call that records an epoch's loss also yields the
@@ -167,21 +160,21 @@ def train(data, retained=None, cfg=TrainConfig()):
     # Every full-data call reuses the fit's buffers; a batch makes its own.
     history = []
     if batch == n:
-        _, grad = loss_and_gradient(weights, xb, labels, cfg.l2, buf)
-    for epoch in range(cfg.epochs):
+        _, grad = loss_and_gradient(weights, xb, labels, l2, buf)
+    for epoch in range(epochs):
         if batch == n:
-            weights = weights - cfg.learning_rate * grad
-            if epoch + 1 < cfg.epochs:
-                loss, grad = loss_and_gradient(weights, xb, labels, cfg.l2, buf)
+            weights = weights - learning_rate * grad
+            if epoch + 1 < epochs:
+                loss, grad = loss_and_gradient(weights, xb, labels, l2, buf)
             else:
-                loss = _forward(weights, xb, cfg.l2, buf)[0]
+                loss = _forward(weights, xb, l2, buf)[0]
         else:
             order = rng.permutation(n)
             for start in range(0, n, batch):
                 rows = order[start : start + batch]
-                _, grad = loss_and_gradient(weights, xb[rows], labels[rows], cfg.l2)
-                weights = weights - cfg.learning_rate * grad
-            loss = _forward(weights, xb, cfg.l2, buf)[0]
+                _, grad = loss_and_gradient(weights, xb[rows], labels[rows], l2)
+                weights = weights - learning_rate * grad
+            loss = _forward(weights, xb, l2, buf)[0]
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch}")
         history.append(loss)

@@ -29,8 +29,8 @@ def _report(criterion, ok, detail):
 
 
 def _separated_blobs(num_classes, per_class, seed, dim=8, sep=10.0, stddev=0.5):
-    spec = ms.SyntheticSpec.separated(num_classes, per_class, dim, sep, stddev, seed)
-    return ms.generate_synthetic(spec)
+    return ms.generate_synthetic(num_classes, per_class, dim, stddev, class_separation=sep,
+                                 seed=seed)
 
 
 def _score_flipped(ds, rate, flip_seed, d=8, k=3):
@@ -135,11 +135,9 @@ def test_c5_mislabeled_separation():
 
 
 def test_c6_selection_benefit():
-    cfg = ms.TrainConfig(epochs=300)
     tops, rands, bottoms = [], [], []
     for seed in SEEDS:
-        spec = ms.SyntheticSpec.separated(4, 150, 8, 3.0, 1.0, seed)
-        full = ms.generate_synthetic(spec)
+        full = ms.generate_synthetic(4, 150, 8, 1.0, class_separation=3.0, seed=seed)
         train_ds, test_ds = ms.train_test_split(full, 0.25, seed=1000 + seed)
         noisy = ms.flip_labels(train_ds, 0.3, seed=2000 + seed)
         model = ms.fit_pca(noisy, 4)
@@ -151,7 +149,7 @@ def test_c6_selection_benefit():
                 "global", band, 0.4, seed=3000 + seed if band == "random" else None
             )
             sel = ms.select(scores, etr.labels, plan)
-            clf = ms.train(etr, sel.retained_indices, cfg)
+            clf = ms.train(etr, sel.retained_indices, epochs=300)
             accs[band] = ms.evaluate(clf, ete)["accuracy"]
         tops.append(accs["top"])
         rands.append(accs["random"])

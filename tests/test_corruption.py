@@ -8,8 +8,8 @@ from miselect.errors import ConfigError
 
 
 def _blob_ds(n_per_class=50, classes=4, dim=6, seed=0):
-    spec = ms.SyntheticSpec.separated(classes, n_per_class, dim, 10.0, 0.5, seed)
-    return ms.generate_synthetic(spec)
+    return ms.generate_synthetic(classes, n_per_class, dim, 0.5, class_separation=10.0,
+                                 seed=seed)
 
 
 def _image_ds(seed=0):

@@ -1,5 +1,7 @@
+import re
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +101,22 @@ def test_load_idx_truncated(tmp_path):
         ms.load_idx(images_path, labels_path)
 
 
+# the count -1 and rows -28 multiply to the 784 payload bytes a 1x28x28 file holds
+@pytest.mark.parametrize("which, dims, payload", [
+    ("images", (-1, -28, 28), 784),
+    ("images", (0, 2, 2), 0),
+    ("images", (4, 2, 0), 0),
+    ("labels", (-4,), 4),
+])
+def test_load_idx_rejects_a_header_dimension_below_one(tmp_path, which, dims, payload):
+    paths = dict(zip(("images", "labels"),
+                     write_idx_pair(tmp_path, FIXTURE_PIXELS, FIXTURE_LABELS)))
+    magic = 0x00000803 if which == "images" else 0x00000801
+    paths[which].write_bytes(struct.pack(f">{1 + len(dims)}i", magic, *dims) + bytes(payload))
+    with pytest.raises(FormatError, match=re.escape(str(paths[which]))):
+        ms.load_idx(paths["images"], paths["labels"])
+
+
 def test_idx_round_trip_bytes(tmp_path):
     paths = write_idx_pair(tmp_path, FIXTURE_PIXELS, FIXTURE_LABELS)
     original = (paths[0].read_bytes(), paths[1].read_bytes())
@@ -116,12 +134,10 @@ def test_idx_round_trip_bytes(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_generate_synthetic_class_order_and_determinism():
-    spec = ms.SyntheticSpec(
-        num_classes=2, per_class_count=3, dim=2,
-        class_means=np.array([[0.0, 0.0], [5.0, 5.0]]), class_stddev=1.0, seed=11,
-    )
-    a = ms.generate_synthetic(spec)
-    b = ms.generate_synthetic(spec)
+    spec = dict(num_classes=2, per_class_count=3, dim=2,
+                class_means=np.array([[0.0, 0.0], [5.0, 5.0]]), class_stddev=1.0, seed=11)
+    a = ms.generate_synthetic(**spec)
+    b = ms.generate_synthetic(**spec)
     assert a.n == 6
     assert list(a.labels) == [0, 0, 0, 1, 1, 1]
     assert np.array_equal(a.features, b.features)
@@ -130,16 +146,14 @@ def test_generate_synthetic_class_order_and_determinism():
 
 def test_generate_synthetic_zero_stddev_degenerate():
     means = np.array([[1.0, 2.0], [3.0, 4.0]])
-    spec = ms.SyntheticSpec(2, 4, 2, means, class_stddev=0.0, seed=0)
-    ds = ms.generate_synthetic(spec)
+    ds = ms.generate_synthetic(2, 4, 2, class_stddev=0.0, class_means=means, seed=0)
     for i in range(ds.n):
         assert np.array_equal(ds.features[i], means[ds.labels[i]])
 
 
 def test_generate_synthetic_square_corner_separation():
     means = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 10.0], [10.0, 10.0]])
-    spec = ms.SyntheticSpec(4, 25, 2, means, class_stddev=0.5, seed=3)
-    ds = ms.generate_synthetic(spec)
+    ds = ms.generate_synthetic(4, 25, 2, class_stddev=0.5, class_means=means, seed=3)
     min_cross = np.inf
     for i in range(ds.n):
         for j in range(i + 1, ds.n):
@@ -148,15 +162,34 @@ def test_generate_synthetic_square_corner_separation():
     assert min_cross > 5.0
 
 
+def test_generators_let_an_overflowing_draw_reach_the_dataset_checks():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ConsistencyError, match="finite"):
+            ms.generate_synthetic(2, 10, 3, 1e308, class_separation=3.0)
+        images = ms.generate_pattern_images(2, 10, height=4, width=4, noise=1e308)
+    assert set(np.unique(images.features)) <= {0.0, 1.0}
+
+
 def test_synthetic_spec_validation():
     with pytest.raises(ConfigError):
-        ms.SyntheticSpec(2, 3, 2, np.zeros((2, 2)), 1.0, 0)  # coincident means
+        ms.generate_synthetic(2, 3, 2, 1.0, class_means=np.zeros((2, 2)))  # coincident means
     with pytest.raises(ConfigError):
-        ms.SyntheticSpec(2, 3, 2, np.array([[0.0, 0], [1, 0]]), -1.0, 0)
+        ms.generate_synthetic(2, 3, 2, -1.0, class_means=np.array([[0.0, 0], [1, 0]]))
     with pytest.raises(ConfigError):
-        ms.SyntheticSpec(0, 3, 2, np.zeros((0, 2)), 1.0, 0)
+        ms.generate_synthetic(0, 3, 2, 1.0, class_means=np.zeros((0, 2)))
     with pytest.raises(ConfigError):
-        ms.SyntheticSpec.separated(5, 3, 4, 10.0, 1.0, 0)  # dim < num_classes
+        ms.generate_synthetic(5, 3, 4, 1.0, class_separation=10.0)  # dim < num_classes
+    with pytest.raises(ConfigError):
+        ms.generate_synthetic(2, 3, 2, 1.0)  # neither class_means nor class_separation
+    with pytest.raises(ConfigError):
+        ms.generate_synthetic(2, 3, 2, 1.0, class_means=np.zeros((2, 3)))  # mis-shaped
+    # rows compare as np.array_equal compares them: -0.0 equals 0.0, NaN equals nothing
+    for rows in ([[0.0, 1.0], [-0.0, 1.0]], [[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]]):
+        with pytest.raises(ConfigError, match="coincide"):
+            ms.generate_synthetic(len(rows), 2, 2, 1.0, class_means=rows)
+    with pytest.raises(ConsistencyError, match="finite"):
+        ms.generate_synthetic(2, 2, 2, 1.0, class_means=[[np.nan, 1.0], [np.nan, 1.0]])
 
 
 # ---------------------------------------------------------------------------
@@ -315,9 +348,8 @@ def _assert_same_dataset(got, expected):
 
 
 def _blobs(classes, per_class, split=None):
-    spec = ms.SyntheticSpec.separated(classes, per_class, dim=5, separation=4.0, stddev=1.0,
-                                      seed=11)
-    return ms.generate_synthetic(spec, split=split)
+    return ms.generate_synthetic(classes, per_class, dim=5, class_stddev=1.0,
+                                 class_separation=4.0, seed=11, split=split)
 
 
 def _images(classes, per_class, split=None):

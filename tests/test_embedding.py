@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -91,8 +92,7 @@ def test_transform_is_affine():
 
 
 def test_test_points_land_near_class_clusters():
-    spec = ms.SyntheticSpec.separated(3, 60, 6, separation=20.0, stddev=0.5, seed=8)
-    full = ms.generate_synthetic(spec)
+    full = ms.generate_synthetic(3, 60, 6, class_stddev=0.5, class_separation=20.0, seed=8)
     train, test = ms.train_test_split(full, 0.25, seed=1)
     model = ms.fit_pca(train, 3)
     etr = ms.transform(model, train)
@@ -193,6 +193,20 @@ def test_fit_pca_zero_variance_means_every_centred_square_is_zero(tiny, degenera
             ms.fit_pca(ds, 1)
     else:
         assert ms.fit_pca(ds, 1).explained_variance[0] > 0.0
+
+
+# the centred values' sum of squares overflows: a mean near the float64
+# limit, or a spread whose squares pass it
+@pytest.mark.parametrize("x", [
+    [[1e308, 0.0], [1.7e308, 1.0], [1.7e308, 2.0]],
+    [[1e200, 0.0], [-1e200, 1.0], [0.0, 2.0]],
+])
+def test_fit_pca_rejects_an_overflowing_spread_without_a_warning(x):
+    ds = ms.LabeledDataset.from_arrays(np.array(x), [0, 1, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DegenerateInputError, match="overflows"):
+            ms.fit_pca(ds, 1)
 
 
 def test_fit_pca_peak_memory_is_one_centred_copy():

@@ -2,6 +2,7 @@ import json
 import multiprocessing
 import os
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -250,9 +251,9 @@ def test_each_distinct_retained_set_trains_once(tmp_path, monkeypatch):
     ]
     trained, tested = [], []
 
-    def counting_train(data, retained, tcfg):
-        trained.append((data, retained.tobytes(), tcfg))
-        return ms.train(data, retained, tcfg)
+    def counting_train(data, retained, **fit):
+        trained.append((data, retained.tobytes(), fit))
+        return ms.train(data, retained, **fit)
 
     def recording_evaluate(model, data):
         tested.append(data)
@@ -274,9 +275,9 @@ def test_each_distinct_retained_set_trains_once(tmp_path, monkeypatch):
     assert len(distinct) < len(retained)
     assert sorted(b for _, b, _ in trained) == sorted(distinct)
 
-    data, _, tcfg = trained[0]
+    data, _, fit = trained[0]
     for key, idx in retained.items():
-        direct = ms.evaluate(ms.train(data, idx, tcfg), tested[0])["accuracy"]
+        direct = ms.evaluate(ms.train(data, idx, **fit), tested[0])["accuracy"]
         assert report.accuracy[key] == direct, key
 
     for threads in (2, 3):
@@ -290,10 +291,10 @@ def test_each_distinct_retained_set_trains_once(tmp_path, monkeypatch):
 def test_grid_cells_run_in_worker_processes_where_fork_exists(tmp_path, monkeypatch, fork):
     log = tmp_path / "pids"
 
-    def logging_train(*args):
+    def logging_train(*args, **kwargs):
         with open(log, "a") as f:
             f.write(f"{os.getpid()}\n")
-        return ms.train(*args)
+        return ms.train(*args, **kwargs)
 
     if not fork:
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
@@ -693,6 +694,64 @@ def test_second_stage_fault_keeps_its_stage_tag(tmp_path, monkeypatch, capsys,
     _assert_quarantined(out, [])
 
 
+@pytest.mark.parametrize("callee, error, stage", [
+    ("generate_synthetic", MemoryError, "dataset"),
+    ("select", MemoryError, "selection"),
+    ("train", OverflowError, "classifier"),
+])
+def test_memory_and_overflow_errors_are_stage_failures(tmp_path, monkeypatch, capsys,
+                                                       callee, error, stage):
+    """A step that cannot allocate, stubbed here rather than made to try,
+    fails its stage and quarantines what the run wrote."""
+    def failing(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(experiment, callee, failing)
+    cfg = base_config(corruptions=[{"kind": "label_flip", "rate": 0.2}])
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"[stage:{stage}] {error.__name__}" in err
+    assert "Traceback" not in err
+    _assert_quarantined(out, _FAULTS[stage][1])
+
+
+def _negative_idx_config(tmp_path):
+    """Image files whose count -1 and rows -28 multiply to the 784 bytes they hold."""
+    cfg = _idx_config(tmp_path)
+    Path(cfg["dataset"]["train_images"]).write_bytes(
+        struct.pack(">iiii", 0x00000803, -1, -28, 28) + bytes(784))
+    return cfg
+
+
+def _huge_config(tmp_path):
+    cfg = base_config()
+    cfg["dataset"]["per_class_count"] = 10**30
+    return cfg
+
+
+def _far_means_config(tmp_path):
+    cfg = base_config()
+    cfg["dataset"]["class_separation"] = 1e308
+    return cfg
+
+
+@pytest.mark.parametrize("make_config, stage", [
+    (_negative_idx_config, "dataset"),
+    (_huge_config, "dataset"),
+    (_far_means_config, "scoring"),
+])
+def test_valid_configs_whose_data_cannot_be_built_or_embedded_fail_a_stage(
+    tmp_path, capsys, make_config, stage
+):
+    path = _write_cfg(tmp_path, make_config(tmp_path))
+    assert cli_main(["validate", "--config", path]) == 0
+    assert cli_main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert f"[stage:{stage}]" in err
+    assert "Traceback" not in err
+
+
 def _assert_quarantined(out, earlier):
     quarantine = out / "quarantine"
     quarantined = sorted(p.name for p in quarantine.rglob("*")) if quarantine.exists() else []
@@ -704,7 +763,7 @@ def _assert_quarantined(out, earlier):
 def test_dead_grid_cell_worker_is_a_classifier_stage_failure(tmp_path, monkeypatch, capsys):
     parent = os.getpid()
 
-    def dying_train(*args):
+    def dying_train(*args, **kwargs):
         assert os.getpid() != parent, "a grid cell ran in the parent process"
         os._exit(3)
 
@@ -736,7 +795,7 @@ def test_grid_cell_workers_exit_when_the_run_is_killed(tmp_path):
     script.write_text(
         "import os, time\n"
         "from miselect import experiment\n"
-        "def hanging_train(*args):\n"
+        "def hanging_train(*args, **kwargs):\n"
         f"    with open({str(pid_log)!r}, 'a') as f:\n"
         "        f.write(f'{os.getpid()}\\n')\n"
         "    time.sleep(600)\n"

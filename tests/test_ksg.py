@@ -128,8 +128,8 @@ def plugin_histogram_mi(values, labels, bins=40):
 
 
 def _separated(num_classes, per_class, seed, stddev=0.01, sep=100.0, dim=4):
-    spec = ms.SyntheticSpec.separated(num_classes, per_class, dim, sep, stddev, seed)
-    ds = ms.generate_synthetic(spec)
+    ds = ms.generate_synthetic(num_classes, per_class, dim, stddev, class_separation=sep,
+                               seed=seed)
     return ms.LabeledDataset.from_arrays(ds.features, ds.labels)
 
 
@@ -373,8 +373,7 @@ def test_structure_choice_does_not_change_scores(monkeypatch):
 
 def test_noise_monotonic_in_flip_rate():
     for seed in range(3):
-        spec = ms.SyntheticSpec.separated(4, 100, 8, 10.0, 0.5, seed)
-        ds = ms.generate_synthetic(spec)
+        ds = ms.generate_synthetic(4, 100, 8, 0.5, class_separation=10.0, seed=seed)
         mis = []
         for rate in (0.0, 0.2, 0.5, 0.8):
             noisy = ms.flip_labels(ds, rate, seed=100 + seed)
@@ -402,8 +401,7 @@ def ranking_auc(clean_scores, corrupted_scores):
 
 def test_flipped_samples_score_lower():
     for seed in range(3):
-        spec = ms.SyntheticSpec.separated(4, 100, 8, 10.0, 0.5, seed)
-        ds = ms.generate_synthetic(spec)
+        ds = ms.generate_synthetic(4, 100, 8, 0.5, class_separation=10.0, seed=seed)
         noisy = ms.flip_labels(ds, 0.1, seed=200 + seed)
         model = ms.fit_pca(noisy, 8)
         scores = ms.score_discrete(ms.transform(model, noisy), 3)

@@ -39,23 +39,24 @@ def _reference_loss_and_gradient(weights, x, labels, l2):
     return loss, grad
 
 
-def _reference_train(data, retained, cfg):
+def _reference_train(data, retained, learning_rate=0.1, epochs=300, l2=1e-4, batch_size=None,
+                     seed=0):
     """Two calls per full-batch epoch: one to step, one to record the loss."""
     x = data.features[retained]
     labels = data.labels[retained]
     n, dim = x.shape
     xb = np.hstack([x, np.ones((n, 1))])
     weights = np.zeros((data.num_classes, dim + 1))
-    rng = np.random.default_rng(cfg.seed)
-    batch = n if cfg.batch_size is None else min(cfg.batch_size, n)
+    rng = np.random.default_rng(seed)
+    batch = n if batch_size is None else min(batch_size, n)
     history = []
-    for epoch in range(cfg.epochs):
+    for epoch in range(epochs):
         order = np.arange(n) if batch == n else rng.permutation(n)
         for start in range(0, n, batch):
             rows = order[start : start + batch]
-            _, grad = _reference_loss_and_gradient(weights, xb[rows], labels[rows], cfg.l2)
-            weights = weights - cfg.learning_rate * grad
-        loss, _ = _reference_loss_and_gradient(weights, xb, labels, cfg.l2)
+            _, grad = _reference_loss_and_gradient(weights, xb[rows], labels[rows], l2)
+            weights = weights - learning_rate * grad
+        loss, _ = _reference_loss_and_gradient(weights, xb, labels, l2)
         if not math.isfinite(loss):
             raise DivergenceError(f"non-finite loss at epoch {epoch}")
         history.append(loss)
@@ -63,21 +64,20 @@ def _reference_train(data, retained, cfg):
 
 
 def _blobs(n_per_class=40, classes=2, dim=2, sep=6.0, seed=0):
-    spec = ms.SyntheticSpec.separated(classes, n_per_class, dim, sep, 0.7, seed)
-    ds = ms.generate_synthetic(spec)
+    ds = ms.generate_synthetic(classes, n_per_class, dim, 0.7, class_separation=sep, seed=seed)
     return ms.LabeledDataset.from_arrays(ds.features, ds.labels)
 
 
 def test_separable_blobs_reach_perfect_training_accuracy():
     emb = _blobs()
-    model = ms.train(emb, cfg=ms.TrainConfig(epochs=200))
+    model = ms.train(emb, epochs=200)
     preds = np.argmax(ms.predict_proba(model, emb.features), axis=1)
     assert (preds == emb.labels).mean() == 1.0
 
 
 def test_single_sample_memorized():
     emb = ms.LabeledDataset.from_arrays(np.array([[0.6, -0.8]]), [1], num_classes=3)
-    model = ms.train(emb, cfg=ms.TrainConfig(epochs=300))
+    model = ms.train(emb, epochs=300)
     probs = ms.predict_proba(model, np.array([0.6, -0.8]))[0]
     assert np.argmax(probs) == 1
     assert probs[1] > 0.9
@@ -140,7 +140,7 @@ def test_evaluate_counting_and_confusion():
 
 def test_evaluate_matches_recount_oracle():
     emb = _blobs(n_per_class=30, classes=3, dim=3, seed=6)
-    model = ms.train(emb, cfg=ms.TrainConfig(epochs=100))
+    model = ms.train(emb, epochs=100)
     result = ms.evaluate(model, emb)
     correct = 0
     for i in range(emb.n):
@@ -151,23 +151,22 @@ def test_evaluate_matches_recount_oracle():
 
 def test_loss_monotone_with_small_learning_rate():
     emb = _blobs(n_per_class=30, classes=3, dim=3, seed=7)
-    model = ms.train(emb, cfg=ms.TrainConfig(learning_rate=1e-3, epochs=120))
+    model = ms.train(emb, learning_rate=1e-3, epochs=120)
     losses = np.asarray(model.loss_history)
     assert np.all(np.diff(losses) <= 1e-12)
 
 
 def test_training_deterministic():
     emb = _blobs(n_per_class=30, classes=3, dim=3, seed=8)
-    cfg = ms.TrainConfig(epochs=50, batch_size=16, seed=123)
-    a = ms.train(emb, cfg=cfg)
-    b = ms.train(emb, cfg=cfg)
+    a = ms.train(emb, epochs=50, batch_size=16, seed=123)
+    b = ms.train(emb, epochs=50, batch_size=16, seed=123)
     assert np.array_equal(a.weights, b.weights)
 
 
 def test_retained_subset_and_class_count_from_full_dataset():
     emb = _blobs(n_per_class=20, classes=3, dim=3, seed=9)
     only_two = np.flatnonzero(emb.labels < 2)
-    model = ms.train(emb, retained=only_two, cfg=ms.TrainConfig(epochs=50))
+    model = ms.train(emb, retained=only_two, epochs=50)
     assert model.num_classes == 3  # absent class stays a valid output
     probs = ms.predict_proba(model, emb.features[:3])
     assert probs.shape == (3, 3)
@@ -176,7 +175,7 @@ def test_retained_subset_and_class_count_from_full_dataset():
 def test_divergence_reports_epoch():
     emb = _blobs(n_per_class=20, classes=2, dim=2, seed=10, sep=50.0)
     with np.errstate(over="ignore"), pytest.raises(DivergenceError) as err:
-        ms.train(emb, cfg=ms.TrainConfig(learning_rate=1e12, epochs=40))
+        ms.train(emb, learning_rate=1e12, epochs=40)
     assert "epoch" in str(err.value)
 
 
@@ -185,11 +184,11 @@ def test_train_errors():
     with pytest.raises(ConfigError):
         ms.train(emb, retained=np.array([], dtype=int))
     with pytest.raises(ConfigError):
-        ms.TrainConfig(learning_rate=0.0)
+        ms.train(emb, learning_rate=0.0)
     with pytest.raises(ConfigError):
-        ms.TrainConfig(epochs=0)
+        ms.train(emb, epochs=0)
     with pytest.raises(ConsistencyError):
-        ms.predict_proba(ms.train(emb, cfg=ms.TrainConfig(epochs=5)), np.zeros(7))
+        ms.predict_proba(ms.train(emb, epochs=5), np.zeros(7))
 
 
 def test_loss_and_gradient_matches_separate_exp_reference_bit_for_bit():
@@ -251,18 +250,18 @@ def test_numpy_sums_short_rows_in_order_and_long_rows_pairwise():
 
 
 @pytest.mark.parametrize(
-    "cfg, subset, classes",
+    "fit, subset, classes",
     [
-        (ms.TrainConfig(epochs=60, l2=0.0), False, 4),
-        (ms.TrainConfig(epochs=60, l2=1e-3), False, 4),
-        (ms.TrainConfig(epochs=60, batch_size=10_000), False, 4),
-        (ms.TrainConfig(epochs=60, learning_rate=0.3), True, 4),
-        (ms.TrainConfig(epochs=25, batch_size=16, seed=123), False, 4),
+        (dict(epochs=60, l2=0.0), False, 4),
+        (dict(epochs=60, l2=1e-3), False, 4),
+        (dict(epochs=60, batch_size=10_000), False, 4),
+        (dict(epochs=60, learning_rate=0.3), True, 4),
+        (dict(epochs=25, batch_size=16, seed=123), False, 4),
         # either side of the switch to numpy's pairwise row sum at 8 classes,
         # over enough epochs that a buffer reused stale would show
-        (ms.TrainConfig(epochs=60, l2=1e-3), False, 2),
-        (ms.TrainConfig(epochs=60, l2=1e-3), False, 10),
-        (ms.TrainConfig(epochs=25, batch_size=16, seed=123), False, 10),
+        (dict(epochs=60, l2=1e-3), False, 2),
+        (dict(epochs=60, l2=1e-3), False, 10),
+        (dict(epochs=25, batch_size=16, seed=123), False, 10),
     ],
     ids=[
         "full-l2-zero",
@@ -275,25 +274,25 @@ def test_numpy_sums_short_rows_in_order_and_long_rows_pairwise():
         "mini-batch-10-classes",
     ],
 )
-def test_training_matches_two_pass_reference_bit_for_bit(cfg, subset, classes):
+def test_training_matches_two_pass_reference_bit_for_bit(fit, subset, classes):
     emb = _blobs(n_per_class=30, classes=classes, dim=max(4, classes), sep=3.0, seed=13)
     retained = np.flatnonzero(emb.labels != 2)[::2] if subset else np.arange(emb.n)
-    model = ms.train(emb, retained, cfg)
-    weights, history = _reference_train(emb, retained, cfg)
+    model = ms.train(emb, retained, **fit)
+    weights, history = _reference_train(emb, retained, **fit)
     assert np.array_equal(model.weights, weights)
     assert model.loss_history == history
-    assert len(history) == cfg.epochs
+    assert len(history) == fit["epochs"]
 
 
 def test_divergence_raises_at_reference_epoch():
     emb = _blobs(n_per_class=20, classes=2, dim=2, seed=10, sep=50.0)
-    cfg = ms.TrainConfig(learning_rate=1e12, epochs=40)
+    fit = dict(learning_rate=1e12, epochs=40)
     retained = np.arange(emb.n)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError) as ref:
-            _reference_train(emb, retained, cfg)
+            _reference_train(emb, retained, **fit)
         with pytest.raises(DivergenceError) as err:
-            ms.train(emb, retained, cfg)
+            ms.train(emb, retained, **fit)
     assert str(err.value) == str(ref.value)
 
 
@@ -306,10 +305,10 @@ def test_full_batch_makes_one_loss_and_gradient_call_per_epoch(monkeypatch):
         return loss_and_gradient(*args)
 
     monkeypatch.setattr(logreg, "loss_and_gradient", counting)
-    ms.train(emb, cfg=ms.TrainConfig(epochs=37))
+    ms.train(emb, epochs=37)
     # one priming call, then one per epoch but the last, whose loss takes no gradient
     assert calls == [emb.n] * 37
     calls.clear()
-    ms.train(emb, cfg=ms.TrainConfig(epochs=5, batch_size=16))
+    ms.train(emb, epochs=5, batch_size=16)
     batches = -(-emb.n // 16)
     assert len(calls) == 5 * batches  # the epoch's full-data loss takes no gradient
