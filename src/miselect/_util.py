@@ -1,9 +1,18 @@
-"""Small shared helpers: rounding, apportioning and atomic JSON writes."""
+"""Small shared helpers: number checks, rounding, apportioning, atomic JSON writes."""
 
 import json
+import numbers
 import os
+import sys
 
 import numpy as np
+
+
+def is_number(v):
+    """A number, not a bool (JSON true/false), that converts to a finite
+    float64: JSON NaN and Infinity parse but are rejected."""
+    return (isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max)
 
 
 def round_half_even(x):

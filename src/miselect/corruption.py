@@ -9,6 +9,7 @@ index), so serial and parallel application agree bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -53,6 +54,23 @@ MILD_AFFINE = AffineParams(rotation_deg=15.0, scale_range=(0.9, 1.1),
                            shear_deg=5.0, translate_frac=0.07)
 
 
+def check_flip(rate, num_classes):
+    """A positive flip rate needs another class to flip a label to."""
+    if rate > 0 and num_classes < 2:
+        raise ConfigError("rate: cannot flip labels with fewer than 2 classes")
+
+
+def check_affine(params, height, width):
+    """Each uniform draw of a warp of (height, width) images needs a finite
+    range: twice the rotation bound, twice the shear bound and twice the
+    largest shift, translate_frac times the longer side."""
+    for name, bound in (("rotation_deg", params.rotation_deg), ("shear_deg", params.shear_deg),
+                        ("translate_frac", params.translate_frac * max(height, width))):
+        if not math.isfinite(2.0 * bound):
+            raise ConfigError(f"{name}: {getattr(params, name)} gives a range too wide to draw "
+                              f"from on {height}x{width} images")
+
+
 def _choose(n, share, seed, what):
     """The sorted indices of the round(share*n) samples a stage corrupts,
     drawn from ``seed``; ``what`` names the share in its range error."""
@@ -86,8 +104,7 @@ def flip_labels(ds, rate, seed):
     original_labels.
     """
     chosen = _choose(ds.n, rate, seed, "flip rate")
-    if rate > 0 and ds.num_classes < 2:
-        raise ConfigError("cannot flip labels with fewer than 2 classes")
+    check_flip(rate, ds.num_classes)
     if not chosen.size:
         return replace(ds)
     labels = ds.labels.copy()
@@ -112,15 +129,21 @@ def add_gaussian(ds, noise_factor, fraction, seed):
     if not chosen.size:
         return replace(ds)
     features = ds.features.copy()
-    for i in chosen:
-        z = _sample_rng(seed, i).standard_normal(ds.dim)
-        features[i] = np.clip(features[i] + noise_factor * z, 0.0, 1.0)
+    with np.errstate(over="ignore"):  # the clip takes an overflow's inf to 0 or 1
+        for i in chosen:
+            z = _sample_rng(seed, i).standard_normal(ds.dim)
+            features[i] = np.clip(features[i] + noise_factor * z, 0.0, 1.0)
     return _corrupted_inputs(ds, features, chosen, KIND_GAUSSIAN)
 
 
 def _bilinear_sample(imgs, sx, sy):
     # zero padding outside each image of the (m, h, w) stack
     m, h, w = imgs.shape
+    # a source point at least a pixel outside the frame, or not finite,
+    # reads zero at every corner; moved to (-2, -2) it reads the same zeros
+    # and casts to an integer in range
+    far = ~((sx > -2) & (sx < w + 1) & (sy > -2) & (sy < h + 1))
+    sx[far] = sy[far] = -2.0
     x0 = np.floor(sx).astype(np.int64)
     y0 = np.floor(sy).astype(np.int64)
     fx = sx - x0
@@ -152,7 +175,10 @@ def _draw_warp(rng, params, h, w):
     rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
     shr = np.array([[1.0, np.tan(shear)], [0.0, 1.0]])
     fwd = rot @ shr * scale
-    return np.linalg.inv(fwd), (tx, ty)
+    try:
+        return np.linalg.inv(fwd), (tx, ty)
+    except np.linalg.LinAlgError:  # a subnormal scale can collapse the map to a point
+        return np.full((2, 2), np.inf), (tx, ty)
 
 
 def _warp_images(imgs, invs, shifts):
@@ -184,17 +210,21 @@ def affine_warp(ds, params, fraction, seed, width, height, kind=KIND_AFFINE_STRO
     chosen = _choose(ds.n, fraction, seed, "fraction")
     if ds.dim != width * height:
         raise ConfigError(f"dataset dim {ds.dim} != width*height={width * height}")
+    check_affine(params, height, width)
     if not chosen.size:
         return replace(ds)
     features = ds.features.copy()
-    # a few images at a time, so the (m, h*w) temporaries stay small
-    for start in range(0, chosen.size, _WARP_CHUNK):
-        rows = chosen[start : start + _WARP_CHUNK]
-        invs, shifts = zip(*(_draw_warp(_sample_rng(seed, i), params, height, width)
-                             for i in rows))
-        warped = _warp_images(features[rows].reshape(-1, height, width),
-                              np.array(invs), np.array(shifts))
-        features[rows] = np.clip(warped, 0.0, 1.0)
+    # a near-singular or huge warp sends source points to inf or NaN, which
+    # _bilinear_sample reads as zero; a few images at a time, so the (m, h*w)
+    # temporaries stay small
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, chosen.size, _WARP_CHUNK):
+            rows = chosen[start : start + _WARP_CHUNK]
+            invs, shifts = zip(*(_draw_warp(_sample_rng(seed, i), params, height, width)
+                                 for i in rows))
+            warped = _warp_images(features[rows].reshape(-1, height, width),
+                                  np.array(invs), np.array(shifts))
+            features[rows] = np.clip(warped, 0.0, 1.0)
     return _corrupted_inputs(ds, features, chosen, kind)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import largest_remainder_quotas, round_half_even
+from ._util import is_number, largest_remainder_quotas, round_half_even
 from .errors import ConfigError, ConsistencyError, FormatError, IoError
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -142,6 +142,47 @@ class LabeledDataset:
         )
 
 
+# The generators' rules between their arguments, which the config check calls
+# too; each raises a ConfigError whose message starts with the parameter it blames.
+
+def check_size(num_classes, per_class_count, dim):
+    """The sample count N, if one array can hold N * dim float64 values."""
+    n, limit = num_classes * per_class_count, np.iinfo(np.intp).max
+    if n * dim * 8 > limit:
+        raise ConfigError(f"per_class_count: {n} samples x {dim} features x 8 bytes exceed {limit}")
+    return n
+
+
+def check_split(n, test_fraction):
+    """round(test_fraction * N), the test part's size, if both parts keep a sample."""
+    n_test = round_half_even(test_fraction * n) if 0.0 < test_fraction < 1.0 else 0
+    if not 1 <= n_test <= n - 1:
+        raise ConfigError(f"test_fraction: {test_fraction} leaves an empty split for N={n}")
+    return n_test
+
+
+def check_means(num_classes, dim, class_means, class_separation):
+    """Distinct class means: the rows of a (num_classes, dim) ``class_means``,
+    or without them a positive ``class_separation`` on num_classes axes."""
+    if class_means is None:
+        if not (is_number(class_separation) and class_separation > 0):
+            raise ConfigError("class_separation: must be positive unless class_means is given")
+        if dim < num_classes:
+            raise ConfigError(f"dim: class_separation needs dim >= num_classes ({num_classes})")
+    elif len(class_means) != num_classes or any(len(row) != dim for row in class_means):
+        raise ConfigError(f"class_means: must have shape (num_classes, dim) = "
+                          f"({num_classes}, {dim})")
+    elif len(np.unique(np.asarray(class_means, dtype=np.float64), axis=0)) < num_classes:
+        raise ConfigError("class_means: two class means coincide")
+
+
+def check_jitter(jitter_px, height, width):
+    """A pattern image's shift must stay within its side."""
+    side = min(height, width)
+    if not 0 <= jitter_px <= side:
+        raise ConfigError(f"jitter_px: {jitter_px} must lie in [0, min(height, width) = {side}]")
+
+
 def _outputs(labels, num_classes, dim, split):
     """The feature arrays a generator writes its samples into.
 
@@ -173,11 +214,12 @@ def generate_synthetic(num_classes, per_class_count, dim, class_stddev, class_me
     isotropic Gaussian with standard deviation ``class_stddev``.
 
     The means are the rows of ``class_means``, (num_classes, dim) with no
-    two rows equal; without them class c's mean is ``class_separation`` on
-    coordinate axis c, so the means lie pairwise ``class_separation`` apart
-    in the Chebyshev metric. ``class_stddev`` may be zero (every sample
-    collapses onto its class mean); negative values are rejected. A draw too
-    large for float64 overflows to inf, which the dataset rejects.
+    two rows equal; without them class c's mean is a positive
+    ``class_separation`` on coordinate axis c, so the means lie pairwise
+    ``class_separation`` apart in the Chebyshev metric. ``class_stddev``
+    may be zero (every sample collapses onto its class mean); negative
+    values are rejected. A draw too large for float64 overflows to inf,
+    which the dataset rejects.
 
     Samples are emitted in class order and the draw is fully determined by
     ``seed``. With ``split`` = (test_fraction, seed) the result is the
@@ -188,18 +230,10 @@ def generate_synthetic(num_classes, per_class_count, dim, class_stddev, class_me
         raise ConfigError("num_classes, per_class_count and dim must be positive")
     if class_stddev < 0:
         raise ConfigError("class_stddev must be non-negative")
-    if class_means is not None:
-        means = np.asarray(class_means, dtype=np.float64)
-        if means.shape != (num_classes, dim):
-            raise ConfigError("class_means must have shape (num_classes, dim)")
-    elif class_separation is None or dim < num_classes:
-        raise ConfigError("without class_means, class_separation and dim >= num_classes "
-                          "are needed")
-    else:
-        means = np.zeros((num_classes, dim))
-        np.fill_diagonal(means, class_separation)
-    if len(np.unique(means, axis=0)) < num_classes:
-        raise ConfigError("two class means coincide")
+    check_size(num_classes, per_class_count, dim)
+    check_means(num_classes, dim, class_means, class_separation)
+    means = (float(class_separation) * np.eye(num_classes, dim) if class_means is None
+             else np.asarray(class_means, dtype=np.float64))
     rng = np.random.default_rng(seed)
     p = per_class_count
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), p)
@@ -267,10 +301,8 @@ def generate_pattern_images(
         raise ConfigError("generate_pattern_images supports 1..6 classes")
     if per_class_count < 1:
         raise ConfigError("per_class_count must be positive")
-    if not 0 <= jitter_px <= min(height, width):
-        raise ConfigError(f"jitter_px {jitter_px} must lie in [0, min(height, width) = "
-                          f"{min(height, width)}]")
-    n = num_classes * per_class_count
+    n = check_size(num_classes, per_class_count, height * width)
+    check_jitter(jitter_px, height, width)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class_count)
     outputs = _outputs(labels, num_classes, height * width, split)
     # sample i goes to row row_of[i] of the output part part_of[i]
@@ -353,22 +385,10 @@ def load_idx(images_path, labels_path):
 
 
 def _split_indices(labels, num_classes, test_fraction, seed):
-    """(train indices, test indices) of a stratified split, both ascending.
-
-    The test set size is round(test_fraction * N), apportioned across
-    classes by largest remainder; membership within each class is a seeded
-    uniform draw. Depends only on the labels and the seed.
-    """
+    """(train indices, test indices), both ascending, of ``train_test_split``'s
+    split; depends only on the labels and the seed."""
     n = len(labels)
-    if not (0.0 < test_fraction < 1.0):
-        raise ConfigError("test_fraction must lie strictly between 0 and 1")
-    if n < 2:
-        raise ConfigError("need at least 2 samples to split")
-    m_test = round_half_even(test_fraction * n)
-    if m_test < 1 or m_test >= n:
-        raise ConfigError(
-            f"test_fraction {test_fraction} leaves an empty part for N={n}"
-        )
+    m_test = check_split(n, test_fraction)
     counts = np.bincount(labels, minlength=num_classes)
     quotas = largest_remainder_quotas(m_test, counts)
     rng = np.random.default_rng(seed)

@@ -54,6 +54,12 @@ class PcaModel:
         return self.mean.shape[0]
 
 
+def check_dim(d, n, dim):
+    """A PCA fit on N samples of ``dim`` features has 1 to min(N, dim) components."""
+    if not (1 <= d <= min(n, dim)):
+        raise ConfigError(f"dim: {d} must lie in [1, min(N={n}, feature dim={dim})]")
+
+
 def fit_pca(ds, d, whiten=False):
     """Fit a d-component PCA on a dataset's features.
 
@@ -67,8 +73,7 @@ def fit_pca(ds, d, whiten=False):
     n, dim = x.shape
     if n < 2:
         raise ConfigError("fit_pca needs at least 2 samples")
-    if not (1 <= d <= min(n, dim)):
-        raise ConfigError(f"latent dim {d} must lie in [1, min(N={n}, dim={dim})]")
+    check_dim(d, n, dim)
     # values near the float64 limit overflow here; the sum of squares then
     # reads inf or NaN, and while it is finite it bounds every covariance entry
     with np.errstate(over="ignore", invalid="ignore"):

@@ -18,7 +18,6 @@ import json
 import math
 import os
 import shutil
-import sys
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -27,29 +26,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import round_half_even
-from .corruption import (
-    KIND_AFFINE_MILD,
-    KIND_AFFINE_STRONG,
-    KIND_GAUSSIAN,
-    KIND_LABEL_FLIP,
-    AffineParams,
-    apply_corruption,
-)
-from .data import LabeledDataset, generate_pattern_images, generate_synthetic, load_idx
-from .embedding import fit_pca, transform
+from ._util import is_number
+from .corruption import (KIND_AFFINE_MILD, KIND_AFFINE_STRONG, KIND_GAUSSIAN, KIND_LABEL_FLIP,
+                         AffineParams, apply_corruption, check_affine, check_flip)
+from .data import (LabeledDataset, check_jitter, check_means, check_size, check_split,
+                   generate_pattern_images, generate_synthetic, load_idx)
+from .embedding import check_dim, fit_pca, transform
 from .errors import ConfigError, MiselectError, StageError
-from .ksg import (
-    VARIANT_DISCRETE,
-    VARIANT_ONEHOT,
-    dataset_content_hash,
-    load_scores,
-    per_class_summary,
-    save_scores,
-    score_dataset,
-)
+from .ksg import (VARIANT_DISCRETE, VARIANT_ONEHOT, check_k, dataset_content_hash, load_scores,
+                  per_class_summary, save_scores, score_dataset)
 from .logreg import evaluate, train
-from .selection import BANDS, SCOPES, SelectionPlan, save_selection, select
+from .selection import BANDS, SCOPES, SelectionPlan, check_ratio, save_selection, select
 
 CONFIG_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
@@ -80,15 +67,8 @@ def load_config(path):
     return config
 
 
-def _is_num(v):
-    """A number, not a bool (JSON true/false), that converts to a finite
-    float64: JSON NaN and Infinity parse but are rejected."""
-    return (isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max)
-
-
 def _num(ok):
-    return lambda v: _is_num(v) and ok(v)
+    return lambda v: is_number(v) and ok(v)
 
 
 def _int(least, most=math.inf):
@@ -105,16 +85,16 @@ def _is_affine_params(p):
         return False
     scale = p.get("scale_range")
     return (
-        all(_is_num(p.get(key)) and p[key] >= 0
+        all(is_number(p.get(key)) and p[key] >= 0
             for key in ("rotation_deg", "shear_deg", "translate_frac"))
-        and isinstance(scale, list) and len(scale) == 2 and all(map(_is_num, scale))
+        and isinstance(scale, list) and len(scale) == 2 and all(map(is_number, scale))
         and 0 < scale[0] <= scale[1]
     )
 
 
-# The config table, which validate_config and resolve both walk. A node
-# takes a value, its dotted path and the list of violations to append to,
-# and returns the value's filled copy.
+# The config table, which validate_config, run_experiment and resolve walk.
+# A node takes a value, its dotted path and the list of violations to append
+# to, and returns the value's filled copy.
 
 _REQUIRED = object()  # the default of a field that must be given
 
@@ -192,7 +172,7 @@ _DATASET = _kinds("type", {
         ("class_stddev", _REQUIRED, _NON_NEGATIVE, "must be a non-negative number"),
         # class_separation, needed without class_means, is a cross-field rule
         ("class_means", None, lambda v: isinstance(v, list) and all(
-            isinstance(row, list) and all(map(_is_num, row)) for row in v),
+            isinstance(row, list) and all(map(is_number, row)) for row in v),
          "must be a list of finite numeric rows"),
     ),
     "synthetic_images": _fields(
@@ -258,66 +238,61 @@ _CONFIG = _fields(
 
 
 def _cross_field(cfg):
-    """The rules between fields of a filled config, in section order; each
-    reads only fields that passed their own rows."""
-    bad, ds = [], cfg.get("dataset", {})
-    kind, classes, dim = ds.get("type"), ds.get("num_classes"), ds.get("dim")
-    # the sizes of a synthetic dataset; an idx dataset's are known only from its files
+    """The rules between fields of a filled config, in section order, on fields
+    that passed their own rows: all but one are stages' own checks, given a
+    synthetic dataset's sizes, each message behind its record's path."""
+    bad = []
+
+    def rule(record, check, *args):
+        try:
+            return check(*args)
+        except ConfigError as exc:
+            bad.append(f"{record}.{exc}")
+
+    ds = cfg.get("dataset", {})
+    kind, classes = ds.get("type"), ds.get("num_classes")
     sides = {"synthetic": ("dim",), "synthetic_images": ("height", "width")}.get(kind, ())
     n_train = None
     if sides and {"num_classes", "per_class_count", "test_fraction", *sides} <= ds.keys():
-        n = classes * ds["per_class_count"]
-        # the test split takes round_half_even(test_fraction * N), as in data._split_indices
-        n_test = round_half_even(ds["test_fraction"] * n)
         feature_dim = math.prod(ds[key] for key in sides)
-        if 1 <= n_test <= n - 1:
+        n = rule("dataset", check_size, classes, ds["per_class_count"], feature_dim)
+        n_test = n and rule("dataset", check_split, n, ds["test_fraction"])
+        if n_test:
             n_train = n - n_test
-        else:
-            bad.append(f"dataset.test_fraction: {ds['test_fraction']} leaves an empty split "
-                       f"for N={n}")
-    if kind == "synthetic" and "class_means" in ds:
-        means, sized = ds["class_means"], classes is not None and dim is not None
-        if means is None:
-            separation = ds.get("class_separation")
-            if not (_is_num(separation) and separation > 0):
-                bad.append("dataset.class_separation: must be a positive number "
-                           "unless class_means is given")
-            elif sized and dim < classes:
-                # generate_synthetic puts each class mean on its own coordinate axis
-                bad.append(f"dataset.dim: class_separation needs dim >= num_classes ({classes})")
-        elif sized and (len(means) != classes or any(len(row) != dim for row in means)):
-            bad.append(f"dataset.class_means: must have shape (num_classes, dim) "
-                       f"= ({classes}, {dim})")
-        elif len({tuple(map(float, row)) for row in means}) < len(means):
-            bad.append("dataset.class_means: two classes share a mean")
+    if kind == "synthetic" and {"num_classes", "dim", "class_means"} <= ds.keys():
+        rule("dataset", check_means, classes, ds["dim"], ds["class_means"],
+             ds.get("class_separation"))
     if kind == "synthetic_images" and {"height", "width", "jitter_px"} <= ds.keys():
-        side = min(ds["height"], ds["width"])
-        if ds["jitter_px"] > side:
-            bad.append(f"dataset.jitter_px: {ds['jitter_px']} exceeds the image side "
-                       f"min(height, width) = {side}")
-    emb_dim = cfg.get("embedding", {}).get("dim")
-    if n_train is not None and emb_dim is not None and emb_dim > min(n_train, feature_dim):
-        bad.append(f"embedding.dim: {emb_dim} exceeds min(N_train={n_train}, "
-                   f"feature dim={feature_dim})")
+        rule("dataset", check_jitter, ds["jitter_px"], ds["height"], ds["width"])
+    emb_dim, k = cfg.get("embedding", {}).get("dim"), cfg.get("estimator", {}).get("k")
+    if n_train is not None and emb_dim is not None:
+        rule("embedding", check_dim, emb_dim, n_train, feature_dim)
     for i, cor in enumerate(cfg.get("corruptions", [])):
-        # gaussian noise needs pixel values in [0, 1], an affine warp an image shape
-        if (cor.get("kind") in (KIND_GAUSSIAN, KIND_AFFINE_STRONG, KIND_AFFINE_MILD)
-                and kind == "synthetic"):
+        warp = cor.get("kind") in (KIND_AFFINE_STRONG, KIND_AFFINE_MILD)
+        if (warp or cor.get("kind") == KIND_GAUSSIAN) and kind == "synthetic":
+            # gaussian noise needs pixel values in [0, 1], an affine warp an image shape
             bad.append(f"corruptions[{i}].kind: {cor['kind']} requires an image dataset, "
                        "not synthetic")
-        elif cor.get("kind") == KIND_LABEL_FLIP and sides and classes == 1 and cor.get("rate"):
-            bad.append(f"corruptions[{i}].rate: cannot flip labels with fewer than 2 classes")
-    # the scorers need k + 2 samples
-    k = cfg.get("estimator", {}).get("k")
-    if n_train is not None and k is not None and k > n_train - 2:
-        bad.append(f"estimator.k: {k} exceeds N_train - 2 = {n_train - 2}")
-    # selection keeps round_half_even(ratio * N_train) samples, as in selection.select
+        elif cor.get("kind") == KIND_LABEL_FLIP and sides and classes and "rate" in cor:
+            rule(f"corruptions[{i}]", check_flip, cor["rate"], classes)
+        elif (warp and cor.get("params") and kind == "synthetic_images"
+              and {"height", "width"} <= ds.keys()):
+            rule(f"corruptions[{i}].params", check_affine, _affine_params(cor["params"]),
+                 ds["height"], ds["width"])
+    if n_train is not None and k is not None:
+        rule("estimator", check_k, n_train, k)
     ratios = cfg.get("selection", {}).get("ratios", []) if n_train is not None else []
     for i, ratio in enumerate(ratios):
-        if _is_num(ratio) and ratio > 0 and round_half_even(ratio * n_train) == 0:
-            bad.append(f"selection.ratios[{i}]: {ratio} of N_train={n_train} rounds to "
-                       "an empty training set")
+        if is_number(ratio) and ratio > 0:
+            rule("selection", check_ratio, ratio, n_train, f"ratios[{i}]")
     return bad
+
+
+def _checked(config):
+    """(filled copy, violations) of a config dict: the table's, then the cross-field rules'."""
+    bad = []
+    filled = _CONFIG(config, "", bad)
+    return filled, bad + _cross_field(filled)
 
 
 def validate_config(config):
@@ -332,9 +307,7 @@ def validate_config(config):
             config = load_config(config)
         except ConfigError as exc:
             return [str(exc)]
-    bad = []
-    filled = _CONFIG(config, "", bad)
-    return bad + _cross_field(filled)
+    return _checked(config)[1]
 
 
 def resolve(config):
@@ -384,6 +357,12 @@ def _build_dataset(ds_cfg, master_seed):
     )
 
 
+def _affine_params(p):
+    """The AffineParams of a corruption record's ``params`` mapping."""
+    return AffineParams(rotation_deg=p["rotation_deg"], scale_range=tuple(p["scale_range"]),
+                        shear_deg=p["shear_deg"], translate_frac=p["translate_frac"])
+
+
 def _corruption_args(cor_cfg, index, master_seed):
     """apply_corruption's keyword arguments for corruption ``index``: the
     fields _CORRUPTION gives its record, which apply_corruption takes by
@@ -392,14 +371,8 @@ def _corruption_args(cor_cfg, index, master_seed):
     args = {key: cor_cfg[key] for key in ("kind", *(row[0] for row in _CORRUPTION))}
     if args["seed"] is None:
         args["seed"] = stage_seed(master_seed, f"corrupt.{index}")
-    p = args["params"]
-    if p is not None:
-        args["params"] = AffineParams(
-            rotation_deg=p["rotation_deg"],
-            scale_range=tuple(p["scale_range"]),
-            shear_deg=p["shear_deg"],
-            translate_frac=p["translate_frac"],
-        )
+    if args["params"] is not None:
+        args["params"] = _affine_params(args["params"])
     return args
 
 
@@ -539,8 +512,8 @@ def _corrupt(run, index):
     try:
         args = _corruption_args(run.cfg["corruptions"][index], index, run.master)
         before, run.train = run.train, apply_corruption(run.train, **args)
-    except MiselectError as exc:
-        raise StageError("corruption", str(exc)) from exc
+    except _STAGE_FAULTS as exc:
+        raise StageError("corruption", str(exc) or type(exc).__name__) from exc
     affected = int(
         (run.train.labels != before.labels).sum()
         + (run.train.input_corruption != before.input_corruption).sum()
@@ -759,6 +732,7 @@ def _report_stage(run):
 # becomes a StageError tagged with the stage's name, unless the step raised
 # one itself, as the scoring stage does for a corruption; on any failure
 # every file written so far moves to ``quarantine/``.
+_STAGE_FAULTS = (MiselectError, OSError, MemoryError, OverflowError)
 _PIPELINE = (
     ("dataset", None, _dataset_stage),
     ("scoring", "score", _scoring_stage),
@@ -786,12 +760,11 @@ def run_experiment(config, out_dir=None, seed_override=None, threads=1, through=
     if not _int(1)(threads):
         raise ConfigError(f"threads: must be a positive integer, got {threads!r}")
     cfg = load_config(config) if isinstance(config, (str, Path)) else config
-    violations = validate_config(cfg)
+    resolved, violations = _checked(cfg)
     if not (seed_override is None or _int(0)(seed_override)):
         violations.append("seed override: must be a non-negative integer")
     if violations:
         raise ConfigError("invalid config: " + "; ".join(violations))
-    resolved = resolve(cfg)
     if out_dir is None:
         out_dir = resolved["output_dir"]
     run = _Run(
@@ -804,7 +777,7 @@ def run_experiment(config, out_dir=None, seed_override=None, threads=1, through=
     for stage, stops_after, step in _PIPELINE:
         try:
             step(run)
-        except (MiselectError, OSError, MemoryError, OverflowError) as exc:
+        except _STAGE_FAULTS as exc:
             # a quarantine that cannot be made must not hide the stage's error
             with contextlib.suppress(OSError):
                 if run.written:

@@ -135,12 +135,10 @@ class MIScoreSet:
         return self.global_mi / math.log(2.0)
 
 
-def _check_k(n, k):
+def check_k(n, k):
     """The one check of k against the sample count N that every scorer makes."""
-    if n < k + 2:
-        raise ConfigError(f"need at least k+2={k + 2} samples, have {n}")
-    if k < 1:
-        raise ConfigError("k must be positive")
+    if not 1 <= k <= n - 2:
+        raise ConfigError(f"k: {k} must lie in [1, N - 2 = {n - 2}]")
 
 
 def _score_set(k, nx, ny, variant, strict, jitter_seed, keff=None, deg=None):
@@ -204,7 +202,7 @@ def score_discrete(points, k, strict=True, jitter_seed=None):
     -inf sentinel and excluded from the global mean.
     """
     labels = points.labels
-    _check_k(len(labels), k)
+    check_k(len(labels), k)
     x = add_jitter(points.features, jitter_seed)
     radii, keff, sizes = _class_kth(x, labels, k)
     deg = sizes == 1
@@ -228,7 +226,7 @@ def score_continuous(x, y, k, strict=True, jitter_seed=None, variant=VARIANT_CON
         y = y[:, None]
     if x.shape[0] != y.shape[0]:
         raise ConsistencyError("x and y must have the same number of samples")
-    _check_k(x.shape[0], k)
+    check_k(x.shape[0], k)
     joint = add_jitter(np.hstack([x, y]), jitter_seed)
     dx = x.shape[1]
     index_joint = NeighborIndex(joint)
@@ -258,7 +256,7 @@ def score_onehot(points, k, label_scale, strict=True, jitter_seed=None):
     """
     if label_scale <= 0:
         raise ConfigError("label_scale must be positive")
-    _check_k(len(points.labels), k)
+    check_k(len(points.labels), k)
     result = None
     if jitter_seed is None:
         result = _score_onehot_per_class(points, k, label_scale, strict)

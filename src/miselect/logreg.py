@@ -92,9 +92,7 @@ def _forward(weights, x, l2, buf):
     loss = -float(np.add.reduce(picked) / picked.size)  # .mean(), without its overhead
     penalty = weights.copy()
     penalty[:, -1] = 0.0
-    # a diverging fit squares huge weights; the caller reports the inf loss
-    with np.errstate(over="ignore"):
-        loss += 0.5 * l2 * float((penalty**2).sum())
+    loss += 0.5 * l2 * float((penalty**2).sum())
     return loss, penalty
 
 
@@ -119,6 +117,9 @@ def loss_and_gradient(weights, x, labels, l2, buf=None):
     return loss, grad
 
 
+# a diverging fit overflows its weights, steps and loss to inf or NaN, which
+# the loss check after each epoch reports
+@np.errstate(over="ignore", invalid="ignore")
 def train(data, retained=None, learning_rate=0.1, epochs=300, l2=1e-4, batch_size=None,
           seed=0):
     """Fit a multinomial logistic regression on the retained subset.

@@ -117,10 +117,12 @@ def _sweep(points, radii):
     columns = np.ascontiguousarray(points[sort].T)
     key, r = columns[axis], radii[sort]
     finite = r[np.isfinite(r)]
-    bound = max(-key[0], key[-1]) + (finite.max() if finite.size else 0.0)
-    slack = 8 * np.spacing(min(bound, np.finfo(np.float64).max))
-    lo = np.searchsorted(key, key - r - slack, side="left")
-    hi = np.searchsorted(key, key + r + slack, side="right")
+    # near the float64 limit a bound overflows to inf, which still bounds it
+    with np.errstate(over="ignore"):
+        bound = max(-key[0], key[-1]) + (finite.max() if finite.size else 0.0)
+        slack = 8 * np.spacing(min(bound, np.finfo(np.float64).max))
+        lo = np.searchsorted(key, key - r - slack, side="left")
+        hi = np.searchsorted(key, key + r + slack, side="right")
     # rows by power-of-two band of window width, then by sort position
     order = np.argsort(np.frexp(hi - lo)[1], kind="stable")
 

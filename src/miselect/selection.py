@@ -74,6 +74,14 @@ def _band_pick(local, positions, m, band, rng):
     return positions[order[start : start + m]]
 
 
+def check_ratio(ratio, n, what="retention_ratio"):
+    """round(ratio * N), the samples kept of N, at least one; ``what`` names the ratio."""
+    m = round_half_even(ratio * n)
+    if m == 0:
+        raise ConfigError(f"{what}: {ratio} of N_train={n} rounds to an empty training set")
+    return m
+
+
 def select(scores, labels, plan, num_classes=None):
     """Apply a selection plan to local MI scores.
 
@@ -86,15 +94,9 @@ def select(scores, labels, plan, num_classes=None):
     if local.shape != labels.shape:
         raise ConsistencyError("scores and labels must be aligned")
     n = len(local)
-    if n < 1:
-        raise ConfigError("cannot select from an empty dataset")
+    m = check_ratio(plan.retention_ratio, n)
     if num_classes is None:
-        num_classes = int(labels.max()) + 1 if n else 1
-    m = round_half_even(plan.retention_ratio * n)
-    if m == 0:
-        raise ConfigError(
-            f"retention_ratio {plan.retention_ratio} rounds to an empty training set"
-        )
+        num_classes = int(labels.max()) + 1
     rng = None
     if plan.band == "random":
         if plan.seed is None:

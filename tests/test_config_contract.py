@@ -1,19 +1,29 @@
-"""The config contract, fuzzed over the dataset, embedding and classifier
-sections: a config that ``validate`` accepts gets through every config check
-of the pipeline, and one it rejects makes ``run`` exit 2 without a trace."""
+"""The config contract, fuzzed over every section: a config that ``validate``
+accepts gets through every config check of the pipeline, and one it rejects
+makes ``run`` exit 2 without a trace. The property's example count comes
+from the hypothesis profile that conftest.py loads."""
 
 import contextlib
 import io
 import json
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from miselect.cli import main as cli_main
-from miselect.errors import DegenerateInputError, DivergenceError, StageError
+from miselect.corruption import AffineParams, apply_corruption
+from miselect.data import generate_pattern_images, generate_synthetic
+from miselect.embedding import fit_pca
+from miselect.errors import ConfigError, DegenerateInputError, DivergenceError, StageError
 from miselect.experiment import run_experiment, validate_config
+from miselect.ksg import score_dataset
+from miselect.selection import BANDS, SCOPES, SelectionPlan, select
 
 # what a valid config may still meet: a fit that diverges, data with no
 # usable spread, a draw that overflows float64, a dataset too large to build
@@ -28,6 +38,9 @@ _WRONG = {
     ("dataset", "height"): [3],
     ("embedding", "dim"): [0],
     ("embedding", "whiten"): [1],
+    ("estimator", "variant"): ["continuous"],
+    ("estimator", "label_scale"): [0, -1.0],
+    ("estimator", "jitter_seed"): [-1, 1.5],
     ("classifier", "learning_rate"): [0.0, -1],
     ("classifier", "epochs"): [0, 2.0, True],
     ("classifier", "batch_size"): [0, 4.0],
@@ -43,6 +56,15 @@ _EDGES = {
     ("embedding", "dim"): [3, 4],  # against the feature dim
     ("estimator", "k"): [5, 6],  # against N_train - 2
     ("selection", "ratios"): [[0.05], [0.1]],  # 0 or 1 sample of N_train
+}
+# explicit affine params on either side of the drawable-range rule: twice each
+# bound must stay finite, and the shift's bound is translate_frac times the
+# longer image side, 4 or 5, so 2e307 is drawable on 4x4 images only
+_AFFINE = {
+    "rotation_deg": [30, 0.0, sys.float_info.max / 2, 1e308],
+    "shear_deg": [10.0, sys.float_info.max / 2, 1e308],
+    "translate_frac": [0.1, 0, 2e307, 1e308],
+    "scale_range": [[0.8, 1.2], [1e-300, 1e-300], [1, 1e308]],
 }
 
 
@@ -60,11 +82,27 @@ def _means(shape, classes, dim):
 
 
 @st.composite
+def _corruption(draw):
+    """One corruption record: a label flip, or pixel noise or a warp with
+    fractions at 0 and 1, a noise factor near the float64 limit and the
+    affine kinds' presets or explicit params."""
+    kind = draw(st.sampled_from(["label_flip", "gaussian", "affine_strong", "affine_mild"]))
+    if kind == "label_flip":
+        return {"kind": kind, "rate": draw(st.sampled_from([0.3, 0, 1]))}
+    cor = {"kind": kind, "fraction": draw(st.sampled_from([0.3, 0, 1, 0.0, 1.0]))}
+    if kind == "gaussian":
+        cor["noise_factor"] = draw(st.sampled_from([0.5, 0, 1e308]))
+    elif draw(st.booleans()):
+        cor["params"] = {key: draw(st.sampled_from(values)) for key, values in _AFFINE.items()}
+    return cor
+
+
+@st.composite
 def _configs(draw):
     """Tiny configs, at most one field with a wrong value and one at a
     cross-field edge; the rest vary over valid values near their edges:
     zero spread, integers where floats are expected, whitening, single-sample
-    batches and single epochs."""
+    batches and single epochs, both estimators and every selection plan."""
     images = draw(st.booleans())
     dataset = {"num_classes": draw(st.sampled_from([2, 3])), "per_class_count": 8,
                "test_fraction": 0.25, "seed": draw(st.sampled_from([None, 3]))}
@@ -79,14 +117,19 @@ def _configs(draw):
             dataset["class_means"] = draw(st.sampled_from(["distinct", "integer"]))
         else:
             dataset["class_separation"] = draw(st.sampled_from([3.0, 3, 1e-300]))
+    plan = st.fixed_dictionaries({"scope": st.sampled_from(SCOPES), "band": st.sampled_from(BANDS)})
     cfg = {
         "schema_version": 1,
         "dataset": dataset,
         "embedding": {"dim": draw(st.sampled_from([2, 1])), "whiten": draw(st.booleans())},
-        "corruptions": draw(st.sampled_from([[], [{"kind": "label_flip", "rate": 0.3}]])),
-        "estimator": {"k": draw(st.sampled_from([3, 1]))},
-        "selection": {"plans": [{"scope": draw(st.sampled_from(["global", "class_wise"])),
-                                 "band": draw(st.sampled_from(["top", "random"]))}],
+        "corruptions": draw(st.lists(_corruption(), max_size=2)),
+        "estimator": {
+            "k": draw(st.sampled_from([3, 1])),
+            "variant": draw(st.sampled_from(["discrete_label", "onehot_continuous"])),
+            "label_scale": draw(st.sampled_from([None, 1e-300, 1, 1e308])),
+            "jitter_seed": draw(st.sampled_from([None, 0, 5])),
+        },
+        "selection": {"plans": draw(st.lists(plan, min_size=1, max_size=2)),
                       "ratios": [draw(st.sampled_from([1.0, 0.5, 1]))]},
         "classifier": {
             "learning_rate": draw(st.sampled_from([0.1, 1, 1e12])),
@@ -112,24 +155,48 @@ def _synthetic(**fields):
             "selection": {"plans": [{"scope": "global", "band": "top"}], "ratios": [1.0]}}
 
 
-def _images(**fields):
+def _images(corruptions=(), **fields):
     cfg = _synthetic()
     cfg["dataset"] = {"type": "synthetic_images", "num_classes": 2, "per_class_count": 10,
                       "height": 4, "width": 4, **fields}
+    cfg["corruptions"] = list(corruptions)
     return cfg
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def _warp(**params):
+    return {"kind": "affine_strong", "fraction": 0.5,
+            "params": {"rotation_deg": 10.0, "scale_range": [0.9, 1.1], "shear_deg": 5.0,
+                       "translate_frac": 0.05, **params}}
+
+
+def _fit(**classifier):
+    cfg = _synthetic()
+    cfg["classifier"] = {"epochs": 5, **classifier}
+    return cfg
+
+
+@settings(deadline=None, derandomize=True, database=None)
 @given(cfg=_configs())
 @example(cfg=_synthetic(class_separation=1e308))
+@example(cfg=_synthetic(class_separation=-3.0))
 @example(cfg=_synthetic(class_stddev=1e200))
 @example(cfg=_synthetic(class_stddev=1e308))
 @example(cfg=_synthetic(per_class_count=10**30))
 @example(cfg=_images(noise=1e308))
+@example(cfg=_images([_warp(rotation_deg=1e308)]))
+@example(cfg=_images([_warp(shear_deg=1e308)]))
+@example(cfg=_images([_warp(translate_frac=1e308)]))
+@example(cfg=_images([_warp(scale_range=[1e-300, 1e-300])]))
+@example(cfg=_images([{"kind": "gaussian", "noise_factor": 1e308, "fraction": 0.5}]))
+@example(cfg=_fit(learning_rate=1e200, batch_size=4))
+@example(cfg=_fit(learning_rate=1e308))
 def test_validate_accepts_exactly_the_configs_that_pass_every_config_check(cfg):
     if not validate_config(cfg):
         try:
-            run_experiment(cfg, through="train")
+            # a valid config may fail a stage, but must not leak a warning
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                run_experiment(cfg, through="train")
         except StageError as exc:
             cause = exc.__cause__
             assert isinstance(cause, _DATA_FAULTS) or str(cause) == _OVERFLOWED_DRAW, exc
@@ -143,3 +210,73 @@ def test_validate_accepts_exactly_the_configs_that_pass_every_config_check(cfg):
         assert code == 2
         assert not out.exists()
         assert "Traceback" not in err.getvalue()
+
+
+def test_a_dataset_within_what_an_array_can_address_is_valid():
+    """Only a dataset past what one array can address is a config violation;
+    a smaller one too large for memory fails the dataset stage."""
+    assert validate_config(_synthetic(per_class_count=10**12)) == []
+    bytes_max = np.iinfo(np.intp).max
+    fits, too_many = bytes_max // (2 * 3 * 8), bytes_max // (2 * 3 * 8) + 1
+    assert validate_config(_synthetic(per_class_count=fits)) == []
+    assert validate_config(_synthetic(per_class_count=too_many))[0].startswith(
+        "dataset.per_class_count: ")
+
+
+def _split(fraction=0.25):
+    return generate_synthetic(2, 10, 3, 1.0, class_separation=3.0, split=(fraction, 0))
+
+
+def _one_class():
+    return generate_synthetic(1, 10, 3, 1.0, class_separation=3.0)
+
+
+_FLIP_ONE_CLASS = _synthetic(num_classes=1)
+_FLIP_ONE_CLASS["corruptions"] = [{"kind": "label_flip", "rate": 0.2}]
+_WIDE = AffineParams(rotation_deg=1e308, scale_range=(0.9, 1.1), shear_deg=5.0,
+                     translate_frac=0.05)
+
+
+# (a config, the stage call its violation comes from, the path of the record
+# the field is in, the stage's name for the field where the config's differs)
+@pytest.mark.parametrize("cfg, stage_call, record, renamed", [
+    (_synthetic(per_class_count=10**30),
+     lambda: generate_synthetic(2, 10**30, 3, 1.0, class_separation=3.0), "dataset", None),
+    (_synthetic(test_fraction=0.01), lambda: _split(0.01), "dataset", None),
+    (_synthetic(class_separation=-3.0),
+     lambda: generate_synthetic(2, 10, 3, 1.0, class_separation=-3.0), "dataset", None),
+    (_synthetic(num_classes=4),
+     lambda: generate_synthetic(4, 10, 3, 1.0, class_separation=3.0), "dataset", None),
+    (_synthetic(class_means=[[0, 0, 0]]),
+     lambda: generate_synthetic(2, 10, 3, 1.0, class_means=[[0, 0, 0]]), "dataset", None),
+    (_synthetic(class_means=[[0, 1, 0], [0.0, 1.0, 0.0]]),
+     lambda: generate_synthetic(2, 10, 3, 1.0, class_means=[[0, 1, 0], [0.0, 1.0, 0.0]]),
+     "dataset", None),
+    (_images(jitter_px=5),
+     lambda: generate_pattern_images(2, 10, height=4, width=4, jitter_px=5), "dataset", None),
+    ({**_synthetic(), "embedding": {"dim": 4}}, lambda: fit_pca(_split()[0], 4),
+     "embedding", None),
+    ({**_synthetic(), "estimator": {"k": 14}}, lambda: score_dataset(_split()[0], 14),
+     "estimator", None),
+    (_FLIP_ONE_CLASS,
+     lambda: apply_corruption(_one_class(), "label_flip", seed=0, rate=0.2), "corruptions[0]",
+     None),
+    (_images([_warp(rotation_deg=1e308)]),
+     lambda: apply_corruption(generate_pattern_images(2, 10, height=4, width=4),
+                              "affine_strong", seed=0, fraction=0.5, params=_WIDE),
+     "corruptions[0].params", None),
+    ({**_synthetic(), "selection": {"plans": [{"scope": "global", "band": "top"}],
+                                    "ratios": [0.03]}},
+     lambda: select(np.zeros(15), np.zeros(15, dtype=np.int64),
+                    SelectionPlan(scope="global", band="top", retention_ratio=0.03)),
+     "selection", ("retention_ratio", "ratios[0]")),
+], ids=["size", "split", "separation", "separation-dim", "means-shape", "means-coincide",
+        "jitter", "embedding-dim", "k", "flip-one-class", "affine-range", "ratio"])
+def test_validate_reports_the_stage_check_behind_the_field_path(cfg, stage_call, record,
+                                                                 renamed):
+    with pytest.raises(ConfigError) as caught:
+        stage_call()
+    message = str(caught.value)
+    if renamed:
+        message = message.replace(*renamed, 1)
+    assert f"{record}.{message}" in validate_config(cfg)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -252,6 +254,33 @@ def test_affine_dim_mismatch():
     ds = _blob_ds()
     with pytest.raises(ConfigError):
         ms.affine_warp(ds, ms.MILD_AFFINE, 0.5, seed=0, width=4, height=4)
+
+
+@pytest.mark.parametrize("scale, shift", [(1e-300, 0.05), (1e-320, 0.05), (5e-324, 0.05),
+                                          (1.0, 1e306)])
+def test_a_warp_from_far_outside_the_frame_reads_zeros_without_a_warning(scale, shift):
+    """A scale near zero sends every source point out of frame or to inf
+    (a subnormal one can collapse the map to a point), as does a huge shift."""
+    params = ms.AffineParams(rotation_deg=30.0, scale_range=(scale, scale), shear_deg=10.0,
+                             translate_frac=shift)
+    ds = _image_ds()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = ms.affine_warp(ds, params, 1.0, seed=3, width=10, height=10)
+    assert not out.features.any()
+
+
+@pytest.mark.parametrize("field, value", [("rotation_deg", 1e308), ("shear_deg", 1e308),
+                                          ("translate_frac", 1e307)])
+def test_affine_ranges_too_wide_to_draw_from_are_rejected(field, value):
+    """Each uniform draw needs a finite range: twice the rotation and shear
+    bounds, and twice translate_frac times the longer side, 10 here."""
+    params = ms.AffineParams(**{"rotation_deg": 30.0, "scale_range": (0.9, 1.1),
+                                "shear_deg": 10.0, "translate_frac": 0.1, field: value})
+    with pytest.raises(ConfigError, match=f"^{field}: "):
+        ms.affine_warp(_image_ds(), params, 0.0, seed=0, width=10, height=10)
+    if field == "translate_frac":  # 2e307 is drawable on a 1x1 image
+        corruption.check_affine(params, 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -339,17 +339,27 @@ def test_raw_splits_are_released_before_the_grid_forks(tmp_path, monkeypatch, on
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_diverging_classifier_fails_alike_at_any_worker_count(tmp_path, threads):
     # a child process, so that the stderr of the grid's workers is seen too,
-    # with numpy's warnings shown as users see them
-    cfg = base_config()
-    cfg["classifier"]["learning_rate"] = 1e80
-    path = _write_cfg(tmp_path, cfg)
-    argv = ["run", "--config", path, "--out", str(tmp_path / "o"), "--threads", threads]
+    # with numpy's warnings shown as users see them: full-batch fits that
+    # overflow in a later epoch and in the first, a mini-batch fit, and
+    # gaussian noise past the float64 limit, which the clip absorbs
+    fits = [({"learning_rate": 1e80}, 1), ({"learning_rate": 1e308}, 0),
+            ({"learning_rate": 1e200, "batch_size": 4}, 0)]
+    runs = []
+    for fit, epoch in fits:
+        cfg = base_config()
+        cfg["classifier"].update(fit)
+        runs.append((cfg, 1, f"error [stage:classifier] non-finite loss at epoch {epoch}\n"))
+    images = {"type": "synthetic_images", "num_classes": 3, "per_class_count": 10}
+    runs.append((base_config(dataset=images, corruptions=[
+        {"kind": "gaussian", "noise_factor": 1e308, "fraction": 0.5}]), 0, ""))
     src = str(Path(experiment.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src, "PYTHONWARNINGS": "default"}
-    run = subprocess.run([sys.executable, "-m", "miselect.cli", *argv], env=env,
-                         capture_output=True, text=True, timeout=120)
-    assert run.returncode == 1
-    assert run.stderr == "error [stage:classifier] non-finite loss at epoch 1\n"
+    for i, (cfg, code, stderr) in enumerate(runs):
+        argv = ["run", "--config", _write_cfg(tmp_path, cfg), "--out", str(tmp_path / f"o{i}"),
+                "--threads", threads]
+        run = subprocess.run([sys.executable, "-m", "miselect.cli", *argv], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert (run.returncode, run.stderr) == (code, stderr), cfg
 
 
 def test_poisoned_score_cache_is_recomputed(tmp_path):
@@ -696,6 +706,7 @@ def test_second_stage_fault_keeps_its_stage_tag(tmp_path, monkeypatch, capsys,
 
 @pytest.mark.parametrize("callee, error, stage", [
     ("generate_synthetic", MemoryError, "dataset"),
+    ("apply_corruption", OverflowError, "corruption"),
     ("select", MemoryError, "selection"),
     ("train", OverflowError, "classifier"),
 ])
@@ -725,8 +736,10 @@ def _negative_idx_config(tmp_path):
 
 
 def _huge_config(tmp_path):
+    """Within what one array can address, but past any address space: the
+    allocation fails at once, without touching memory."""
     cfg = base_config()
-    cfg["dataset"]["per_class_count"] = 10**30
+    cfg["dataset"]["per_class_count"] = 10**15
     return cfg
 
 
