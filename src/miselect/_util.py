@@ -15,6 +15,11 @@ def is_number(v):
             and abs(v) <= sys.float_info.max)
 
 
+def is_int(v, least=0):
+    """An integer of at least ``least``, not a bool; numpy integers count."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least
+
+
 def round_half_even(x):
     """Round a real to the nearest integer, ties to even (banker's rounding)."""
     return int(np.rint(x))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import round_half_even
+from ._util import is_int, is_number, round_half_even
 from .errors import ConfigError
 
 KIND_LABEL_FLIP = "label_flip"
@@ -22,7 +22,7 @@ KIND_GAUSSIAN = "gaussian"
 KIND_AFFINE_STRONG = "affine_strong"
 KIND_AFFINE_MILD = "affine_mild"
 
-_WARP_CHUNK = 64  # images warped per batch
+_WARP_CHUNK = 64  # images warped, or given pixel noise, per batch
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,15 @@ class AffineParams:
     translate_frac: float
 
     def __post_init__(self):
-        lo, hi = self.scale_range
-        if lo <= 0 or hi < lo:
-            raise ConfigError("scale_range must satisfy 0 < min <= max")
-        if self.rotation_deg < 0 or self.shear_deg < 0 or self.translate_frac < 0:
-            raise ConfigError("affine ranges must be non-negative")
+        for name in ("rotation_deg", "shear_deg", "translate_frac"):
+            bound = getattr(self, name)
+            if not (is_number(bound) and bound >= 0):
+                raise ConfigError(f"{name}: must be a non-negative number")
+        scale = self.scale_range
+        if not (isinstance(scale, (tuple, list)) and len(scale) == 2
+                and all(map(is_number, scale)) and 0 < scale[0] <= scale[1]):
+            raise ConfigError("scale_range: must be [min, max] with 0 < min <= max")
+        object.__setattr__(self, "scale_range", tuple(scale))
 
 
 # Strong warps visibly destroy pattern identity; mild ones do not.
@@ -52,6 +56,17 @@ STRONG_AFFINE = AffineParams(rotation_deg=75.0, scale_range=(0.5, 1.6),
                              shear_deg=30.0, translate_frac=0.20)
 MILD_AFFINE = AffineParams(rotation_deg=15.0, scale_range=(0.9, 1.1),
                            shear_deg=5.0, translate_frac=0.07)
+
+
+def check_corruption(rate=0.0, fraction=0.0, noise_factor=0.0, seed=0):
+    """Each field's own rule: shares in [0, 1], a non-negative noise factor and seed."""
+    for name, share in (("rate", rate), ("fraction", fraction)):
+        if not (is_number(share) and 0.0 <= share <= 1.0):
+            raise ConfigError(f"{name}: must lie in [0, 1]")
+    if not (is_number(noise_factor) and noise_factor >= 0):
+        raise ConfigError("noise_factor: must be non-negative")
+    if not is_int(seed):
+        raise ConfigError("seed: must be a non-negative integer")
 
 
 def check_flip(rate, num_classes):
@@ -71,15 +86,10 @@ def check_affine(params, height, width):
                               f"from on {height}x{width} images")
 
 
-def _choose(n, share, seed, what):
+def _choose(n, share, seed):
     """The sorted indices of the round(share*n) samples a stage corrupts,
-    drawn from ``seed``; ``what`` names the share in its range error."""
-    if not (0.0 <= share <= 1.0):
-        raise ConfigError(f"{what} must lie in [0, 1]")
-    seed = int(seed)
-    if seed < 0:
-        raise ConfigError("corruption seeds must be non-negative")
-    rng = np.random.default_rng(seed)
+    drawn from ``seed``."""
+    rng = np.random.default_rng(int(seed))
     return np.sort(rng.choice(n, size=round_half_even(share * n), replace=False))
 
 
@@ -103,8 +113,9 @@ def flip_labels(ds, rate, seed):
     untouched; the flip provenance follows from labels differing from
     original_labels.
     """
-    chosen = _choose(ds.n, rate, seed, "flip rate")
+    check_corruption(rate=rate, seed=seed)
     check_flip(rate, ds.num_classes)
+    chosen = _choose(ds.n, rate, seed)
     if not chosen.size:
         return replace(ds)
     labels = ds.labels.copy()
@@ -121,18 +132,18 @@ def add_gaussian(ds, noise_factor, fraction, seed):
     x' = clip(x + noise_factor * z, 0, 1) with z standard normal per pixel.
     Labels are never touched. Requires image-valued features in [0, 1].
     """
-    if noise_factor < 0:
-        raise ConfigError("noise_factor must be non-negative")
-    chosen = _choose(ds.n, fraction, seed, "fraction")
+    check_corruption(fraction=fraction, noise_factor=noise_factor, seed=seed)
+    chosen = _choose(ds.n, fraction, seed)
     if ds.n and (ds.features.min() < 0.0 or ds.features.max() > 1.0):
         raise ConfigError("add_gaussian requires image-valued features in [0, 1]")
     if not chosen.size:
         return replace(ds)
     features = ds.features.copy()
     with np.errstate(over="ignore"):  # the clip takes an overflow's inf to 0 or 1
-        for i in chosen:
-            z = _sample_rng(seed, i).standard_normal(ds.dim)
-            features[i] = np.clip(features[i] + noise_factor * z, 0.0, 1.0)
+        for start in range(0, chosen.size, _WARP_CHUNK):
+            rows = chosen[start : start + _WARP_CHUNK]
+            z = np.array([_sample_rng(seed, i).standard_normal(ds.dim) for i in rows])
+            features[rows] = np.clip(features[rows] + noise_factor * z, 0.0, 1.0)
     return _corrupted_inputs(ds, features, chosen, KIND_GAUSSIAN)
 
 
@@ -207,7 +218,8 @@ def affine_warp(ds, params, fraction, seed, width, height, kind=KIND_AFFINE_STRO
     bilinear with out-of-bounds reads as zero. ``kind`` sets the
     provenance tag.
     """
-    chosen = _choose(ds.n, fraction, seed, "fraction")
+    check_corruption(fraction=fraction, seed=seed)
+    chosen = _choose(ds.n, fraction, seed)
     if ds.dim != width * height:
         raise ConfigError(f"dataset dim {ds.dim} != width*height={width * height}")
     check_affine(params, height, width)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import is_number, largest_remainder_quotas, round_half_even
+from ._util import is_int, is_number, largest_remainder_quotas, round_half_even
 from .errors import ConfigError, ConsistencyError, FormatError, IoError
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -142,8 +142,24 @@ class LabeledDataset:
         )
 
 
-# The generators' rules between their arguments, which the config check calls
-# too; each raises a ConfigError whose message starts with the parameter it blames.
+# The generators' rules, which the config check calls too; each raises a
+# ConfigError whose message starts with the parameter it blames.
+
+def check_synthetic(num_classes=1, per_class_count=1, dim=1, class_stddev=0.0):
+    """Each argument's own rule: positive integer sizes and a non-negative spread."""
+    for name, size in (("num_classes", num_classes), ("per_class_count", per_class_count),
+                       ("dim", dim)):
+        if not is_int(size, 1):
+            raise ConfigError(f"{name}: must be a positive integer")
+    if not (is_number(class_stddev) and class_stddev >= 0):
+        raise ConfigError("class_stddev: must be a non-negative number")
+
+
+def check_pattern_classes(num_classes):
+    """A pattern image class is one of six templates."""
+    if not (is_int(num_classes, 1) and num_classes <= 6):
+        raise ConfigError("num_classes: pattern images support 1..6 classes")
+
 
 def check_size(num_classes, per_class_count, dim):
     """The sample count N, if one array can hold N * dim float64 values."""
@@ -226,10 +242,7 @@ def generate_synthetic(num_classes, per_class_count, dim, class_stddev, class_me
     (train, test) pair ``train_test_split`` would cut, with each sample
     written straight into its part.
     """
-    if num_classes < 1 or per_class_count < 1 or dim < 1:
-        raise ConfigError("num_classes, per_class_count and dim must be positive")
-    if class_stddev < 0:
-        raise ConfigError("class_stddev must be non-negative")
+    check_synthetic(num_classes, per_class_count, dim, class_stddev)
     check_size(num_classes, per_class_count, dim)
     check_means(num_classes, dim, class_means, class_separation)
     means = (float(class_separation) * np.eye(num_classes, dim) if class_means is None
@@ -297,10 +310,8 @@ def generate_pattern_images(
     corpus in input-noise experiments. ``split`` works as in
     ``generate_synthetic``.
     """
-    if num_classes < 1 or num_classes > 6:
-        raise ConfigError("generate_pattern_images supports 1..6 classes")
-    if per_class_count < 1:
-        raise ConfigError("per_class_count must be positive")
+    check_pattern_classes(num_classes)
+    check_synthetic(per_class_count=per_class_count)
     n = check_size(num_classes, per_class_count, height * width)
     check_jitter(jitter_px, height, width)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class_count)

@@ -20,23 +20,25 @@ import os
 import shutil
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from ._util import is_number
+from ._util import is_int, is_number
 from .corruption import (KIND_AFFINE_MILD, KIND_AFFINE_STRONG, KIND_GAUSSIAN, KIND_LABEL_FLIP,
-                         AffineParams, apply_corruption, check_affine, check_flip)
-from .data import (LabeledDataset, check_jitter, check_means, check_size, check_split,
-                   generate_pattern_images, generate_synthetic, load_idx)
+                         AffineParams, apply_corruption, check_affine, check_corruption,
+                         check_flip)
+from .data import (LabeledDataset, check_jitter, check_means, check_pattern_classes, check_size,
+                   check_split, check_synthetic, generate_pattern_images, generate_synthetic,
+                   load_idx)
 from .embedding import check_dim, fit_pca, transform
 from .errors import ConfigError, MiselectError, StageError
-from .ksg import (VARIANT_DISCRETE, VARIANT_ONEHOT, check_k, dataset_content_hash, load_scores,
+from .ksg import (VARIANT_DISCRETE, check_estimator, check_k, dataset_content_hash, load_scores,
                   per_class_summary, save_scores, score_dataset)
-from .logreg import evaluate, train
-from .selection import BANDS, SCOPES, SelectionPlan, check_ratio, save_selection, select
+from .logreg import check_fit, evaluate, train
+from .selection import SelectionPlan, check_plan, check_ratio, save_selection, select
 
 CONFIG_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
@@ -67,31 +69,6 @@ def load_config(path):
     return config
 
 
-def _num(ok):
-    return lambda v: is_number(v) and ok(v)
-
-
-def _int(least, most=math.inf):
-    """An integer, not a bool (JSON true/false), in [least, most]."""
-    return lambda v: isinstance(v, int) and not isinstance(v, bool) and least <= v <= most
-
-
-def _one_of(*values):
-    return lambda v: v in values
-
-
-def _is_affine_params(p):
-    if not isinstance(p, dict):
-        return False
-    scale = p.get("scale_range")
-    return (
-        all(is_number(p.get(key)) and p[key] >= 0
-            for key in ("rotation_deg", "shear_deg", "translate_frac"))
-        and isinstance(scale, list) and len(scale) == 2 and all(map(is_number, scale))
-        and 0 < scale[0] <= scale[1]
-    )
-
-
 # The config table, which validate_config, run_experiment and resolve walk.
 # A node takes a value, its dotted path and the list of violations to append
 # to, and returns the value's filled copy.
@@ -100,31 +77,44 @@ _REQUIRED = object()  # the default of a field that must be given
 
 
 def _fields(*rows):
-    """A mapping node. A row is (key, default, check, message[, node]). The
-    check is a type or a predicate; it sees the value, or the default when
-    the key is absent. A _REQUIRED field reads as None when absent, which
-    its check rejects; a field whose default is None may also be null. The
-    message is a string or a function of the value. A value that passes is
+    """A mapping node; a value that is no mapping reads as an empty one. A row
+    is (key, default, check, message[, node]). The check is a type or a
+    predicate; it sees the value, or the default when the key is absent. A
+    _REQUIRED field reads as None when absent, which its check rejects; a
+    field whose default is None may also be null. The message is a string or
+    a function of the value; a stage's check raises a ConfigError instead,
+    whose message goes behind the record's path. A value that passes is
     walked by the row's node, a list item by item at ``key[i]``. The filled
     copy gives every absent field its default, leaves out every field that
     fails its check and keeps the keys the table does not name."""
     def walk(record, path, bad):
+        record = record if isinstance(record, dict) else {}
         filled = dict(record)
         for key, default, check, message, *node in rows:
             where = f"{path}.{key}" if path else key
             value = record.get(key, None if default is _REQUIRED else default)
-            ok = isinstance(value, check) if isinstance(check, type) else check(value)
+            try:
+                ok = isinstance(value, check) if isinstance(check, type) else check(value)
+                violation = f"{where}: {message(value) if callable(message) else message}"
+            except ConfigError as exc:
+                ok, violation = False, f"{path}.{exc}"
             if not ok and (value is not None or default is not None):
-                bad.append(f"{where}: {message(value) if callable(message) else message}")
+                bad.append(violation)
                 filled.pop(key, None)
             elif node and isinstance(value, list):
                 filled[key] = [node[0](item, f"{where}[{i}]", bad) for i, item in enumerate(value)]
-            elif node:
+            elif node and value is not None:
                 filled[key] = node[0](value, where, bad)
             else:
                 filled[key] = value
         return filled
     return walk
+
+
+def _stage(check, **defaults):
+    """Rows that pass each field, by name, alone to a stage's ``check``."""
+    return tuple((key, default, lambda v, key=key: check(**{key: v}) or True, None)
+                 for key, default in defaults.items())
 
 
 def _kinds(key, nodes, message):
@@ -139,26 +129,31 @@ def _kinds(key, nodes, message):
     return walk
 
 
-def _item(check, message):
-    def walk(value, path, bad):
-        if not check(value):
-            bad.append(f"{path}: {message}")
-        return value
-    return walk
+def _ratio(ratio, path, bad):
+    """A selection ratio, which check_ratio names by its path; None when it fails."""
+    try:
+        return check_ratio(ratio, what=path) or ratio
+    except ConfigError as exc:
+        bad.append(str(exc))
 
 
 def _is_non_empty_list(v):
     return isinstance(v, list) and bool(v)
 
 
-_SEED = (_int(0), "must be null or a non-negative integer")
-_POSITIVE_INT = (_int(1), "must be a positive integer")
-_NON_NEGATIVE = _num(lambda v: v >= 0)
-_IN_UNIT = (_num(lambda v: 0.0 <= v <= 1.0), "must lie in [0, 1]")
-_SYNTHETIC = (
-    ("num_classes", _REQUIRED, *_POSITIVE_INT),
-    ("per_class_count", _REQUIRED, *_POSITIVE_INT),
-    ("test_fraction", 0.25, _num(lambda v: 0.0 < v < 1.0), "must lie in (0, 1)"),
+def _affine(params, path, bad):
+    """The AffineParams of a corruption's ``params`` mapping, which checks its
+    fields, a missing one as None; None when it rejects them."""
+    try:
+        return AffineParams(**{f.name: params.get(f.name) for f in fields(AffineParams)})
+    except ConfigError as exc:
+        bad.append(f"{path}.{exc}")
+
+
+_SEED = (is_int, "must be null or a non-negative integer")
+_POSITIVE_INT = (lambda v: is_int(v, 1), "must be a positive integer")
+_SPLIT = (
+    ("test_fraction", 0.25, lambda v: is_number(v) and 0.0 < v < 1.0, "must lie in (0, 1)"),
     ("seed", None, *_SEED),
 )
 _DATASET = _kinds("type", {
@@ -167,30 +162,27 @@ _DATASET = _kinds("type", {
          lambda v: f"no regular file at {v}" if isinstance(v, str) else "required path missing")
         for key in ("train_images", "train_labels", "test_images", "test_labels"))),
     "synthetic": _fields(
-        *_SYNTHETIC,
-        ("dim", _REQUIRED, *_POSITIVE_INT),
-        ("class_stddev", _REQUIRED, _NON_NEGATIVE, "must be a non-negative number"),
+        *_stage(check_synthetic, num_classes=_REQUIRED, per_class_count=_REQUIRED,
+                dim=_REQUIRED, class_stddev=_REQUIRED),
+        *_SPLIT,
         # class_separation, needed without class_means, is a cross-field rule
         ("class_means", None, lambda v: isinstance(v, list) and all(
             isinstance(row, list) and all(map(is_number, row)) for row in v),
          "must be a list of finite numeric rows"),
     ),
     "synthetic_images": _fields(
-        *_SYNTHETIC,
-        ("num_classes", _REQUIRED, _int(1, 6), "pattern images support 1..6 classes"),
-        ("height", 12, _int(4), "must be an integer >= 4"),
-        ("width", 12, _int(4), "must be an integer >= 4"),
-        ("noise", 0.05, _NON_NEGATIVE, "must be a non-negative number"),
-        ("jitter_px", 1, _int(0), "must be a non-negative integer"),
+        *_stage(check_pattern_classes, num_classes=_REQUIRED),
+        *_stage(check_synthetic, per_class_count=_REQUIRED),
+        *_SPLIT,
+        ("height", 12, lambda v: is_int(v, 4), "must be an integer >= 4"),
+        ("width", 12, lambda v: is_int(v, 4), "must be an integer >= 4"),
+        ("noise", 0.05, lambda v: is_number(v) and v >= 0, "must be a non-negative number"),
+        ("jitter_px", 1, is_int, "must be a non-negative integer"),
     ),
 }, "must be one of idx, synthetic, synthetic_images")
 _CORRUPTION = (
-    ("rate", 0.0, *_IN_UNIT),
-    ("fraction", 0.0, *_IN_UNIT),
-    ("noise_factor", 0.0, _NON_NEGATIVE, "must be non-negative"),
-    ("seed", None, *_SEED),
-    ("params", None, _is_affine_params, "need non-negative rotation_deg, shear_deg "
-     "and translate_frac, and scale_range [min, max] with 0 < min <= max"),
+    *_stage(check_corruption, rate=0.0, fraction=0.0, noise_factor=0.0, seed=None),
+    ("params", None, dict, "must be a mapping", _affine),
 )
 # each corruption kind's node: the fields the kind needs have no default
 _CORRUPTIONS = {
@@ -199,11 +191,10 @@ _CORRUPTIONS = {
     for kind, needed in ((KIND_LABEL_FLIP, {"rate"}), (KIND_GAUSSIAN, {"fraction", "noise_factor"}),
                          (KIND_AFFINE_STRONG, {"fraction"}), (KIND_AFFINE_MILD, {"fraction"}))
 }
-_PLAN = _fields(("band", _REQUIRED, _one_of(*BANDS), "must be top, middle, bottom or random"))
 _CONFIG = _fields(
-    ("schema_version", _REQUIRED, _one_of(CONFIG_SCHEMA_VERSION),
+    ("schema_version", _REQUIRED, lambda v: v == CONFIG_SCHEMA_VERSION,
      f"must be {CONFIG_SCHEMA_VERSION}"),
-    ("seed", 0, _int(0), "must be a non-negative integer"),
+    ("seed", 0, is_int, "must be a non-negative integer"),
     ("output_dir", None, str, "must be a string path when given"),
     ("dataset", _REQUIRED, dict, "required section missing", _DATASET),
     ("embedding", {}, dict, "must be a mapping", _fields(
@@ -213,24 +204,18 @@ _CONFIG = _fields(
     ("corruptions", [], list, "must be a list",
      _kinds("kind", _CORRUPTIONS, f"must be one of {tuple(_CORRUPTIONS)}")),
     ("estimator", {}, dict, "must be a mapping", _fields(
-        ("variant", VARIANT_DISCRETE, _one_of(VARIANT_DISCRETE, VARIANT_ONEHOT),
-         "must be discrete_label or onehot_continuous"),
+        *_stage(check_estimator, variant=VARIANT_DISCRETE, label_scale=None),
         ("k", 3, *_POSITIVE_INT),
         ("strict", True, bool, "must be a boolean"),
-        ("label_scale", None, _num(lambda v: v > 0), "must be positive when given"),
         ("jitter_seed", None, *_SEED),
     )),
     ("selection", _REQUIRED, dict, "required section missing", _fields(
-        ("plans", _REQUIRED, _is_non_empty_list, "need at least one plan", _kinds(
-            "scope", dict.fromkeys(SCOPES, _PLAN), "must be global or class_wise")),
-        ("ratios", _REQUIRED, _is_non_empty_list, "need at least one ratio",
-         _item(_num(lambda r: 0.0 < r <= 1.0), "must lie in (0, 1]")),
+        ("plans", _REQUIRED, _is_non_empty_list, "need at least one plan",
+         _fields(*_stage(check_plan, scope=_REQUIRED, band=_REQUIRED))),
+        ("ratios", _REQUIRED, _is_non_empty_list, "need at least one ratio", _ratio),
     )),
     ("classifier", {}, dict, "must be a mapping", _fields(
-        ("learning_rate", 0.1, _num(lambda v: v > 0), "must be positive"),
-        ("epochs", 300, *_POSITIVE_INT),
-        ("l2", 1e-4, _NON_NEGATIVE, "must be non-negative"),
-        ("batch_size", None, _int(1), "must be a positive integer or null"),
+        *_stage(check_fit, learning_rate=0.1, epochs=300, l2=1e-4, batch_size=None),
         ("seed", None, *_SEED),
         ("on_raw_features", False, bool, "must be a boolean"),
     )),
@@ -277,13 +262,13 @@ def _cross_field(cfg):
             rule(f"corruptions[{i}]", check_flip, cor["rate"], classes)
         elif (warp and cor.get("params") and kind == "synthetic_images"
               and {"height", "width"} <= ds.keys()):
-            rule(f"corruptions[{i}].params", check_affine, _affine_params(cor["params"]),
-                 ds["height"], ds["width"])
+            rule(f"corruptions[{i}].params", check_affine, cor["params"], ds["height"],
+                 ds["width"])
     if n_train is not None and k is not None:
         rule("estimator", check_k, n_train, k)
     ratios = cfg.get("selection", {}).get("ratios", []) if n_train is not None else []
     for i, ratio in enumerate(ratios):
-        if is_number(ratio) and ratio > 0:
+        if ratio is not None:
             rule("selection", check_ratio, ratio, n_train, f"ratios[{i}]")
     return bad
 
@@ -311,9 +296,10 @@ def validate_config(config):
 
 
 def resolve(config):
-    """A new config with every default of the table filled in; ``config``
-    itself is left as it is. A field that fails its check is left out, so
-    resolve a config that ``validate_config`` accepts."""
+    """A new config with every default of the table filled in and explicit
+    affine ``params`` as AffineParams; ``config`` itself is left as it is. A
+    field that fails its check is left out, so resolve a config that
+    ``validate_config`` accepts."""
     return _CONFIG(config, "", [])
 
 
@@ -348,31 +334,22 @@ def _build_dataset(ds_cfg, master_seed):
     data_seed = ds_cfg["seed"]
     if data_seed is None:
         data_seed = stage_seed(master_seed, "dataset")
-    name, fields = _GENERATORS[kind]
+    name, keys = _GENERATORS[kind]
     # looked up at call time, so that a generator wrapped on this module is
     # the one called; each sample goes straight into its train or test rows
     return globals()[name](
-        **{key: ds_cfg.get(key) for key in fields}, seed=data_seed,
+        **{key: ds_cfg.get(key) for key in keys}, seed=data_seed,
         split=(ds_cfg["test_fraction"], stage_seed(master_seed, "split")),
     )
-
-
-def _affine_params(p):
-    """The AffineParams of a corruption record's ``params`` mapping."""
-    return AffineParams(rotation_deg=p["rotation_deg"], scale_range=tuple(p["scale_range"]),
-                        shear_deg=p["shear_deg"], translate_frac=p["translate_frac"])
 
 
 def _corruption_args(cor_cfg, index, master_seed):
     """apply_corruption's keyword arguments for corruption ``index``: the
     fields _CORRUPTION gives its record, which apply_corruption takes by
-    name, with the stage's derived seed where the record gives none and
-    ``params`` as AffineParams."""
+    name, with the stage's derived seed where the record gives none."""
     args = {key: cor_cfg[key] for key in ("kind", *(row[0] for row in _CORRUPTION))}
     if args["seed"] is None:
         args["seed"] = stage_seed(master_seed, f"corrupt.{index}")
-    if args["params"] is not None:
-        args["params"] = _affine_params(args["params"])
     return args
 
 
@@ -757,11 +734,11 @@ def run_experiment(config, out_dir=None, seed_override=None, threads=1, through=
     """
     if through not in _STAGES:
         raise ConfigError(f"through must be one of {_STAGES}")
-    if not _int(1)(threads):
+    if not is_int(threads, 1):
         raise ConfigError(f"threads: must be a positive integer, got {threads!r}")
     cfg = load_config(config) if isinstance(config, (str, Path)) else config
     resolved, violations = _checked(cfg)
-    if not (seed_override is None or _int(0)(seed_override)):
+    if not (seed_override is None or is_int(seed_override)):
         violations.append("seed override: must be a non-negative integer")
     if violations:
         raise ConfigError("invalid config: " + "; ".join(violations))

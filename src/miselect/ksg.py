@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._util import write_json_atomic
+from ._util import is_number, write_json_atomic
 from .data import _frozen
 from .errors import ConfigError, ConsistencyError, DegenerateInputError, DomainError, FormatError
 from .neighbors import NeighborIndex, add_jitter
@@ -139,6 +139,14 @@ def check_k(n, k):
     """The one check of k against the sample count N that every scorer makes."""
     if not 1 <= k <= n - 2:
         raise ConfigError(f"k: {k} must lie in [1, N - 2 = {n - 2}]")
+
+
+def check_estimator(variant=VARIANT_DISCRETE, label_scale=1.0):
+    """A known scoring variant, and a positive, finite one-hot label coordinate."""
+    if variant not in (VARIANT_DISCRETE, VARIANT_ONEHOT):
+        raise ConfigError("variant: must be discrete_label or onehot_continuous")
+    if not (is_number(label_scale) and label_scale > 0):
+        raise ConfigError("label_scale: must be positive")
 
 
 def _score_set(k, nx, ny, variant, strict, jitter_seed, keff=None, deg=None):
@@ -254,8 +262,7 @@ def score_onehot(points, k, label_scale, strict=True, jitter_seed=None):
     computed per class, without the joint-space pass, and equals the
     general one bit for bit; otherwise the general path runs.
     """
-    if label_scale <= 0:
-        raise ConfigError("label_scale must be positive")
+    check_estimator(label_scale=label_scale)
     check_k(len(points.labels), k)
     result = None
     if jitter_seed is None:
@@ -276,8 +283,6 @@ def _score_onehot_per_class(points, k, label_scale, strict):
     would not equal the joint-space result."""
     labels = points.labels
     n = len(labels)
-    if not math.isfinite(label_scale):
-        return None
     eps, keff, sizes = _class_kth(points.features, labels, k)
     if keff.min() < k or eps.max() > label_scale:
         return None
@@ -294,14 +299,13 @@ def _score_onehot_per_class(points, k, label_scale, strict):
 def score_dataset(points, k, variant=VARIANT_DISCRETE, strict=True, label_scale=None,
                   jitter_seed=None):
     """Dispatch to the configured scoring variant."""
+    check_estimator(variant=variant)
     if variant == VARIANT_DISCRETE:
         return score_discrete(points, k, strict=strict, jitter_seed=jitter_seed)
-    if variant == VARIANT_ONEHOT:
-        if label_scale is None:
-            span = points.features.max() - points.features.min() if points.features.size else 1.0
-            label_scale = 4.0 * max(float(span), 1.0)
-        return score_onehot(points, k, label_scale, strict=strict, jitter_seed=jitter_seed)
-    raise ConfigError(f"unknown estimator variant {variant!r}")
+    if label_scale is None:
+        span = points.features.max() - points.features.min() if points.features.size else 1.0
+        label_scale = 4.0 * max(float(span), 1.0)
+    return score_onehot(points, k, label_scale, strict=strict, jitter_seed=jitter_seed)
 
 
 def per_class_summary(scores, labels):

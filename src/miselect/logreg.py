@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import is_int, is_number
 from .data import _frozen
 from .errors import ConfigError, ConsistencyError, DivergenceError
 
@@ -49,13 +50,14 @@ _PAIRWISE_FROM = 8
 
 
 class _Buffers:
-    """The arrays of one softmax pass over fixed labels, which one fit reuses
-    across its full-data calls.
+    """The arrays of one softmax pass over n labels, which one fit reuses
+    across its calls on n samples.
 
     ``z`` holds the class-major (C, n) logits, then their max-subtracted
     exponentials; ``s`` the per-sample max, then the per-sample sum; ``p``
     the (n, C) probabilities; ``pos`` the positions of the labels in ``z``
-    raveled and ``onehot`` the labels one-hot in the (n, C) layout.
+    raveled and ``onehot`` the labels one-hot in the (n, C) layout, which
+    ``relabel`` replaces for another n labels.
     """
 
     def __init__(self, labels, num_classes):
@@ -63,8 +65,12 @@ class _Buffers:
         self.z = np.empty((num_classes, n))
         self.s = np.empty(n)
         self.p = np.empty((n, num_classes))
-        self.pos = labels * n + np.arange(n)
-        self.onehot = np.eye(num_classes).take(labels, axis=0)
+        self.relabel(labels, np.eye(num_classes).take(labels, axis=0))
+
+    def relabel(self, labels, onehot):
+        self.pos = labels * labels.shape[0] + np.arange(labels.shape[0])
+        self.onehot = onehot
+        return self
 
 
 def _forward(weights, x, l2, buf):
@@ -117,6 +123,18 @@ def loss_and_gradient(weights, x, labels, l2, buf=None):
     return loss, grad
 
 
+def check_fit(learning_rate=0.1, epochs=1, l2=0.0, batch_size=None):
+    """Each of train's settings on its own; the config check calls it too."""
+    if not (is_number(learning_rate) and learning_rate > 0):
+        raise ConfigError("learning_rate: must be positive")
+    if not is_int(epochs, 1):
+        raise ConfigError("epochs: must be a positive integer")
+    if not (is_number(l2) and l2 >= 0):
+        raise ConfigError("l2: must be non-negative")
+    if not (batch_size is None or is_int(batch_size, 1)):
+        raise ConfigError("batch_size: must be a positive integer or null")
+
+
 # a diverging fit overflows its weights, steps and loss to inf or NaN, which
 # the loss check after each epoch reports
 @np.errstate(over="ignore", invalid="ignore")
@@ -131,14 +149,7 @@ def train(data, retained=None, learning_rate=0.1, epochs=300, l2=1e-4, batch_siz
     initialization and a shuffle order derived from ``seed`` when
     mini-batching.
     """
-    if learning_rate <= 0:
-        raise ConfigError("learning_rate must be positive")
-    if epochs < 1:
-        raise ConfigError("epochs must be positive")
-    if l2 < 0:
-        raise ConfigError("l2 must be non-negative")
-    if batch_size is not None and batch_size < 1:
-        raise ConfigError("batch_size must be positive")
+    check_fit(learning_rate, epochs, l2, batch_size)
     if retained is None:
         retained = np.arange(data.n)
     retained = np.asarray(retained, dtype=np.int64)
@@ -153,12 +164,14 @@ def train(data, retained=None, learning_rate=0.1, epochs=300, l2=1e-4, batch_siz
     rng = np.random.default_rng(seed)
     batch = n if batch_size is None else min(batch_size, n)
     buf = _Buffers(labels, num_classes)
+    sized = {m: _Buffers(labels[:m], num_classes) for m in {batch, n % batch} if m and batch < n}
 
     # The full-data call that records an epoch's loss also yields the
     # gradient of the next full-batch step, so a full-batch epoch makes one
     # call and the last epoch, with no step after it, records the loss alone;
     # a mini-batch epoch steps on its batches and records the loss alone.
-    # Every full-data call reuses the fit's buffers; a batch makes its own.
+    # Every full-data call reuses the fit's buffers, and a batch those of its
+    # size (the full batches' or the short last one's) with its one-hot rows.
     history = []
     if batch == n:
         _, grad = loss_and_gradient(weights, xb, labels, l2, buf)
@@ -173,7 +186,8 @@ def train(data, retained=None, learning_rate=0.1, epochs=300, l2=1e-4, batch_siz
             order = rng.permutation(n)
             for start in range(0, n, batch):
                 rows = order[start : start + batch]
-                _, grad = loss_and_gradient(weights, xb[rows], labels[rows], l2)
+                part = sized[len(rows)].relabel(labels[rows], buf.onehot[rows])
+                _, grad = loss_and_gradient(weights, xb[rows], labels[rows], l2, part)
                 weights = weights - learning_rate * grad
             loss = _forward(weights, xb, l2, buf)[0]
         if not math.isfinite(loss):

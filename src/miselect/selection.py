@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import largest_remainder_quotas, round_half_even
+from ._util import is_number, largest_remainder_quotas, round_half_even
 from .errors import ConfigError, ConsistencyError
 
 SCOPES = ("global", "class_wise")
@@ -33,12 +33,8 @@ class SelectionPlan:
     seed: int | None = None  # random band only
 
     def __post_init__(self):
-        if self.scope not in SCOPES:
-            raise ConfigError(f"scope must be one of {SCOPES}, got {self.scope!r}")
-        if self.band not in BANDS:
-            raise ConfigError(f"band must be one of {BANDS}, got {self.band!r}")
-        if not (0.0 < self.retention_ratio <= 1.0):
-            raise ConfigError("retention_ratio must lie in (0, 1]")
+        check_plan(self.scope, self.band)
+        check_ratio(self.retention_ratio)
 
     @property
     def strategy(self):
@@ -74,9 +70,20 @@ def _band_pick(local, positions, m, band, rng):
     return positions[order[start : start + m]]
 
 
-def check_ratio(ratio, n, what="retention_ratio"):
-    """round(ratio * N), the samples kept of N, at least one; ``what`` names the ratio."""
-    m = round_half_even(ratio * n)
+def check_plan(scope="global", band="top"):
+    """A plan's scope and band, each on its own; the config check calls it too."""
+    if scope not in SCOPES:
+        raise ConfigError("scope: must be global or class_wise")
+    if band not in BANDS:
+        raise ConfigError("band: must be top, middle, bottom or random")
+
+
+def check_ratio(ratio, n=None, what="retention_ratio"):
+    """A ratio in (0, 1] and, given N, round(ratio * N), the samples kept of N,
+    at least one; ``what`` names the ratio."""
+    if not (is_number(ratio) and 0.0 < ratio <= 1.0):
+        raise ConfigError(f"{what}: must lie in (0, 1]")
+    m = None if n is None else round_half_even(ratio * n)
     if m == 0:
         raise ConfigError(f"{what}: {ratio} of N_train={n} rounds to an empty training set")
     return m

@@ -17,12 +17,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from miselect.cli import main as cli_main
-from miselect.corruption import AffineParams, apply_corruption
+from miselect.corruption import AffineParams, apply_corruption, flip_labels
 from miselect.data import generate_pattern_images, generate_synthetic
 from miselect.embedding import fit_pca
 from miselect.errors import ConfigError, DegenerateInputError, DivergenceError, StageError
 from miselect.experiment import run_experiment, validate_config
-from miselect.ksg import score_dataset
+from miselect.ksg import score_dataset, score_onehot
+from miselect.logreg import train
 from miselect.selection import BANDS, SCOPES, SelectionPlan, select
 
 # what a valid config may still meet: a fit that diverges, data with no
@@ -31,7 +32,7 @@ _DATA_FAULTS = (DivergenceError, DegenerateInputError, MemoryError, OverflowErro
 _OVERFLOWED_DRAW = "all feature values must be finite"
 
 
-# values a field's own row rejects
+# values a field's own row rejects; a None section is the config itself
 _WRONG = {
     ("dataset", "test_fraction"): [0.0, 1.0, 1],
     ("dataset", "class_stddev"): [-1.0],
@@ -44,6 +45,12 @@ _WRONG = {
     ("classifier", "learning_rate"): [0.0, -1],
     ("classifier", "epochs"): [0, 2.0, True],
     ("classifier", "batch_size"): [0, 4.0],
+    (None, "corruptions"): [[{"kind": "label_flip", "rate": 1.5}],
+                            [{"kind": "affine_mild", "fraction": 1.5}],
+                            [{"kind": "gaussian", "fraction": 0.5, "noise_factor": -1}]],
+    ("selection", "plans"): [[{"scope": "everywhere", "band": "top"}],
+                             [{"scope": "global", "band": "best"}]],
+    ("selection", "ratios"): [[0], [1.5]],
 }
 # values at a cross-field rule's edge, on one side of it or the other
 _EDGES = {
@@ -141,7 +148,7 @@ def _configs(draw):
     for table in (_WRONG, _EDGES):
         if draw(st.booleans()):
             section, key = field = draw(st.sampled_from(list(table)))
-            cfg[section][key] = draw(st.sampled_from(table[field]))
+            (cfg if section is None else cfg[section])[key] = draw(st.sampled_from(table[field]))
     if not images and "class_means" in dataset:
         dataset["class_means"] = _means(dataset["class_means"], dataset["num_classes"],
                                         dataset["dim"])
@@ -237,6 +244,23 @@ _WIDE = AffineParams(rotation_deg=1e308, scale_range=(0.9, 1.1), shear_deg=5.0,
                      translate_frac=0.05)
 
 
+def _section(name, value):
+    return {**_synthetic(), name: value}
+
+
+def _patterns():
+    return generate_pattern_images(2, 10, height=4, width=4)
+
+
+def _plan(scope="global", band="top", ratio=1.0):
+    return _section("selection", {"plans": [{"scope": scope, "band": band}], "ratios": [ratio]})
+
+
+def _affine(**params):
+    return lambda: AffineParams(**{"rotation_deg": 10.0, "scale_range": (0.9, 1.1),
+                                   "shear_deg": 5.0, "translate_frac": 0.05, **params})
+
+
 # (a config, the stage call its violation comes from, the path of the record
 # the field is in, the stage's name for the field where the config's differs)
 @pytest.mark.parametrize("cfg, stage_call, record, renamed", [
@@ -270,8 +294,55 @@ _WIDE = AffineParams(rotation_deg=1e308, scale_range=(0.9, 1.1), shear_deg=5.0,
      lambda: select(np.zeros(15), np.zeros(15, dtype=np.int64),
                     SelectionPlan(scope="global", band="top", retention_ratio=0.03)),
      "selection", ("retention_ratio", "ratios[0]")),
+    # single-field rules
+    (_synthetic(num_classes=0), lambda: generate_synthetic(0, 10, 3, 1.0, class_separation=3.0),
+     "dataset", None),
+    (_synthetic(per_class_count=0),
+     lambda: generate_synthetic(2, 0, 3, 1.0, class_separation=3.0), "dataset", None),
+    (_synthetic(dim=0), lambda: generate_synthetic(2, 10, 0, 1.0, class_separation=3.0),
+     "dataset", None),
+    (_synthetic(class_stddev=-1.0),
+     lambda: generate_synthetic(2, 10, 3, -1.0, class_separation=3.0), "dataset", None),
+    (_images(num_classes=7), lambda: generate_pattern_images(7, 10, height=4, width=4),
+     "dataset", None),
+    (_section("corruptions", [{"kind": "label_flip", "rate": 1.5}]),
+     lambda: apply_corruption(_split()[0], "label_flip", seed=0, rate=1.5), "corruptions[0]",
+     None),
+    (_images([{"kind": "affine_mild", "fraction": 1.5}]),
+     lambda: apply_corruption(_patterns(), "affine_mild", seed=0, fraction=1.5),
+     "corruptions[0]", None),
+    (_images([{"kind": "gaussian", "fraction": 0.5, "noise_factor": -1.0}]),
+     lambda: apply_corruption(_patterns(), "gaussian", seed=0, fraction=0.5, noise_factor=-1.0),
+     "corruptions[0]", None),
+    (_images([{"kind": "gaussian", "fraction": 0.5, "noise_factor": 0.5, "seed": -1}]),
+     lambda: apply_corruption(_patterns(), "gaussian", seed=-1, fraction=0.5, noise_factor=0.5),
+     "corruptions[0]", None),
+    (_images([_warp(shear_deg=-1.0)]), _affine(shear_deg=-1.0), "corruptions[0].params", None),
+    (_images([_warp(scale_range=[1.2, 0.8])]), _affine(scale_range=(1.2, 0.8)),
+     "corruptions[0].params", None),
+    (_images([{"kind": "affine_mild", "fraction": 0.5, "params": {"rotation_deg": 10.0}}]),
+     _affine(scale_range=None, shear_deg=None, translate_frac=None), "corruptions[0].params",
+     None),
+    (_section("estimator", {"variant": "onehot_continuous", "label_scale": 0}),
+     lambda: score_onehot(_split()[0], 3, 0), "estimator", None),
+    (_section("estimator", {"variant": "kernel"}),
+     lambda: score_dataset(_split()[0], 3, variant="kernel"), "estimator", None),
+    (_plan(scope="everywhere"), lambda: SelectionPlan("everywhere", "top", 1.0),
+     "selection.plans[0]", None),
+    (_plan(band="best"), lambda: SelectionPlan("global", "best", 1.0), "selection.plans[0]",
+     None),
+    (_plan(ratio=1.5), lambda: SelectionPlan("global", "top", 1.5), "selection",
+     ("retention_ratio", "ratios[0]")),
+    (_fit(learning_rate=0), lambda: train(_split()[0], learning_rate=0), "classifier", None),
+    (_fit(epochs=0), lambda: train(_split()[0], epochs=0), "classifier", None),
+    (_fit(l2=-1.0), lambda: train(_split()[0], l2=-1.0), "classifier", None),
+    (_fit(batch_size=0), lambda: train(_split()[0], batch_size=0), "classifier", None),
 ], ids=["size", "split", "separation", "separation-dim", "means-shape", "means-coincide",
-        "jitter", "embedding-dim", "k", "flip-one-class", "affine-range", "ratio"])
+        "jitter", "embedding-dim", "k", "flip-one-class", "affine-range", "ratio",
+        "num-classes", "per-class-count", "dim", "class-stddev", "pattern-classes", "rate",
+        "fraction", "noise-factor", "corruption-seed", "affine-bound", "affine-scale",
+        "affine-missing", "label-scale", "variant", "scope", "band", "ratio-range", "learning-rate",
+        "epochs", "l2", "batch-size"])
 def test_validate_reports_the_stage_check_behind_the_field_path(cfg, stage_call, record,
                                                                  renamed):
     with pytest.raises(ConfigError) as caught:
@@ -280,3 +351,27 @@ def test_validate_reports_the_stage_check_behind_the_field_path(cfg, stage_call,
     if renamed:
         message = message.replace(*renamed, 1)
     assert f"{record}.{message}" in validate_config(cfg)
+
+
+@pytest.mark.parametrize("cfg, stage_call, record", [
+    (_fit(epochs=True), lambda: train(_split()[0], epochs=True), "classifier"),
+    (_fit(learning_rate=float("nan")), lambda: train(_split()[0], learning_rate=float("nan")),
+     "classifier"),
+], ids=["bool", "nan"])
+def test_a_stage_rejects_the_bools_and_nans_its_row_rejects(cfg, stage_call, record):
+    with pytest.raises(ConfigError) as caught:
+        stage_call()
+    assert f"{record}.{caught.value}" in validate_config(cfg)
+
+
+def test_stages_take_numpy_integers_as_integers():
+    i = np.int64
+    split = generate_synthetic(i(2), i(10), i(3), 1.0, class_separation=3.0, split=(0.25, i(0)))
+    same = generate_synthetic(2, 10, 3, 1.0, class_separation=3.0, split=(0.25, 0))
+    assert np.array_equal(split[0].features, same[0].features)
+    assert np.array_equal(generate_pattern_images(i(2), i(5), height=4, width=4).features,
+                          generate_pattern_images(2, 5, height=4, width=4).features)
+    assert np.array_equal(flip_labels(same[0], 0.2, seed=i(3)).labels,
+                          flip_labels(same[0], 0.2, seed=3).labels)
+    fit = train(same[0], epochs=i(5), batch_size=i(4), seed=0)
+    assert np.array_equal(fit.weights, train(same[0], epochs=5, batch_size=4, seed=0).weights)

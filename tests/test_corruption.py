@@ -211,7 +211,7 @@ def test_batched_warp_equals_per_image_oracle(height, width, n, fraction, params
     ds = ms.LabeledDataset.from_arrays(rng.uniform(0, 1, (n, height * width)), np.arange(n) % 3,
                                        image_shape=(height, width))
     out = ms.affine_warp(ds, params, fraction, seed=4, width=width, height=height)
-    chosen = corruption._choose(n, fraction, 4, "fraction")
+    chosen = corruption._choose(n, fraction, 4)
     expected = ds.features.copy()
     for i in chosen:
         img = ds.features[i].reshape(height, width)
