@@ -1,4 +1,4 @@
-"""Small shared helpers: number checks, rounding, apportioning, atomic JSON writes."""
+"""Small shared helpers: number checks, rounding, apportioning, atomic file writes."""
 
 import json
 import numbers
@@ -47,20 +47,29 @@ def largest_remainder_quotas(m, counts):
     return quotas
 
 
-def write_json_atomic(path, payload):
-    """Write ``payload`` to ``path`` as sorted-key JSON plus a newline.
+def json_text(payload, indent=None):
+    """``payload`` as sorted-key JSON plus a newline; without an indent,
+    dumps runs the C encoder, where dump always runs the Python one."""
+    return json.dumps(payload, sort_keys=True, indent=indent) + "\n"
 
-    The file is written under a temporary name in the same directory and
-    then renamed over ``path``, so an interrupted write never leaves a
-    partial file at ``path``.
+
+def write_atomic(path, text):
+    """Write ``text`` to ``path``, the one way this package writes a file.
+
+    The text goes to a temporary name in the same directory, which is then
+    renamed over ``path``, so an interrupted write never leaves a partial
+    file at ``path``, nor the temporary file.
     """
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", newline="\n") as f:
-            # dumps runs the C encoder; dump always runs the Python one
-            f.write(json.dumps(payload, sort_keys=True))
-            f.write("\n")
+            f.write(text)
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+
+
+def write_json_atomic(path, payload, indent=None):
+    """Write ``payload`` to ``path`` as json_text, by write_atomic."""
+    write_atomic(path, json_text(payload, indent))

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import is_int, is_number
+from ._util import is_int, is_number, json_text, write_atomic
 from .corruption import (KIND_AFFINE_MILD, KIND_AFFINE_STRONG, KIND_GAUSSIAN, KIND_LABEL_FLIP,
                          AffineParams, apply_corruption, check_affine, check_corruption,
                          check_flip)
@@ -36,7 +36,7 @@ from .data import (LabeledDataset, check_jitter, check_means, check_pattern_clas
 from .embedding import check_dim, fit_pca, transform
 from .errors import ConfigError, MiselectError, StageError
 from .ksg import (VARIANT_DISCRETE, check_estimator, check_k, dataset_content_hash, load_scores,
-                  per_class_summary, save_scores, score_dataset)
+                  null_degenerate, per_class_summary, save_scores, score_dataset)
 from .logreg import check_fit, evaluate, train
 from .selection import SelectionPlan, check_plan, check_ratio, save_selection, select
 
@@ -358,11 +358,13 @@ _ESTIMATOR_SETTINGS = ("k", "variant", "strict", "label_scale", "jitter_seed")
 
 
 def _cached_scores(embedded, est_cfg, cache_dir):
-    """Score one embedded training split, through the score cache."""
+    """(scores, content hash) of one embedded training split, scored through
+    the score cache."""
     settings = {key: est_cfg[key] for key in _ESTIMATOR_SETTINGS}
+    content_hash = dataset_content_hash(embedded.features, embedded.labels)
     key_material = json.dumps(
         {
-            "hash": dataset_content_hash(embedded.features, embedded.labels),
+            "hash": content_hash,
             **settings,
             "package_version": __version__,
         },
@@ -388,25 +390,18 @@ def _cached_scores(embedded, est_cfg, cache_dir):
             if stored_key == cache_key and all(
                 getattr(scores, name) == value for name, value in expected.items()
             ):
-                return scores
+                return scores, content_hash
     scores = score_dataset(embedded, **settings)
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
         save_scores(scores, cache_path, dataset_hash=cache_key)
-    return scores
+    return scores, content_hash
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path, columns, rows):
-    with open(path, "w", newline="\n") as f:
-        f.write(",".join(columns) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+def _csv_text(columns, rows):
+    """Comma-separated lines of the column names and then the rows; str of
+    a Python float is its repr, the shortest text that reads back exactly."""
+    return "".join(",".join(map(str, row)) + "\n" for row in (columns, *rows))
 
 
 def _sanitize(obj):
@@ -425,10 +420,9 @@ def _sanitize(obj):
     return obj
 
 
-def _write_json(path, payload):
-    with open(path, "w", newline="\n") as f:
-        json.dump(_sanitize(payload), f, sort_keys=True, indent=2)
-        f.write("\n")
+def _sanitized_json(payload):
+    """A report file's text: sanitized, sorted-key JSON indented by two spaces."""
+    return json_text(_sanitize(payload), indent=2)
 
 
 def _scores_rows(ds, scores):
@@ -442,9 +436,9 @@ def _scores_rows(ds, scores):
 class _Run:
     """State the pipeline stages share; each stage fills in its own fields.
     ``train`` holds one training split at a time: the clean split, then each
-    corruption's output as the scoring stage applies it. ``dataset`` is the
-    report's summary of the final split, which outlives ``train`` and
-    ``test`` when the classifier stage drops them."""
+    corruption's output as the scoring stage applies it. ``report`` holds
+    the report sections of the stages that ran, each added as its stage
+    runs; it becomes ExperimentReport.data."""
 
     cfg: dict               # the resolved config
     raw: dict               # the config as given, which the report embeds
@@ -454,28 +448,26 @@ class _Run:
     written: list = field(default_factory=list)
     train: LabeledDataset | None = None
     test: LabeledDataset | None = None
-    corruption_meta: list = field(default_factory=list)
     embedded_train: LabeledDataset | None = None
     embedded_test: LabeledDataset | None = None
+    embedded_hash: str | None = None  # dataset_content_hash of embedded_train
     scores: object = None
-    estimator: dict | None = None
-    dataset: dict | None = None
-    data: dict = field(default_factory=dict)  # becomes ExperimentReport.data
+    report: dict = field(default_factory=dict)
     selections: dict = field(default_factory=dict)
     accuracy: dict = field(default_factory=dict)
 
-    def emit(self, write, *names):
-        """Record output files and write them with ``write(*paths)``.
-
-        Without an output directory nothing is recorded or written.
-        """
+    def emit(self, name, text=None):
+        """Record output file ``name`` and return its path, its directory
+        made; write ``text`` to it when given. Without an output directory
+        nothing is recorded or written, and the path is None."""
         if self.out is None:
-            return
-        paths = [self.out / name for name in names]
-        for path in paths:
-            path.parent.mkdir(parents=True, exist_ok=True)
-        self.written.extend(paths)
-        write(*paths)
+            return None
+        path = self.out / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.written.append(path)
+        if text is not None:
+            write_atomic(path, text)
+        return path
 
 
 def _dataset_stage(run):
@@ -495,7 +487,8 @@ def _corrupt(run, index):
         (run.train.labels != before.labels).sum()
         + (run.train.input_corruption != before.input_corruption).sum()
     )
-    run.corruption_meta.append({"kind": args["kind"], "seed": args["seed"], "affected": affected})
+    run.report["corruption_stages"].append(
+        {"kind": args["kind"], "seed": args["seed"], "affected": affected})
     return f"{index + 1}:{args['kind']}", run.train.features is not before.features
 
 
@@ -514,6 +507,7 @@ def _scoring_stage(run):
     """Score the clean split, then corrupt and score one stage at a time."""
     cache_dir = run.out / "cache" if run.out is not None else None
     emb_cfg = run.cfg["embedding"]
+    run.report["corruption_stages"] = []
     mi_by_stage = []
     for i in range(len(run.cfg["corruptions"]) + 1):
         name, refit = _corrupt(run, i - 1) if i else ("clean", True)
@@ -528,7 +522,8 @@ def _scoring_stage(run):
         else:
             projected = run.embedded_train.features
             run.embedded_train = replace(run.train, features=projected, image_shape=None)
-        scores = _cached_scores(run.embedded_train, run.cfg["estimator"], cache_dir)
+        scores, run.embedded_hash = _cached_scores(run.embedded_train, run.cfg["estimator"],
+                                                   cache_dir)
         mi_by_stage.append(
             {
                 "stage": name,
@@ -540,24 +535,22 @@ def _scoring_stage(run):
         )
     run.scores = scores
     run.embedded_test = transform(model, run.test)
-    run.dataset = {
+    summary = {
+        "mi_by_stage": mi_by_stage,
+        "per_class_mi": per_class_summary(scores, run.train.labels),
+        "estimator": {key: getattr(scores, key) for key in _ESTIMATOR_SETTINGS},
+    }
+    run.report["dataset"] = {
         "n_train": run.train.n,
         "n_test": run.test.n,
         "num_classes": run.train.num_classes,
         "dim": run.train.dim,
         "image_shape": list(run.train.image_shape) if run.train.image_shape else None,
     }
-    run.data = {
-        "mi_by_stage": mi_by_stage,
-        "per_class_mi": per_class_summary(scores, run.train.labels),
-    }
-    run.estimator = {key: getattr(scores, key) for key in _ESTIMATOR_SETTINGS}
-    run.emit(
-        lambda path: _write_csv(path, SCORES_CSV_COLUMNS, _scores_rows(run.train, scores)),
-        "scores.csv",
-    )
-    summary = {"schema_version": REPORT_SCHEMA_VERSION, **run.data, "estimator": run.estimator}
-    run.emit(lambda path: _write_json(path, summary), "mi_summary.json")
+    run.report.update(summary)
+    run.emit("scores.csv", _csv_text(SCORES_CSV_COLUMNS, _scores_rows(run.train, scores)))
+    run.emit("mi_summary.json",
+             _sanitized_json({"schema_version": REPORT_SCHEMA_VERSION, **summary}))
 
 
 def _selection_stage(run):
@@ -571,14 +564,10 @@ def _selection_stage(run):
             plan = SelectionPlan(scope=scope, band=band, retention_ratio=float(ratio), seed=seed)
             result = select(run.scores, run.train.labels, plan, num_classes=run.train.num_classes)
             run.selections[(plan.strategy, plan.retention_ratio)] = result
-            tag = f"{plan.scope}-{plan.band}_r{plan.retention_ratio:g}"
-            run.emit(
-                lambda json_path, index_path: save_selection(
-                    result, json_path=json_path, index_path=index_path
-                ),
-                f"selection/{tag}.json",
-                f"selection/{tag}.idx",
-            )
+            tag = f"selection/{plan.scope}-{plan.band}_r{plan.retention_ratio:g}"
+            if run.out is not None:
+                save_selection(result, json_path=run.emit(f"{tag}.json"),
+                               index_path=run.emit(f"{tag}.idx"))
 
 
 # (train split, test split, train's keyword arguments) in a forked
@@ -666,13 +655,17 @@ def _classifier_stage(run):
         accs = [_cell_accuracy(cell, *inputs) for cell in cells]
     by_set = dict(zip(distinct, accs))
     run.accuracy = {key: by_set[result.retained_indices.tobytes()] for key, result in items}
-    rows = [(name, float(ratio), float(acc)) for (name, ratio), acc in run.accuracy.items()]
-    run.emit(lambda path: _write_csv(path, ACCURACY_CSV_COLUMNS, rows), "accuracy.csv")
+    run.report["accuracy"] = [
+        {"strategy": strategy, "ratio": float(ratio), "accuracy": float(acc)}
+        for (strategy, ratio), acc in run.accuracy.items()
+    ]
+    rows = ([row[key] for key in ACCURACY_CSV_COLUMNS] for row in run.report["accuracy"])
+    run.emit("accuracy.csv", _csv_text(ACCURACY_CSV_COLUMNS, rows))
 
 
 def _report_stage(run):
-    scores = run.scores
-    run.data = {
+    """The header and content hashes around the sections the stages added."""
+    run.report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "package_version": __version__,
         "master_seed": run.master,
@@ -680,27 +673,13 @@ def _report_stage(run):
             name: stage_seed(run.master, name) for name in ("dataset", "split", "classifier")
         },
         "config": run.raw,
-        "dataset": run.dataset,
-        "corruption_stages": run.corruption_meta,
-        **run.data,  # mi_by_stage and per_class_mi from the scoring stage
-        "estimator": run.estimator,
-        "accuracy": [
-            {"strategy": strategy, "ratio": float(ratio), "accuracy": float(acc)}
-            for (strategy, ratio), acc in run.accuracy.items()
-        ],
+        **run.report,
         "content_hashes": {
-            "embedded_train": dataset_content_hash(
-                run.embedded_train.features, run.embedded_train.labels
-            ),
-            "scores": hashlib.sha256(
-                json.dumps(
-                    [None if d else s for s, d in
-                     zip(scores.local_scores.tolist(), scores.degenerate.tolist())]
-                ).encode()
-            ).hexdigest(),
+            "embedded_train": run.embedded_hash,
+            "scores": hashlib.sha256(json.dumps(null_degenerate(run.scores)).encode()).hexdigest(),
         },
     }
-    run.emit(lambda path: _write_json(path, run.data), "report.json")
+    run.emit("report.json", _sanitized_json(run.report))
 
 
 # (stage name, the ``through`` value that stops after it, stage function).
@@ -731,6 +710,11 @@ def run_experiment(config, out_dir=None, seed_override=None, threads=1, through=
     cells; cells run in-process at 1 or where fork is unavailable. Reruns
     with identical config and seed produce byte-identical files regardless
     of ``threads``.
+
+    ``ExperimentReport.data`` holds the report sections of the stages that
+    ran: a "score" run returns ``corruption_stages``, ``dataset``,
+    ``mi_by_stage``, ``per_class_mi`` and ``estimator``; "train" adds
+    ``accuracy``; "full" adds the header and ``content_hashes``.
     """
     if through not in _STAGES:
         raise ConfigError(f"through must be one of {_STAGES}")
@@ -769,5 +753,5 @@ def run_experiment(config, out_dir=None, seed_override=None, threads=1, through=
         if stops_after == through:
             break
     return ExperimentReport(
-        data=run.data, scores=run.scores, accuracy=run.accuracy, out_files=run.written
+        data=run.report, scores=run.scores, accuracy=run.accuracy, out_files=run.written
     )

@@ -303,7 +303,11 @@ def score_dataset(points, k, variant=VARIANT_DISCRETE, strict=True, label_scale=
     if variant == VARIANT_DISCRETE:
         return score_discrete(points, k, strict=strict, jitter_seed=jitter_seed)
     if label_scale is None:
-        span = points.features.max() - points.features.min() if points.features.size else 1.0
+        with np.errstate(over="ignore"):  # features near the float64 limit overflow the span
+            span = points.features.max() - points.features.min() if points.features.size else 1.0
+        if not np.isfinite(span):
+            raise DegenerateInputError("the features' spread overflows float64, "
+                                       "no label_scale to derive from it")
         label_scale = 4.0 * max(float(span), 1.0)
     return score_onehot(points, k, label_scale, strict=strict, jitter_seed=jitter_seed)
 
@@ -361,6 +365,13 @@ _ARTIFACT_FIELDS = {
 }
 
 
+def null_degenerate(scores):
+    """The local scores as a list with None (JSON null) for each degenerate
+    sample's -inf, as the score artifact and the report's hash hold them."""
+    return [None if d else s for s, d in
+            zip(scores.local_scores.tolist(), scores.degenerate.tolist())]
+
+
 def save_scores(scores, path, dataset_hash=None):
     """Write a score set to a versioned JSON artifact (exact round trip).
 
@@ -372,9 +383,7 @@ def save_scores(scores, path, dataset_hash=None):
     for key, field in _ARTIFACT_FIELDS.items():
         value = getattr(scores, field)
         payload[key] = value.tolist() if isinstance(value, np.ndarray) else value
-    payload["local_scores"] = [
-        None if d else s for s, d in zip(payload["local_scores"], payload["degenerate"])
-    ]
+    payload["local_scores"] = null_degenerate(scores)
     write_json_atomic(path, payload)
 
 

@@ -12,12 +12,12 @@ sample index, and -inf sentinel scores sort below every finite score.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import is_number, largest_remainder_quotas, round_half_even
+from ._util import (is_number, largest_remainder_quotas, round_half_even, write_atomic,
+                    write_json_atomic)
 from .errors import ConfigError, ConsistencyError
 
 SCOPES = ("global", "class_wise")
@@ -130,11 +130,9 @@ def select(scores, labels, plan, num_classes=None):
 
 def save_selection(result, json_path=None, index_path=None):
     """Export a selection as JSON with plan metadata and/or a newline-
-    delimited index file."""
+    delimited index file, each written atomically."""
     if index_path is not None:
-        with open(index_path, "w", newline="\n") as f:
-            for i in result.retained_indices:
-                f.write(f"{int(i)}\n")
+        write_atomic(index_path, "".join(f"{i}\n" for i in result.retained_indices.tolist()))
     if json_path is not None:
         payload = {
             "schema_version": SELECTION_SCHEMA_VERSION,
@@ -144,9 +142,7 @@ def save_selection(result, json_path=None, index_path=None):
                 "retention_ratio": result.plan.retention_ratio,
                 "seed": result.plan.seed,
             },
-            "retained_indices": [int(i) for i in result.retained_indices],
-            "per_class_counts": [int(c) for c in result.per_class_counts],
+            "retained_indices": result.retained_indices.tolist(),
+            "per_class_counts": result.per_class_counts.tolist(),
         }
-        with open(json_path, "w", newline="\n") as f:
-            json.dump(payload, f, sort_keys=True, indent=2)
-            f.write("\n")
+        write_json_atomic(json_path, payload, indent=2)

@@ -1,3 +1,4 @@
+import errno
 import json
 import multiprocessing
 import os
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import miselect as ms
-from miselect import experiment
+from miselect import _util, experiment
 from miselect.cli import main as cli_main
 from miselect.errors import ConfigError, StageError
 from miselect.experiment import run_experiment, stage_seed, validate_config
@@ -646,7 +647,7 @@ _FAULTS = {
     "scoring": ("score_dataset", []),
     "selection": ("select", ["scores.csv", "mi_summary.json"]),
     "classifier": ("train", ["scores.csv", "mi_summary.json", *_selection_files()]),
-    "report": ("_write_json", ["scores.csv", "mi_summary.json", *_selection_files(),
+    "report": ("write_atomic", ["scores.csv", "mi_summary.json", *_selection_files(),
                                "accuracy.csv"]),
 }
 
@@ -659,7 +660,7 @@ def test_fault_at_each_stage_boundary_quarantines_earlier_outputs(
     original = getattr(experiment, callee)
 
     def faulty(*args, **kwargs):
-        if callee != "_write_json" or Path(args[0]).name == "report.json":
+        if callee != "write_atomic" or Path(args[0]).name == "report.json":
             raise ms.MiselectError("injected fault")
         return original(*args, **kwargs)
 
@@ -670,6 +671,49 @@ def test_fault_at_each_stage_boundary_quarantines_earlier_outputs(
     argv = ["run", "--config", _write_cfg(tmp_path, cfg), "--out", str(out), "--threads", "2"]
     assert cli_main(argv) == 1
     assert f"[stage:{stage}]" in capsys.readouterr().err
+    _assert_quarantined(out, earlier)
+
+
+@pytest.mark.parametrize("name, stage, earlier", [
+    ("scores.csv", "scoring", []),
+    ("selection/global-top_r0.5.json", "selection",
+     ["scores.csv", "mi_summary.json", "selection/global-top_r0.5.idx"]),
+    ("report.json", "report", _FAULTS["report"][1]),
+])
+def test_interrupted_write_leaves_no_partial_file(tmp_path, monkeypatch, capsys,
+                                                  name, stage, earlier):
+    """A write that stops halfway, as on a full disk, leaves neither a partial
+    file nor its temporary file; the files written before it still move to
+    quarantine/."""
+    out = tmp_path / "out"
+    temporary = f"{out / name}."
+
+    class HalfWritten:
+        def __init__(self, f):
+            self.f = f
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.f.close()
+
+        def write(self, text):
+            self.f.write(text[: len(text) // 2])
+            self.f.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    def interrupting_open(path, *args, **kwargs):
+        f = open(path, *args, **kwargs)
+        return HalfWritten(f) if str(path).startswith(temporary) else f
+
+    monkeypatch.setattr(_util, "open", interrupting_open, raising=False)
+    cfg = base_config(corruptions=[{"kind": "label_flip", "rate": 0.2}])
+    assert cli_main(["run", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"[stage:{stage}]" in err and "No space left on device" in err
+    assert not (out / name).exists()
+    assert list(out.rglob("*.tmp")) == []
     _assert_quarantined(out, earlier)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import miselect as ms
 from miselect import ksg, neighbors
 from miselect._util import write_json_atomic
-from miselect.errors import ConfigError, DomainError, FormatError
+from miselect.errors import ConfigError, DegenerateInputError, DomainError, FormatError
 import _oracle
 
 # ---------------------------------------------------------------------------
@@ -508,8 +508,8 @@ def test_score_artifact_write_is_atomic(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["scores.json"]
 
     def interrupted(payload, **kwargs):
-        # the temporary file is open by now, as an interrupted encode leaves it
-        assert [p.name for p in tmp_path.iterdir()] != ["scores.json"]
+        # the text is encoded before the temporary file is opened
+        assert [p.name for p in tmp_path.iterdir()] == ["scores.json"]
         raise KeyboardInterrupt
 
     monkeypatch.setattr(ksg.json, "dumps", interrupted)
@@ -549,6 +549,17 @@ def test_score_dataset_dispatch():
     assert o.variant == "onehot_continuous" and o.label_scale is not None
     with pytest.raises(ConfigError):
         ms.score_dataset(emb, 3, variant="kernel")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_derived_label_scale_rejects_a_span_past_float64():
+    """Features at -1e308 and 1e308 span more than float64 holds: the derived
+    one-hot label_scale fails on the spread, without a leaked overflow warning,
+    rather than on a label_scale the caller never gave."""
+    pts = np.array([[-1e308], [-1e308], [1e308], [1e308]])
+    emb = ms.LabeledDataset.from_arrays(pts, np.array([0, 1, 0, 1]))
+    with pytest.raises(DegenerateInputError, match="spread overflows float64"):
+        ms.score_dataset(emb, 1, variant="onehot_continuous")
 
 
 def test_global_mi_bits_conversion():
