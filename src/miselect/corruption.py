@@ -22,7 +22,7 @@ KIND_GAUSSIAN = "gaussian"
 KIND_AFFINE_STRONG = "affine_strong"
 KIND_AFFINE_MILD = "affine_mild"
 
-_WARP_CHUNK = 64  # images warped, or given pixel noise, per batch
+_CHUNK = 64  # images warped, or given pixel noise, per batch
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,21 @@ def _sample_rng(seed, index):
     return np.random.default_rng([int(seed), int(index)])
 
 
-def _corrupted_inputs(ds, features, chosen, kind):
-    """``ds`` with ``features`` and ``kind`` added to the chosen samples' tags."""
+def _corrupted_inputs(ds, fraction, seed, kind, rewrite):
+    """``ds`` with round(fraction*N) chosen samples rewritten, clipped to
+    [0, 1] and tagged ``kind``. ``rewrite(rngs, x)`` maps the features ``x``
+    of up to _CHUNK chosen samples, and each one's RNG stream, to their new
+    features; chunks keep the (rows, dim) temporaries small. The clip takes
+    an overflow's inf to 0 or 1."""
+    chosen = _choose(ds.n, fraction, seed)
+    if not chosen.size:
+        return replace(ds)
+    features = ds.features.copy()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, chosen.size, _CHUNK):
+            rows = chosen[start : start + _CHUNK]
+            new = rewrite([_sample_rng(seed, i) for i in rows], features[rows])
+            features[rows] = np.clip(new, 0.0, 1.0)
     # object strings grow freely; the string array is then sized to its content
     tags = ds.input_corruption.astype(object)
     for i in chosen:
@@ -133,44 +146,39 @@ def add_gaussian(ds, noise_factor, fraction, seed):
     Labels are never touched. Requires image-valued features in [0, 1].
     """
     check_corruption(fraction=fraction, noise_factor=noise_factor, seed=seed)
-    chosen = _choose(ds.n, fraction, seed)
     if ds.n and (ds.features.min() < 0.0 or ds.features.max() > 1.0):
         raise ConfigError("add_gaussian requires image-valued features in [0, 1]")
-    if not chosen.size:
-        return replace(ds)
-    features = ds.features.copy()
-    with np.errstate(over="ignore"):  # the clip takes an overflow's inf to 0 or 1
-        for start in range(0, chosen.size, _WARP_CHUNK):
-            rows = chosen[start : start + _WARP_CHUNK]
-            z = np.array([_sample_rng(seed, i).standard_normal(ds.dim) for i in rows])
-            features[rows] = np.clip(features[rows] + noise_factor * z, 0.0, 1.0)
-    return _corrupted_inputs(ds, features, chosen, KIND_GAUSSIAN)
+
+    def noisy(rngs, x):
+        return x + noise_factor * np.array([rng.standard_normal(ds.dim) for rng in rngs])
+
+    return _corrupted_inputs(ds, fraction, seed, KIND_GAUSSIAN, noisy)
 
 
 def _bilinear_sample(imgs, sx, sy):
-    # zero padding outside each image of the (m, h, w) stack
+    """Bilinear samples of each image of the (m, h, w) stack ``imgs`` at its
+    (m, p) source points (sx, sy), which are overwritten; a pixel outside
+    the frame reads from zero padding."""
     m, h, w = imgs.shape
     # a source point at least a pixel outside the frame, or not finite,
     # reads zero at every corner; moved to (-2, -2) it reads the same zeros
-    # and casts to an integer in range
+    # and casts to an integer in range. So every corner lies in the frame
+    # padded by two pixels
     far = ~((sx > -2) & (sx < w + 1) & (sy > -2) & (sy < h + 1))
     sx[far] = sy[far] = -2.0
     x0 = np.floor(sx).astype(np.int64)
     y0 = np.floor(sy).astype(np.int64)
     fx = sx - x0
     fy = sy - y0
-    flat = imgs.reshape(-1)
-    base = np.arange(m)[:, None] * (h * w)
+    flat = np.pad(imgs, ((0, 0), (2, 2), (2, 2))).reshape(-1)
+    row = w + 4
+    # the flat index of each top-left corner in the padded stack
+    corner = np.arange(m)[:, None] * ((h + 4) * row) + (y0 + 2) * row + (x0 + 2)
     out = np.zeros(sx.shape)
     for dy in (0, 1):
         for dx in (0, 1):
-            xs = x0 + dx
-            ys = y0 + dy
-            valid = (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
             weight = (fx if dx else 1.0 - fx) * (fy if dy else 1.0 - fy)
-            vals = np.zeros(sx.shape)
-            vals[valid] = flat[(base + ys * w + xs)[valid]]
-            out += weight * vals
+            out += weight * flat[corner + (dy * row + dx)]
     return out
 
 
@@ -219,25 +227,17 @@ def affine_warp(ds, params, fraction, seed, width, height, kind=KIND_AFFINE_STRO
     provenance tag.
     """
     check_corruption(fraction=fraction, seed=seed)
-    chosen = _choose(ds.n, fraction, seed)
     if ds.dim != width * height:
         raise ConfigError(f"dataset dim {ds.dim} != width*height={width * height}")
     check_affine(params, height, width)
-    if not chosen.size:
-        return replace(ds)
-    features = ds.features.copy()
+
     # a near-singular or huge warp sends source points to inf or NaN, which
-    # _bilinear_sample reads as zero; a few images at a time, so the (m, h*w)
-    # temporaries stay small
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, chosen.size, _WARP_CHUNK):
-            rows = chosen[start : start + _WARP_CHUNK]
-            invs, shifts = zip(*(_draw_warp(_sample_rng(seed, i), params, height, width)
-                                 for i in rows))
-            warped = _warp_images(features[rows].reshape(-1, height, width),
-                                  np.array(invs), np.array(shifts))
-            features[rows] = np.clip(warped, 0.0, 1.0)
-    return _corrupted_inputs(ds, features, chosen, kind)
+    # _bilinear_sample reads as zero
+    def warped(rngs, x):
+        invs, shifts = zip(*(_draw_warp(rng, params, height, width) for rng in rngs))
+        return _warp_images(x.reshape(-1, height, width), np.array(invs), np.array(shifts))
+
+    return _corrupted_inputs(ds, fraction, seed, kind, warped)
 
 
 _PRESETS = {KIND_AFFINE_STRONG: STRONG_AFFINE, KIND_AFFINE_MILD: MILD_AFFINE}

@@ -287,17 +287,6 @@ def _template(cls_id, h, w):
     return img
 
 
-def _shift(img, dy, dx):
-    out = np.zeros_like(img)
-    h, w = img.shape
-    ys = slice(max(0, dy), min(h, h + dy))
-    xs = slice(max(0, dx), min(w, w + dx))
-    ys_src = slice(max(0, -dy), min(h, h - dy))
-    xs_src = slice(max(0, -dx), min(w, w - dx))
-    out[ys, xs] = img[ys_src, xs_src]
-    return out
-
-
 def generate_pattern_images(
     num_classes, per_class_count, height=12, width=12, noise=0.05, jitter_px=1, seed=0,
     split=None,
@@ -306,9 +295,9 @@ def generate_pattern_images(
 
     Each sample is its class template shifted by up to ``jitter_px`` pixels,
     scaled by a random brightness in [0.7, 1.0], plus Gaussian pixel noise,
-    clipped to [0, 1]. A deterministic desk-scale stand-in for a digit
-    corpus in input-noise experiments. ``split`` works as in
-    ``generate_synthetic``.
+    clipped to [0, 1]. A pixel shifted in from outside the frame reads from
+    zero padding. A deterministic desk-scale stand-in for a digit corpus in
+    input-noise experiments. ``split`` works as in ``generate_synthetic``.
     """
     check_pattern_classes(num_classes)
     check_synthetic(per_class_count=per_class_count)
@@ -330,21 +319,22 @@ def generate_pattern_images(
         shifts[i] = rng.integers(-jitter_px, jitter_px + 1, size=2)
         brightness[i] = rng.uniform(0.7, 1.0)
         rng.standard_normal(out=arrays[part][row])
-    # img = noise * z + brightness * shifted template, clipped, a block of
-    # rows at a time, with each (class, dy, dx) template shifted once per block
-    bases = [_template(c, height, width) for c in range(num_classes)]
+    # the template shifted by (dy, dx) is the window at (j - dy, j - dx) of
+    # its class template zero-padded by j pixels
+    j = int(jitter_px)
+    padded = np.pad(np.array([_template(c, height, width) for c in range(num_classes)]),
+                    ((0, 0), (j, j), (j, j)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (height, width), axis=(1, 2))
+    # img = noise * z + brightness * shifted template, clipped, a block of rows at a time
     for idx, features in outputs:
         for start in range(0, len(idx), _GENERATE_CHUNK):
             rows = slice(start, start + _GENERATE_CHUNK)
             samples = idx[rows]
-            keys, which = np.unique(np.column_stack([labels[samples], shifts[samples]]),
-                                    axis=0, return_inverse=True)
-            templates = np.array([_shift(bases[c], dy, dx).ravel()
-                                  for c, dy, dx in keys.tolist()])
+            templates = windows[labels[samples], j - shifts[samples, 0], j - shifts[samples, 1]]
             block = features[rows]
             with np.errstate(over="ignore"):  # the clip takes an overflow's inf to 0 or 1
                 block *= noise
-                block += brightness[samples, None] * templates[which.ravel()]
+                block += brightness[samples, None] * templates.reshape(len(samples), -1)
             np.clip(block, 0.0, 1.0, out=block)
     return _datasets(outputs, labels, num_classes, split, image_shape=(height, width))
 

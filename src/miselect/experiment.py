@@ -554,20 +554,23 @@ def _scoring_stage(run):
 
 
 def _selection_stage(run):
+    """Select and write each distinct (scope, band, ratio) cell once, in plan
+    order and ascending ratio. Of two equal ratios written differently (1
+    and 1.0), the last in that order names the random band's seed."""
     sel_cfg = run.cfg["selection"]
-    for plan_cfg in sel_cfg["plans"]:
-        scope, band = plan_cfg["scope"], plan_cfg["band"]
-        for ratio in sorted(sel_cfg["ratios"]):
-            seed = None
-            if band == "random":
-                seed = stage_seed(run.master, f"selection.{scope}/{band}@{ratio!r}")
-            plan = SelectionPlan(scope=scope, band=band, retention_ratio=float(ratio), seed=seed)
-            result = select(run.scores, run.train.labels, plan, num_classes=run.train.num_classes)
-            run.selections[(plan.strategy, plan.retention_ratio)] = result
-            tag = f"selection/{plan.scope}-{plan.band}_r{plan.retention_ratio:g}"
-            if run.out is not None:
-                save_selection(result, json_path=run.emit(f"{tag}.json"),
-                               index_path=run.emit(f"{tag}.idx"))
+    cells = {(plan["scope"], plan["band"], float(ratio)): ratio
+             for plan in sel_cfg["plans"] for ratio in sorted(sel_cfg["ratios"])}
+    for (scope, band, retention), ratio in cells.items():
+        seed = None
+        if band == "random":
+            seed = stage_seed(run.master, f"selection.{scope}/{band}@{ratio!r}")
+        plan = SelectionPlan(scope=scope, band=band, retention_ratio=retention, seed=seed)
+        result = select(run.scores, run.train.labels, plan, num_classes=run.train.num_classes)
+        run.selections[(plan.strategy, retention)] = result
+        tag = f"selection/{scope}-{band}_r{retention:g}"
+        if run.out is not None:
+            save_selection(result, json_path=run.emit(f"{tag}.json"),
+                           index_path=run.emit(f"{tag}.idx"))
 
 
 # (train split, test split, train's keyword arguments) in a forked

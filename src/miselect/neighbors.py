@@ -70,14 +70,6 @@ def _window_blocks(order, lo, hi, budget):
     """Split the rows ``order`` into consecutive runs; yield (rows, lo, hi),
     a run and the union of its windows, with len(rows) * (hi - lo) at most
     ``budget`` unless the run is a single row."""
-    n = len(order)
-    if lo.max() == 0 and hi.min() == n:
-        # every window is the whole set: the walk below would cut the same
-        # runs of budget // n rows
-        step = max(1, budget // n)
-        for start in range(0, n, step):
-            yield order[start : start + step], 0, n
-        return
     lows, highs = lo[order].tolist(), hi[order].tolist()
     start, b_lo, b_hi = 0, lows[0], highs[0]
     for j in range(1, len(order)):

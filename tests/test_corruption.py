@@ -2,10 +2,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import miselect as ms
 from miselect import corruption
-from miselect.corruption import _draw_warp, _warp_images
+from miselect.corruption import _bilinear_sample, _draw_warp, _warp_images
 from miselect.errors import ConfigError
 
 
@@ -181,6 +183,35 @@ def _reference_bilinear(img, sx, sy):
             vals[valid] = img[ys[valid], xs[valid]]
             out += weight * vals
     return out
+
+
+def _coordinate(side):
+    """A source coordinate on an axis of ``side`` pixels: anywhere in
+    [-3, side + 2], at or beside -2, -1, side and side + 1, where the
+    padding's and the frame's edges lie, or not finite."""
+    edges = [np.nextafter(v, v + step) for v in (-2.0, -1.0, float(side), side + 1.0)
+             for step in (-1.0, 0.0, 1.0)]
+    return st.one_of(st.floats(-3.0, side + 2.0), st.sampled_from(edges),
+                     st.sampled_from([np.nan, np.inf, -np.inf]))
+
+
+@given(data=st.data())
+def test_bilinear_sample_matches_the_per_image_reference(data):
+    m, h, w, p = (data.draw(st.integers(1, top), label=name)
+                  for name, top in (("m", 3), ("h", 4), ("w", 4), ("points", 6)))
+    # no pixel is zero, so a read that misses the zero padding shows
+    pixels = data.draw(st.lists(st.floats(0.25, 1.0), min_size=m * h * w, max_size=m * h * w),
+                       label="pixels")
+    imgs = np.array(pixels).reshape(m, h, w)
+    sx, sy = (np.array(data.draw(st.lists(_coordinate(side), min_size=m * p, max_size=m * p),
+                                 label=name)).reshape(m, p)
+              for name, side in (("sx", w), ("sy", h)))
+    # a source point that is not finite reads zero at every corner
+    finite = np.isfinite(sx) & np.isfinite(sy)
+    expected = np.zeros((m, p))
+    for i in range(m):
+        expected[i, finite[i]] = _reference_bilinear(imgs[i], sx[i, finite[i]], sy[i, finite[i]])
+    assert _bilinear_sample(imgs, sx.copy(), sy.copy()).tobytes() == expected.tobytes()
 
 
 def _reference_warp_image(img, rng, params):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import miselect as ms
-from miselect.data import _shift, _template
+from miselect.data import _template
 from miselect.experiment import _build_dataset, resolve
 from miselect.errors import ConfigError, ConsistencyError, FormatError, IoError
 
@@ -291,6 +291,17 @@ def test_pattern_images_shape_and_determinism():
         ms.generate_pattern_images(7, 5)
 
 
+def _shift(img, dy, dx):
+    out = np.zeros_like(img)
+    h, w = img.shape
+    ys = slice(max(0, dy), min(h, h + dy))
+    xs = slice(max(0, dx), min(w, w + dx))
+    ys_src = slice(max(0, -dy), min(h, h - dy))
+    xs_src = slice(max(0, -dx), min(w, w - dx))
+    out[ys, xs] = img[ys_src, xs_src]
+    return out
+
+
 def _reference_pattern_images(num_classes, per_class_count, height, width, noise, jitter_px,
                               seed):
     """The per-sample generator loop, the oracle for the batched one."""
@@ -315,6 +326,7 @@ def _reference_pattern_images(num_classes, per_class_count, height, width, noise
     (4, 32, 7, 6, 0.0, 3, 9),
     (5, 13, 10, 12, 0.2, 0, 1),
     (1, 1, 4, 4, 1.5, 1, 0),
+    (3, 20, 4, 6, 0.1, 4, 5),  # jitter_px at the shorter side, the widest padding allowed
 ])
 def test_pattern_images_equal_per_sample_oracle(args):
     got = ms.generate_pattern_images(*args)

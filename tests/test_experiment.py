@@ -234,6 +234,23 @@ def test_grid_complete_and_full_retention_coincides(tmp_path):
                      ("global/random", 0.5), ("global/random", 1.0)}
 
 
+def test_repeated_plans_and_ratios_are_selected_and_written_once(tmp_path):
+    cfg = base_config()
+    cfg["selection"] = {"plans": [{"scope": "global", "band": "top"}] * 2,
+                        "ratios": [0.5, 0.5, 1.0]}
+    report = run_experiment(cfg, out_dir=tmp_path / "dup")
+    once = base_config()
+    once["selection"] = {"plans": [{"scope": "global", "band": "top"}], "ratios": [0.5, 1.0]}
+    run_experiment(once, out_dir=tmp_path / "once")
+    written = [str(p.relative_to(tmp_path / "dup")) for p in report.out_files]
+    on_disk = [name for name in read_tree(tmp_path / "dup") if not name.startswith("cache/")]
+    assert len(written) == len(set(written)) == 8
+    assert sorted(written) == on_disk
+    assert sorted(report.accuracy) == [("global/top", 0.5), ("global/top", 1.0)]
+    for name in ("scores.csv", "accuracy.csv"):
+        assert (tmp_path / "dup" / name).read_bytes() == (tmp_path / "once" / name).read_bytes()
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = base_config()
     run_experiment(cfg, out_dir=tmp_path / "a")

@@ -296,16 +296,18 @@ def test_window_pruned_count_matches_oracle(data):
 
 
 def _walked_blocks(order, lo, hi, budget):
-    """_window_blocks' row-by-row walk, the oracle for its whole-set runs."""
-    lows, highs = lo[order].tolist(), hi[order].tolist()
-    start, b_lo, b_hi = 0, lows[0], highs[0]
-    for j in range(1, len(order)):
-        new_lo, new_hi = min(b_lo, lows[j]), max(b_hi, highs[j])
-        if (j - start + 1) * (new_hi - new_lo) > budget:
-            yield order[start:j], b_lo, b_hi
-            start, new_lo, new_hi = j, lows[j], highs[j]
-        b_lo, b_hi = new_lo, new_hi
-    yield order[start:], b_lo, b_hi
+    """Greedy runs: each takes the next rows while their count times the
+    width of their windows' union stays within ``budget``; the oracle for
+    _window_blocks."""
+    start = 0
+    while start < len(order):
+        end = start + 1
+        while end < len(order) and (end + 1 - start) * (
+                hi[order[start : end + 1]].max() - lo[order[start : end + 1]].min()) <= budget:
+            end += 1
+        run = order[start:end]
+        yield run, int(lo[run].min()), int(hi[run].max())
+        start = end
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 300])
