@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _lapack
 from .data import _frozen
 from .errors import ConfigError, ConsistencyError, DegenerateInputError
 
@@ -67,9 +68,30 @@ def fit_pca(ds, d, whiten=False):
     (ddof=1) of the centered features. For determinism every component is
     flipped so that its largest-magnitude coordinate is positive. Uses a
     symmetric eigensolver on the explicit covariance while source_dim is
-    small; falls back to an SVD of the centered data otherwise.
+    small; falls back to an SVD of the centered data otherwise. The
+    dataset is not modified: the fit centres a copy of its features.
+    """
+    return _fit(ds.features, d, whiten, in_place=False)
+
+
+def fit_pca_in_place(ds, d, whiten=False):
+    """``fit_pca`` and ``transform`` of one dataset without a copy of its
+    features: returns the model and the embedded dataset, with the same bits
+    as ``model = fit_pca(ds, d, whiten)`` and ``transform(model, ds)``.
+
+    The fit centres ``ds.features`` in place and projects the dataset from
+    there, so neither ``ds`` nor anything sharing its feature array may be
+    read afterwards.
     """
     x = ds.features
+    x.flags.writeable = True
+    model = _fit(x, d, whiten, in_place=True)
+    return model, replace(ds, features=_project(x, model), image_shape=None)
+
+
+def _fit(x, d, whiten, in_place):
+    """The PCA fit of both entry points, on ``x`` centred into a copy or,
+    with ``in_place``, into ``x`` itself."""
     n, dim = x.shape
     if n < 2:
         raise ConfigError("fit_pca needs at least 2 samples")
@@ -78,7 +100,7 @@ def fit_pca(ds, d, whiten=False):
     # reads inf or NaN, and while it is finite it bounds every covariance entry
     with np.errstate(over="ignore", invalid="ignore"):
         mean = x.mean(axis=0)
-        xc = x - mean
+        xc = np.subtract(x, mean, out=x if in_place else None)
         spread = np.vdot(xc, xc)
     # zero exactly when every centred value squares to zero, as
     # (xc**2).sum() == 0 would decide, without that (N, dim) temporary
@@ -90,10 +112,11 @@ def fit_pca(ds, d, whiten=False):
     if dim <= 1024:
         cov = xc.T @ xc
         cov /= n - 1
-        # the centred copy is dead once the covariance is formed: free it
-        # before the eigensolver allocates its workspace
+        # a centred copy is dead once the covariance is formed: free it
+        # before the eigensolver allocates its workspace, which then
+        # overwrites the covariance with the eigenvectors
         del xc
-        eigvals, eigvecs = np.linalg.eigh(cov)
+        eigvals, eigvecs = _lapack.eigh(cov)
         order = np.argsort(eigvals)[::-1][:d]
         ev = eigvals[order]
         comps = eigvecs[:, order].T
@@ -113,6 +136,14 @@ def fit_pca(ds, d, whiten=False):
     return PcaModel(mean=mean, components=comps, explained_variance=ev, whiten=whiten)
 
 
+def _project(xc, model):
+    """Centred features ``xc`` in the model's coordinates."""
+    p = xc @ model.components.T
+    if model.whiten:
+        p /= np.sqrt(model.explained_variance)
+    return p
+
+
 def transform(model, ds):
     """Embed a labeled dataset: a LabeledDataset whose features are the
     projected points; labels and provenance pass through unchanged."""
@@ -120,7 +151,4 @@ def transform(model, ds):
         raise ConsistencyError(
             f"feature dim {ds.dim} does not match model source dim {model.source_dim}"
         )
-    p = (ds.features - model.mean) @ model.components.T
-    if model.whiten:
-        p = p / np.sqrt(model.explained_variance)
-    return replace(ds, features=p, image_shape=None)
+    return replace(ds, features=_project(ds.features - model.mean, model), image_shape=None)

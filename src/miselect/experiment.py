@@ -33,7 +33,7 @@ from .corruption import (KIND_AFFINE_MILD, KIND_AFFINE_STRONG, KIND_GAUSSIAN, KI
 from .data import (LabeledDataset, check_jitter, check_means, check_pattern_classes, check_size,
                    check_split, check_synthetic, generate_pattern_images, generate_synthetic,
                    load_idx)
-from .embedding import check_dim, fit_pca, transform
+from .embedding import check_dim, fit_pca, fit_pca_in_place, transform
 from .errors import ConfigError, MiselectError, StageError
 from .ksg import (VARIANT_DISCRETE, check_estimator, check_k, dataset_content_hash, load_scores,
                   null_degenerate, per_class_summary, save_scores, score_dataset)
@@ -436,9 +436,11 @@ def _scores_rows(ds, scores):
 class _Run:
     """State the pipeline stages share; each stage fills in its own fields.
     ``train`` holds one training split at a time: the clean split, then each
-    corruption's output as the scoring stage applies it. ``report`` holds
-    the report sections of the stages that ran, each added as its stage
-    runs; it becomes ExperimentReport.data."""
+    corruption's output as the scoring stage applies it. Once no later step
+    reads raw features, the split is embedded in place and ``train`` holds
+    the embedded split, to which the later label flips apply. ``report``
+    holds the report sections of the stages that ran, each added as its
+    stage runs; it becomes ExperimentReport.data."""
 
     cfg: dict               # the resolved config
     raw: dict               # the config as given, which the report embeds
@@ -472,6 +474,13 @@ class _Run:
 
 def _dataset_stage(run):
     run.train, run.test = _build_dataset(run.cfg["dataset"], run.master)
+    run.report["dataset"] = {
+        "n_train": run.train.n,
+        "n_test": run.test.n,
+        "num_classes": run.train.num_classes,
+        "dim": run.train.dim,
+        "image_shape": list(run.train.image_shape) if run.train.image_shape else None,
+    }
 
 
 def _corrupt(run, index):
@@ -503,21 +512,40 @@ def _release_free_heap():
         _malloc_trim(0)
 
 
+def _fit_split(run, consume):
+    """Fit the PCA on ``run.train`` and embed it into ``run.embedded_train``;
+    returns the model. With ``consume`` the fit centres the split's own
+    feature array, and ``run.train`` becomes the embedded split."""
+    emb_cfg = run.cfg["embedding"]
+    if consume:
+        model, run.train = fit_pca_in_place(run.train, emb_cfg["dim"], whiten=emb_cfg["whiten"])
+        run.embedded_train = run.train
+    else:
+        model = fit_pca(run.train, emb_cfg["dim"], whiten=emb_cfg["whiten"])
+        run.embedded_train = transform(model, run.train)
+    return model
+
+
 def _scoring_stage(run):
     """Score the clean split, then corrupt and score one stage at a time."""
     cache_dir = run.out / "cache" if run.out is not None else None
-    emb_cfg = run.cfg["embedding"]
+    corruptions = run.cfg["corruptions"]
+    # raw features are read only by input corruptions (label flips read
+    # none) and by a classifier on raw features: without the latter, the
+    # fit of the last input corruption's output, or of the clean split when
+    # there is none, is the last reader and embeds that split in place
+    last_raw = None if run.cfg["classifier"]["on_raw_features"] else max(
+        (i + 1 for i, cor in enumerate(corruptions) if cor["kind"] != KIND_LABEL_FLIP), default=0)
     run.report["corruption_stages"] = []
     mi_by_stage = []
-    for i in range(len(run.cfg["corruptions"]) + 1):
+    for i in range(len(corruptions) + 1):
         name, refit = _corrupt(run, i - 1) if i else ("clean", True)
         # a label flip keeps the very feature array, and the same features
         # give the same PCA fit, so the previous fit and projection carry over
         if refit:
             # the previous split's pages go back before the fit, its temporaries' after
             _release_free_heap()
-            model = fit_pca(run.train, emb_cfg["dim"], whiten=emb_cfg["whiten"])
-            run.embedded_train = transform(model, run.train)
+            model = _fit_split(run, consume=i == last_raw)
             _release_free_heap()
         else:
             projected = run.embedded_train.features
@@ -540,17 +568,17 @@ def _scoring_stage(run):
         "per_class_mi": per_class_summary(scores, run.train.labels),
         "estimator": {key: getattr(scores, key) for key in _ESTIMATOR_SETTINGS},
     }
-    run.report["dataset"] = {
-        "n_train": run.train.n,
-        "n_test": run.test.n,
-        "num_classes": run.train.num_classes,
-        "dim": run.train.dim,
-        "image_shape": list(run.train.image_shape) if run.train.image_shape else None,
-    }
     run.report.update(summary)
     run.emit("scores.csv", _csv_text(SCORES_CSV_COLUMNS, _scores_rows(run.train, scores)))
     run.emit("mi_summary.json",
              _sanitized_json({"schema_version": REPORT_SCHEMA_VERSION, **summary}))
+
+
+def _ratio_text(ratio):
+    """A ratio as a selection file names it: its ``:g`` text where that reads
+    back to the very float, so that distinct ratios name distinct files."""
+    text = f"{ratio:g}"
+    return text if float(text) == ratio else repr(ratio)
 
 
 def _selection_stage(run):
@@ -567,7 +595,7 @@ def _selection_stage(run):
         plan = SelectionPlan(scope=scope, band=band, retention_ratio=retention, seed=seed)
         result = select(run.scores, run.train.labels, plan, num_classes=run.train.num_classes)
         run.selections[(plan.strategy, retention)] = result
-        tag = f"selection/{scope}-{band}_r{retention:g}"
+        tag = f"selection/{scope}-{band}_r{_ratio_text(retention)}"
         if run.out is not None:
             save_selection(result, json_path=run.emit(f"{tag}.json"),
                            index_path=run.emit(f"{tag}.idx"))

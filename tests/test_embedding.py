@@ -3,8 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import miselect as ms
+from miselect import _lapack
+from miselect.embedding import fit_pca_in_place
 from miselect.errors import ConfigError, ConsistencyError, DegenerateInputError
 
 
@@ -242,3 +246,100 @@ def test_transform_returns_labeled_dataset_with_provenance():
     assert np.array_equal(emb.labels, flipped.labels)
     assert np.array_equal(emb.provenance(), flipped.provenance())
     assert emb.num_classes == flipped.num_classes
+
+
+# ---------------------------------------------------------------------------
+# the in-place eigensolver and the consuming fit
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim", [1, 2, 31, 32, 33, 64, 65, 200, 784])
+def test_in_place_eigh_equals_numpy_eigh_bit_for_bit(dim):
+    x = np.random.default_rng(dim).standard_normal((2 * dim + 3, dim))
+    cov = x.T @ x  # numpy mirrors one triangle: exactly symmetric
+    want_values, want_vectors = np.linalg.eigh(cov)
+    buffer = cov.copy()
+    values, vectors = _lapack.eigh(buffer)
+    assert np.array_equal(values, want_values)
+    assert np.array_equal(vectors, want_vectors)
+    # where numpy's dsyevd resolves, the eigenvectors are the buffer itself
+    assert np.shares_memory(vectors, buffer) == (_lapack.dsyevd_symbol() is not None)
+
+
+def test_in_place_eigh_falls_back_to_numpy_with_the_same_bits(monkeypatch):
+    rng = np.random.default_rng(3)
+    x = rng.standard_normal((40, 12))
+    cov = x.T @ x
+    skewed = cov.copy()
+    skewed[0, 5] = np.nextafter(skewed[0, 5], np.inf)  # symmetric but for one ulp
+    for a in (skewed, rng.standard_normal((12, 12))):
+        buffer = a.copy()
+        values, vectors = _lapack.eigh(buffer)
+        want_values, want_vectors = np.linalg.eigh(a)
+        assert np.array_equal(values, want_values) and np.array_equal(vectors, want_vectors)
+        assert np.array_equal(buffer, a)  # numpy's eigh leaves its input as it was
+    monkeypatch.setattr(_lapack, "_bundled_dsyevd", lambda: (None, None))  # none resolves
+    buffer = cov.copy()
+    values, vectors = _lapack.eigh(buffer)
+    want_values, want_vectors = np.linalg.eigh(cov)
+    assert np.array_equal(values, want_values) and np.array_equal(vectors, want_vectors)
+    assert not np.shares_memory(vectors, buffer)
+
+
+def _fit_outcome(fit, ds, d, whiten):
+    try:
+        return fit(ds, d, whiten)
+    except DegenerateInputError as exc:
+        return str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_consuming_fit_equals_fit_pca_and_transform_bit_for_bit(data):
+    # dims past 1,024 take the SVD branch; N from 2, duplicate rows and
+    # whitening reach the zero-variance rejections, which must read alike
+    n = data.draw(st.integers(2, 30), "n")
+    dim = data.draw(st.sampled_from([1, 2, 3, 7, 16, 1025]), "dim")
+    d = data.draw(st.integers(1, min(n, dim)), "d")
+    whiten = data.draw(st.booleans(), "whiten")
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 1e3]), "scale")
+    distinct = data.draw(st.integers(1, n), "distinct rows")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), "seed"))
+    x = scale * rng.standard_normal((distinct, dim)) + rng.uniform(size=dim)
+    x = x[rng.integers(0, distinct, n)] if distinct < n else x
+    ds = ms.flip_labels(ms.LabeledDataset.from_arrays(x, rng.integers(0, 3, n), num_classes=3),
+                        0.5, seed=1)
+
+    def copying(ds, d, whiten):
+        model = ms.fit_pca(ds, d, whiten=whiten)
+        return model, ms.transform(model, ds)
+
+    raw = ds.features.copy()
+    want = _fit_outcome(copying, ds, d, whiten)
+    assert np.array_equal(ds.features, raw)  # fit_pca centres a copy
+    got = _fit_outcome(fit_pca_in_place, ds, d, whiten)
+    if isinstance(want, str):
+        assert got == want
+        return
+    (want_model, want_ds), (got_model, got_ds) = want, got
+    for name in ("mean", "components", "explained_variance"):
+        assert np.array_equal(getattr(got_model, name), getattr(want_model, name))
+    assert got_model.whiten == want_model.whiten
+    assert np.array_equal(got_ds.features, want_ds.features)
+    for name in ("labels", "original_labels", "input_corruption"):
+        assert np.array_equal(getattr(got_ds, name), getattr(want_ds, name))
+    assert (got_ds.num_classes, got_ds.image_shape) == (3, None)
+
+
+def test_consuming_fit_allocates_no_array_of_the_features_size():
+    n, dim, d = 4000, 200, 8
+    ds = _random_ds(n=n, dim=dim)
+    _lapack.dsyevd_symbol()  # the library lookup is not the fit's
+    tracemalloc.start()
+    try:
+        fit_pca_in_place(ds, d)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the covariance, the eigensolver's workspace and the (N, d) projection
+    # (numpy's eigh, the fallback, takes two more (dim, dim) arrays)
+    assert peak <= n * d * 8 + 5 * dim * dim * 8 < n * dim * 8

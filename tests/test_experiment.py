@@ -251,6 +251,20 @@ def test_repeated_plans_and_ratios_are_selected_and_written_once(tmp_path):
         assert (tmp_path / "dup" / name).read_bytes() == (tmp_path / "once" / name).read_bytes()
 
 
+def test_ratios_alike_to_six_digits_write_distinct_files(tmp_path):
+    # ":g" reads both as 0.5; each ratio's file must hold its own selection
+    cfg = base_config()
+    cfg["selection"] = {"plans": [{"scope": "global", "band": "top"}],
+                        "ratios": [0.5000001, 0.5000002, 0.25, 1.0]}
+    report = run_experiment(cfg, out_dir=tmp_path, through="select")
+    written = [str(p.relative_to(tmp_path)) for p in report.out_files]
+    assert len(written) == len(set(written))
+    assert sorted(name for name in read_tree(tmp_path) if name.startswith("selection/")) == [
+        f"selection/global-top_r{text}.{ext}"
+        for text in ("0.25", "0.5000001", "0.5000002", "1") for ext in ("idx", "json")
+    ]
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = base_config()
     run_experiment(cfg, out_dir=tmp_path / "a")
@@ -586,18 +600,70 @@ def test_free_heap_goes_back_around_each_pca_fit(tmp_path, monkeypatch):
     dataset = _small_dataset("synthetic_images", num_classes=4, per_class_count=20,
                              height=8, width=8)
     events = []
-    real_fit_pca = experiment.fit_pca
+    real_fit_split = experiment._fit_split
 
-    def recording_fit_pca(*args, **kwargs):
+    def recording_fit_split(*args, **kwargs):
         events.append("fit")
-        return real_fit_pca(*args, **kwargs)
+        return real_fit_split(*args, **kwargs)
 
     monkeypatch.setattr(experiment, "_malloc_trim", lambda pad: events.append(("trim", pad)))
-    monkeypatch.setattr(experiment, "fit_pca", recording_fit_pca)
+    monkeypatch.setattr(experiment, "_fit_split", recording_fit_split)
     run_experiment(base_config(dataset=dataset, corruptions=corruptions), out_dir=tmp_path,
                    through="score")
     # clean and gaussian are fitted; the label flip keeps the previous projection
     assert events == [("trim", 0), "fit", ("trim", 0)] * 2
+
+
+_INPUT_NOISE = {
+    "gaussian": {"kind": "gaussian", "fraction": 0.4, "noise_factor": 0.9},
+    "affine_strong": {"kind": "affine_strong", "fraction": 0.4},
+    "affine_mild": {"kind": "affine_mild", "fraction": 0.4},
+    "label_flip": {"kind": "label_flip", "rate": 0.3},
+}
+
+
+@pytest.mark.parametrize("kinds, on_raw, fits", [
+    # noise_onehot's corruptions: stages 0-2 are read again by the next
+    # warp, so only the last stage's split is embedded in place
+    (["gaussian", "affine_strong", "affine_mild"], False, ["copy"] * 3 + ["in place"]),
+    (["gaussian", "affine_strong", "affine_mild"], True, ["copy"] * 4),
+    # a label flip reads no features
+    (["gaussian", "label_flip"], False, ["copy", "in place"]),
+    (["label_flip", "affine_mild", "label_flip"], True, ["copy"] * 2),
+    (["label_flip"], False, ["in place"]),
+])
+def test_a_split_is_embedded_in_place_only_when_nothing_reads_it_raw_later(
+        tmp_path, monkeypatch, kinds, on_raw, fits):
+    dataset = _small_dataset("synthetic_images", num_classes=4, per_class_count=20,
+                             height=8, width=8)
+    cfg = base_config(dataset=dataset, corruptions=[_INPUT_NOISE[kind] for kind in kinds])
+    cfg["classifier"]["on_raw_features"] = on_raw
+    calls, copied = [], []
+    real_fit_pca, real_in_place = experiment.fit_pca, experiment.fit_pca_in_place
+
+    def recording_fit_pca(ds, *args, **kwargs):
+        calls.append("copy")
+        copied.append((ds.features, ds.features.copy()))
+        return real_fit_pca(ds, *args, **kwargs)
+
+    def recording_in_place(*args, **kwargs):
+        calls.append("in place")
+        return real_in_place(*args, **kwargs)
+
+    def copying_in_place(ds, d, whiten=False):
+        model = real_fit_pca(ds, d, whiten=whiten)
+        return model, experiment.transform(model, ds)
+
+    monkeypatch.setattr(experiment, "fit_pca", recording_fit_pca)
+    monkeypatch.setattr(experiment, "fit_pca_in_place", recording_in_place)
+    run_experiment(cfg, out_dir=tmp_path / "in_place")
+    assert calls == fits
+    # a split that a later step reads is fitted on a copy and left as it was
+    assert all(np.array_equal(features, copy) for features, copy in copied)
+    # fitted on copies throughout, the run writes the same bytes
+    monkeypatch.setattr(experiment, "fit_pca_in_place", copying_in_place)
+    run_experiment(cfg, out_dir=tmp_path / "copies")
+    assert read_tree(tmp_path / "in_place") == read_tree(tmp_path / "copies")
 
 
 def test_six_stacked_affine_corruptions_keep_every_provenance_tag(tmp_path):
