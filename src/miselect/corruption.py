@@ -10,6 +10,7 @@ index), so serial and parallel application agree bit for bit.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -240,20 +241,35 @@ def affine_warp(ds, params, fraction, seed, width, height, kind=KIND_AFFINE_STRO
     return _corrupted_inputs(ds, fraction, seed, kind, warped)
 
 
-_PRESETS = {KIND_AFFINE_STRONG: STRONG_AFFINE, KIND_AFFINE_MILD: MILD_AFFINE}
+def _warp(kind, preset):
+    """An affine kind's apply, on the dataset's image shape and, without
+    ``params`` (AffineParams), the kind's preset."""
+    def apply(ds, seed, fraction, params, **_):
+        if ds.image_shape is None:
+            raise ConfigError("affine corruption requires an image dataset")
+        height, width = ds.image_shape
+        return affine_warp(ds, params or preset, fraction, seed, width, height, kind=kind)
+    return apply
+
+
+# a corruption kind: the fields of its config record that have no default,
+# whether it reads the features (a label flip reads none), and its apply
+Kind = namedtuple("Kind", "needs reads_features apply")
+
+KINDS = {
+    KIND_LABEL_FLIP: Kind(("rate",), False,
+                          lambda ds, seed, rate, **_: flip_labels(ds, rate, seed)),
+    KIND_GAUSSIAN: Kind(("fraction", "noise_factor"), True,
+                        lambda ds, seed, fraction, noise_factor, **_:
+                        add_gaussian(ds, noise_factor, fraction, seed)),
+    KIND_AFFINE_STRONG: Kind(("fraction",), True, _warp(KIND_AFFINE_STRONG, STRONG_AFFINE)),
+    KIND_AFFINE_MILD: Kind(("fraction",), True, _warp(KIND_AFFINE_MILD, MILD_AFFINE)),
+}
 
 
 def apply_corruption(ds, kind, seed, rate=0.0, fraction=0.0, noise_factor=0.0, params=None):
-    """Apply one corruption stage, given by its config record's fields;
-    affine kinds take the image shape from the dataset and, without
-    ``params`` (AffineParams), their kind's preset."""
-    if kind == KIND_LABEL_FLIP:
-        return flip_labels(ds, rate, seed)
-    if kind == KIND_GAUSSIAN:
-        return add_gaussian(ds, noise_factor, fraction, seed)
-    if kind not in _PRESETS:
+    """Apply one corruption stage, given by its config record's fields."""
+    if kind not in KINDS:
         raise ConfigError(f"unknown corruption kind {kind!r}")
-    if ds.image_shape is None:
-        raise ConfigError("affine corruption requires an image dataset")
-    height, width = ds.image_shape
-    return affine_warp(ds, params or _PRESETS[kind], fraction, seed, width, height, kind=kind)
+    return KINDS[kind].apply(ds, seed=seed, rate=rate, fraction=fraction,
+                             noise_factor=noise_factor, params=params)

@@ -12,7 +12,6 @@ independently reproducible.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import hashlib
 import json
 import math
@@ -28,8 +27,8 @@ import numpy as np
 from . import __version__
 from ._util import is_int, is_number, json_text, write_atomic
 from .corruption import (KIND_AFFINE_MILD, KIND_AFFINE_STRONG, KIND_GAUSSIAN, KIND_LABEL_FLIP,
-                         AffineParams, apply_corruption, check_affine, check_corruption,
-                         check_flip)
+                         KINDS, AffineParams, apply_corruption, check_affine,
+                         check_corruption, check_flip)
 from .data import (LabeledDataset, check_jitter, check_means, check_pattern_classes, check_size,
                    check_split, check_synthetic, generate_pattern_images, generate_synthetic,
                    load_idx)
@@ -57,11 +56,10 @@ def stage_seed(master_seed, stage):
 
 
 def load_config(path):
-    """Read a JSON config file; raises ConfigError naming ``path`` when the
-    file cannot be read or does not hold a JSON object."""
+    """Read a JSON config file as UTF-8 whatever the locale; raises a
+    ConfigError naming ``path`` when it is unreadable or no JSON object."""
     try:
-        with open(path) as f:
-            config = json.load(f)
+        config = json.loads(Path(path).read_bytes())
     except (OSError, ValueError) as exc:
         raise ConfigError(f"config {path}: cannot read ({exc})") from exc
     if not isinstance(config, dict):
@@ -186,10 +184,9 @@ _CORRUPTION = (
 )
 # each corruption kind's node: the fields the kind needs have no default
 _CORRUPTIONS = {
-    kind: _fields(*((key, _REQUIRED if key in needed else default, *rest)
+    kind: _fields(*((key, _REQUIRED if key in spec.needs else default, *rest)
                     for key, default, *rest in _CORRUPTION))
-    for kind, needed in ((KIND_LABEL_FLIP, {"rate"}), (KIND_GAUSSIAN, {"fraction", "noise_factor"}),
-                         (KIND_AFFINE_STRONG, {"fraction"}), (KIND_AFFINE_MILD, {"fraction"}))
+    for kind, spec in KINDS.items()
 }
 _CONFIG = _fields(
     ("schema_version", _REQUIRED, lambda v: v == CONFIG_SCHEMA_VERSION,
@@ -501,55 +498,33 @@ def _corrupt(run, index):
     return f"{index + 1}:{args['kind']}", run.train.features is not before.features
 
 
-_malloc_trim = getattr(ctypes.CDLL(None), "malloc_trim", None) if os.name == "posix" else None
-
-
-def _release_free_heap():
-    """Hand the C heap's free pages back to the OS (a no-op without glibc).
-    Freed numpy temporaries otherwise stay resident until an allocation fits
-    in them, so one run's peak RSS moved ~5 MiB with its output path's length."""
-    if _malloc_trim is not None:
-        _malloc_trim(0)
-
-
-def _fit_split(run, consume):
-    """Fit the PCA on ``run.train`` and embed it into ``run.embedded_train``;
-    returns the model. With ``consume`` the fit centres the split's own
-    feature array, and ``run.train`` becomes the embedded split."""
-    emb_cfg = run.cfg["embedding"]
-    if consume:
-        model, run.train = fit_pca_in_place(run.train, emb_cfg["dim"], whiten=emb_cfg["whiten"])
-        run.embedded_train = run.train
-    else:
-        model = fit_pca(run.train, emb_cfg["dim"], whiten=emb_cfg["whiten"])
-        run.embedded_train = transform(model, run.train)
-    return model
-
-
 def _scoring_stage(run):
     """Score the clean split, then corrupt and score one stage at a time."""
     cache_dir = run.out / "cache" if run.out is not None else None
-    corruptions = run.cfg["corruptions"]
+    corruptions, emb_cfg = run.cfg["corruptions"], run.cfg["embedding"]
     # raw features are read only by input corruptions (label flips read
     # none) and by a classifier on raw features: without the latter, the
     # fit of the last input corruption's output, or of the clean split when
     # there is none, is the last reader and embeds that split in place
     last_raw = None if run.cfg["classifier"]["on_raw_features"] else max(
-        (i + 1 for i, cor in enumerate(corruptions) if cor["kind"] != KIND_LABEL_FLIP), default=0)
+        (i + 1 for i, cor in enumerate(corruptions) if KINDS[cor["kind"]].reads_features),
+        default=0)
     run.report["corruption_stages"] = []
     mi_by_stage = []
     for i in range(len(corruptions) + 1):
         name, refit = _corrupt(run, i - 1) if i else ("clean", True)
         # a label flip keeps the very feature array, and the same features
         # give the same PCA fit, so the previous fit and projection carry over
-        if refit:
-            # the previous split's pages go back before the fit, its temporaries' after
-            _release_free_heap()
-            model = _fit_split(run, consume=i == last_raw)
-            _release_free_heap()
-        else:
+        if not refit:
             projected = run.embedded_train.features
             run.embedded_train = replace(run.train, features=projected, image_shape=None)
+        elif i == last_raw:
+            # the fit centres the split's own array, and the embedded split replaces it
+            model, run.train = fit_pca_in_place(run.train, emb_cfg["dim"], whiten=emb_cfg["whiten"])
+            run.embedded_train = run.train
+        else:
+            model = fit_pca(run.train, emb_cfg["dim"], whiten=emb_cfg["whiten"])
+            run.embedded_train = transform(model, run.train)
         scores, run.embedded_hash = _cached_scores(run.embedded_train, run.cfg["estimator"],
                                                    cache_dir)
         mi_by_stage.append(
@@ -714,12 +689,13 @@ def _report_stage(run):
 
 
 # (stage name, the ``through`` value that stops after it, stage function).
-# A MiselectError, an OSError (an unusable output path, say) or a
-# MemoryError or OverflowError (a dataset too large to allocate) from a step
-# becomes a StageError tagged with the stage's name, unless the step raised
-# one itself, as the scoring stage does for a corruption; on any failure
-# every file written so far moves to ``quarantine/``.
-_STAGE_FAULTS = (MiselectError, OSError, MemoryError, OverflowError)
+# A MiselectError, an OSError or UnicodeEncodeError (an output path that
+# cannot be made or named, say) or a MemoryError or OverflowError (a dataset
+# too large to allocate) from a step becomes a StageError tagged with the
+# stage's name, unless the step raised one itself, as the scoring stage does
+# for a corruption; on any failure every file written so far moves to
+# ``quarantine/``.
+_STAGE_FAULTS = (MiselectError, OSError, UnicodeEncodeError, MemoryError, OverflowError)
 _PIPELINE = (
     ("dataset", None, _dataset_stage),
     ("scoring", "score", _scoring_stage),

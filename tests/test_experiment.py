@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 import miselect as ms
-from miselect import _util, experiment
+from miselect import _lapack, _util, experiment, neighbors
 from miselect.cli import main as cli_main
+from miselect.corruption import _CHUNK, KINDS
 from miselect.errors import ConfigError, StageError
 from miselect.experiment import run_experiment, stage_seed, validate_config
 from miselect.ksg import VARIANT_ONEHOT
@@ -591,29 +592,6 @@ def test_pca_is_fitted_once_per_distinct_feature_matrix(tmp_path, monkeypatch):
         assert entry["global_mi"] == ms.score_dataset(embedded, 3).global_mi
 
 
-def test_free_heap_goes_back_around_each_pca_fit(tmp_path, monkeypatch):
-    # freed temporaries left resident made a run's peak RSS hinge on heap layout
-    corruptions = [
-        {"kind": "gaussian", "fraction": 0.3, "noise_factor": 0.5},
-        {"kind": "label_flip", "rate": 0.2},
-    ]
-    dataset = _small_dataset("synthetic_images", num_classes=4, per_class_count=20,
-                             height=8, width=8)
-    events = []
-    real_fit_split = experiment._fit_split
-
-    def recording_fit_split(*args, **kwargs):
-        events.append("fit")
-        return real_fit_split(*args, **kwargs)
-
-    monkeypatch.setattr(experiment, "_malloc_trim", lambda pad: events.append(("trim", pad)))
-    monkeypatch.setattr(experiment, "_fit_split", recording_fit_split)
-    run_experiment(base_config(dataset=dataset, corruptions=corruptions), out_dir=tmp_path,
-                   through="score")
-    # clean and gaussian are fitted; the label flip keeps the previous projection
-    assert events == [("trim", 0), "fit", ("trim", 0)] * 2
-
-
 _INPUT_NOISE = {
     "gaussian": {"kind": "gaussian", "fraction": 0.4, "noise_factor": 0.9},
     "affine_strong": {"kind": "affine_strong", "fraction": 0.4},
@@ -703,6 +681,48 @@ def test_peak_memory_does_not_grow_with_the_corruption_count():
     # keeping every stage's features would add two more copies: 2 * raw_bytes
     assert (_traced_peak(config(["affine_strong", "gaussian", "affine_mild"]))
             <= _traced_peak(one) + 0.25 * raw_bytes)
+
+
+# (_CHUNK, dim) float64 arrays that one chunk of corrupted samples holds at
+# most: the chunk's features and, for an affine warp (gaussian noise holds
+# four), _warp_images' rel and src (two each), sx and sy; _bilinear_sample's
+# x0, y0, fx, fy, zero-padded stack (under two from 12x12 images up), corner
+# and out, and four temporaries of its corner loop
+_CHUNK_ARRAYS = 20
+
+
+@pytest.mark.parametrize("side", [12, 16])
+@pytest.mark.parametrize("kinds, on_raw", [
+    (["label_flip"], False),
+    (["gaussian", "label_flip"], False),
+    (["affine_strong", "affine_mild", "affine_strong"], False),
+    (["gaussian", "affine_strong", "gaussian"], False),
+    (["label_flip"], True),
+])
+@pytest.mark.parametrize("bundled_dsyevd", [True, False])
+def test_traced_peak_stays_within_the_readme_peak_formula(
+        monkeypatch, side, kinds, on_raw, bundled_dsyevd):
+    """tracemalloc counts numpy's arrays, not where the C heap puts them."""
+    if not bundled_dsyevd:
+        monkeypatch.setattr(_lapack, "_bundled_dsyevd", lambda: (None, None))
+    dataset = _small_dataset("synthetic_images", num_classes=6, per_class_count=60,
+                             height=side, width=side)
+    cfg = base_config(dataset=dataset, corruptions=[_INPUT_NOISE[kind] for kind in kinds])
+    cfg["classifier"]["on_raw_features"] = on_raw
+    # imports and first-call caches stay out of the peak
+    sizes = run_experiment(cfg, through="score").data["dataset"]
+    n_train, n_test, dim = sizes["n_train"], sizes["n_test"], sizes["dim"]
+    input_noise = any(KINDS[kind].reads_features for kind in kinds)
+    # the covariance, dsyevd's work and iwork, and numpy.linalg.eigh's copy
+    # of the covariance and its eigenvectors where no dsyevd runs in place
+    fit = 8 * (dim * dim + (1 + 6 * dim + 2 * dim * dim) + (3 + 5 * dim))
+    if _lapack.dsyevd_symbol() is None:
+        fit += 2 * dim * dim * 8
+    # the neighbour sweep's two float64 buffers and its bool one, 17 bytes an element
+    sweep = 17 * min(n_train * n_train, neighbors.BLOCK_BYTES // 8)
+    bound = ((n_train + n_test + n_train * (input_noise or on_raw)) * dim * 8 + fit + sweep
+             + input_noise * _CHUNK_ARRAYS * _CHUNK * dim * 8)
+    assert _traced_peak(cfg) <= bound
 
 
 def test_stage_error_quarantines_partial_outputs(tmp_path):
@@ -1050,6 +1070,32 @@ def _write_cfg(tmp_path, cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the C locale's encoding is ASCII on Linux")
+def test_config_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # JSON's encoding is UTF-8 (RFC 8259); under the C locale, without
+    # coercion or UTF-8 mode, open() decodes as ASCII
+    out = tmp_path / "résultats"
+    path = tmp_path / "config.json"
+    path.write_bytes(json.dumps(base_config(output_dir=str(out)), ensure_ascii=False).encode())
+    src = str(Path(experiment.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+           "PYTHONUTF8": "0"}
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", "miselect.cli", *argv, "--config", str(path)],
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    assert cli("validate").returncode == 0
+    ran = cli("run", "--out", str(tmp_path / "out"))
+    assert ran.returncode == 0, ran.stderr
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["config"]["output_dir"] == str(out)
+    # an ASCII file system encoding cannot name the config's own output path
+    ran = cli("run")
+    assert ran.returncode == 1 and "[stage:" in ran.stderr and "Traceback" not in ran.stderr
+    assert not out.exists()
 
 
 def test_cli_validate_ok(tmp_path, capsys):
