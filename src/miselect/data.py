@@ -9,7 +9,9 @@ validated against ground truth.
 
 from __future__ import annotations
 
+import functools
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -199,29 +201,13 @@ def check_jitter(jitter_px, height, width):
         raise ConfigError(f"jitter_px: {jitter_px} must lie in [0, min(height, width) = {side}]")
 
 
-def _outputs(labels, num_classes, dim, split):
-    """The feature arrays a generator writes its samples into.
-
-    Returns (sample indices, features) pairs: one holding every sample when
-    ``split`` is None, else a train and a test pair cut as
-    ``train_test_split`` cuts the generated dataset with ``split`` =
-    (test_fraction, seed). Indices ascend, so rows keep the sample order,
-    and only the samples' own rows are ever allocated.
-    """
+def _parts(labels, num_classes, split):
+    """(train indices, test indices), both ascending: the cut
+    ``train_test_split`` makes of the generated dataset with ``split`` =
+    (test_fraction, seed), or every sample and none when ``split`` is None."""
     if split is None:
-        parts = [np.arange(len(labels))]
-    else:
-        parts = _split_indices(labels, num_classes, *split)
-    return [(idx, np.empty((len(idx), dim))) for idx in parts]
-
-
-def _datasets(outputs, labels, num_classes, split, image_shape=None):
-    made = tuple(
-        LabeledDataset.from_arrays(features, labels[idx], num_classes=num_classes,
-                                   image_shape=image_shape)
-        for idx, features in outputs
-    )
-    return made[0] if split is None else made
+        return np.arange(len(labels)), np.empty(0, dtype=np.int64)
+    return _split_indices(labels, num_classes, *split)
 
 
 def generate_synthetic(num_classes, per_class_count, dim, class_stddev, class_means=None,
@@ -238,9 +224,12 @@ def generate_synthetic(num_classes, per_class_count, dim, class_stddev, class_me
     which the dataset rejects.
 
     Samples are emitted in class order and the draw is fully determined by
-    ``seed``. With ``split`` = (test_fraction, seed) the result is the
-    (train, test) pair ``train_test_split`` would cut, with each sample
-    written straight into its part.
+    ``seed``. With ``split`` = (test_fraction, seed) the result is (train,
+    make_test): the train part of the (train, test) pair
+    ``train_test_split`` would cut, each sample written straight into its
+    row, and a function that returns the test part. Only the training rows
+    are held; ``make_test`` draws each class block that holds a test sample
+    again from the generator's state before it, with the same bits.
     """
     check_synthetic(num_classes, per_class_count, dim, class_stddev)
     check_size(num_classes, per_class_count, dim)
@@ -248,16 +237,45 @@ def generate_synthetic(num_classes, per_class_count, dim, class_stddev, class_me
     means = (float(class_separation) * np.eye(num_classes, dim) if class_means is None
              else np.asarray(class_means, dtype=np.float64))
     rng = np.random.default_rng(seed)
-    p = per_class_count
-    labels = np.repeat(np.arange(num_classes, dtype=np.int64), p)
-    outputs = _outputs(labels, num_classes, dim, split)
+    labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class_count)
+    train_idx, test_idx = _parts(labels, num_classes, split)
+    features = np.empty((len(train_idx), dim))
+    states = []  # the generator's state before each class block
     for c in range(num_classes):
-        with np.errstate(over="ignore"):
-            block = means[c] + class_stddev * rng.standard_normal((p, dim))
-        for idx, features in outputs:
-            lo, hi = np.searchsorted(idx, (c * p, (c + 1) * p))
-            features[lo:hi] = block[idx[lo:hi] - c * p]
-    return _datasets(outputs, labels, num_classes, split)
+        states.append(rng.bit_generator.state)
+        _take_block(features, train_idx, c, _blob_block(rng, means[c], class_stddev,
+                                                        per_class_count))
+    train = LabeledDataset.from_arrays(features, labels[train_idx], num_classes=num_classes)
+    if split is None:
+        return train
+    return train, functools.partial(_drawn_blobs, states, test_idx, means, class_stddev,
+                                    per_class_count)
+
+
+def _blob_block(rng, mean, class_stddev, per_class_count):
+    """One class's samples, drawn from ``rng`` around ``mean``."""
+    with np.errstate(over="ignore"):
+        return mean + class_stddev * rng.standard_normal((per_class_count, len(mean)))
+
+
+def _take_block(features, idx, c, block):
+    """Write the samples of class c's ``block`` that ascending ``idx`` names
+    into their rows of ``features``."""
+    p = len(block)
+    lo, hi = np.searchsorted(idx, (c * p, (c + 1) * p))
+    features[lo:hi] = block[idx[lo:hi] - c * p]
+
+
+def _drawn_blobs(states, idx, means, class_stddev, per_class_count):
+    """The samples ``idx`` of generate_synthetic's draw, each class block
+    that holds one drawn again from its state in ``states``."""
+    features = np.empty((len(idx), means.shape[1]))
+    rng = np.random.default_rng(0)
+    labels = idx // per_class_count
+    for c in np.unique(labels).tolist():
+        rng.bit_generator.state = states[c]
+        _take_block(features, idx, c, _blob_block(rng, means[c], class_stddev, per_class_count))
+    return LabeledDataset.from_arrays(features, labels, num_classes=len(means))
 
 
 # Class templates for synthetic images: index -> painter(height, width) in [0, 1].
@@ -297,53 +315,108 @@ def generate_pattern_images(
     scaled by a random brightness in [0.7, 1.0], plus Gaussian pixel noise,
     clipped to [0, 1]. A pixel shifted in from outside the frame reads from
     zero padding. A deterministic desk-scale stand-in for a digit corpus in
-    input-noise experiments. ``split`` works as in ``generate_synthetic``.
+    input-noise experiments. ``split`` works as in ``generate_synthetic``:
+    the draw writes a test sample's noise into one scratch row, after the
+    generator's state, from which ``make_test`` draws it again.
     """
     check_pattern_classes(num_classes)
     check_synthetic(per_class_count=per_class_count)
     n = check_size(num_classes, per_class_count, height * width)
     check_jitter(jitter_px, height, width)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class_count)
-    outputs = _outputs(labels, num_classes, height * width, split)
-    # sample i goes to row row_of[i] of the output part part_of[i]
-    part_of, row_of = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
-    for part, (idx, _) in enumerate(outputs):
-        part_of[idx], row_of[idx] = part, np.arange(len(idx))
-    arrays = [features for _, features in outputs]
-    # per sample, in draw order: the shift, the brightness, then the noise
-    # written straight into the sample's row
+    train_idx, test_idx = _parts(labels, num_classes, split)
+    held_out = np.zeros(n, dtype=bool)
+    held_out[test_idx] = True
+    features = np.empty((len(train_idx), height * width))
+    # per sample, in draw order: the shift, the brightness, then the noise,
+    # a training sample's straight into its row and a test sample's into a
+    # scratch row, after the generator's state is kept in the sample's row
+    # of ``states``
     rng = np.random.default_rng(seed)
     shifts = np.empty((n, 2), dtype=np.int64)
     brightness = np.empty(n)
-    for i, (part, row) in enumerate(zip(part_of.tolist(), row_of.tolist())):
+    states = np.empty((len(test_idx), 4), dtype=np.uint64)
+    rows, scratch, state_rows = iter(features), np.empty(height * width), iter(states)
+    for i, test in enumerate(held_out.tolist()):
         shifts[i] = rng.integers(-jitter_px, jitter_px + 1, size=2)
         brightness[i] = rng.uniform(0.7, 1.0)
-        rng.standard_normal(out=arrays[part][row])
+        if test:
+            next(state_rows)[:] = _state_words(rng)
+            rng.standard_normal(out=scratch)
+        else:
+            rng.standard_normal(out=next(rows))
     # the template shifted by (dy, dx) is the window at (j - dy, j - dx) of
     # its class template zero-padded by j pixels
     j = int(jitter_px)
     padded = np.pad(np.array([_template(c, height, width) for c in range(num_classes)]),
                     ((0, 0), (j, j), (j, j)))
     windows = np.lib.stride_tricks.sliding_window_view(padded, (height, width), axis=(1, 2))
-    # img = noise * z + brightness * shifted template, clipped, a block of rows at a time
-    for idx, features in outputs:
-        for start in range(0, len(idx), _GENERATE_CHUNK):
-            rows = slice(start, start + _GENERATE_CHUNK)
-            samples = idx[rows]
-            templates = windows[labels[samples], j - shifts[samples, 0], j - shifts[samples, 1]]
-            block = features[rows]
-            with np.errstate(over="ignore"):  # the clip takes an overflow's inf to 0 or 1
-                block *= noise
-                block += brightness[samples, None] * templates.reshape(len(samples), -1)
-            np.clip(block, 0.0, 1.0, out=block)
-    return _datasets(outputs, labels, num_classes, split, image_shape=(height, width))
+    offsets = j - shifts
+    _paint(features, labels[train_idx], offsets[train_idx], brightness[train_idx], windows,
+           noise)
+    train = LabeledDataset.from_arrays(features, labels[train_idx], num_classes=num_classes,
+                                       image_shape=(height, width))
+    if split is None:
+        return train
+    increment = rng.bit_generator.state["state"]["inc"]
+    return train, functools.partial(_drawn_images, states, increment, labels[test_idx],
+                                    offsets[test_idx], brightness[test_idx], windows, noise)
 
 
-def _read_idx(path, magic, kind, data):
+# A PCG64 generator's state, which default_rng's draws run on, as four uint64
+# words: the 128-bit LCG state, low word first, then the flag and the value
+# of a buffered 32-bit draw; the state's increment stays as seeded.
+_WORD = (1 << 64) - 1
+
+
+def _state_words(rng):
+    state = rng.bit_generator.state
+    return (state["state"]["state"] & _WORD, state["state"]["state"] >> 64,
+            state["has_uint32"], state["uinteger"])
+
+
+def _set_state(rng, words, increment):
+    low, high, has_uint32, uinteger = words
+    rng.bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": high << 64 | low, "inc": increment},
+                               "has_uint32": has_uint32, "uinteger": uinteger}
+
+
+def _paint(features, labels, offsets, brightness, windows, noise):
+    """Finish image rows that hold their noise draws z: noise * z plus the
+    brightness times the window at ``offsets`` of the class's padded
+    template, clipped to [0, 1], a block of rows at a time."""
+    for start in range(0, len(features), _GENERATE_CHUNK):
+        rows = slice(start, start + _GENERATE_CHUNK)
+        templates = windows[labels[rows], offsets[rows, 0], offsets[rows, 1]]
+        block = features[rows]
+        with np.errstate(over="ignore"):  # the clip takes an overflow's inf to 0 or 1
+            block *= noise
+            block += brightness[rows, None] * templates.reshape(len(block), -1)
+        np.clip(block, 0.0, 1.0, out=block)
+
+
+def _drawn_images(states, increment, labels, offsets, brightness, windows, noise):
+    """The images whose noise draws start at the PCG64 states ``states``
+    (rows of _state_words) and ``increment``, painted as
+    generate_pattern_images paints its rows."""
+    height, width = windows.shape[-2:]
+    features = np.empty((len(states), height * width))
+    rng = np.random.default_rng(0)
+    for row, words in zip(features, states.tolist()):
+        _set_state(rng, words, increment)
+        rng.standard_normal(out=row)
+    _paint(features, labels, offsets, brightness, windows, noise)
+    return LabeledDataset.from_arrays(features, labels, num_classes=len(windows),
+                                      image_shape=(height, width))
+
+
+def _read_idx(path, magic, kind, data, payload=True):
     """One IDX file's dimensions and its uint8 payload, which must hold
-    exactly the bytes they give. The magic's low byte is the number of
-    dimensions; ``kind`` and ``data`` name the file and its payload in
-    errors."""
+    exactly the bytes they give; with ``payload`` False the payload is left
+    unread, its size checked against the file's, and None stands for it.
+    The magic's low byte is the number of dimensions; ``kind`` and ``data``
+    name the file and its payload in errors."""
     with open(path, "rb") as f:
         wanted = 4 * (1 + (magic & 0xFF))
         header = f.read(wanted)
@@ -354,13 +427,31 @@ def _read_idx(path, magic, kind, data):
             raise FormatError(f"{path}: bad {kind} magic 0x{found:08x}")
         if min(dims) < 1:
             raise FormatError(f"{path}: {kind} header dimensions {dims} must be positive")
-        payload = f.read()
+        body = f.read() if payload else None
+        size = len(body) if payload else os.fstat(f.fileno()).st_size - wanted
     expected = math.prod(dims)
-    if len(payload) < expected:
+    if size < expected:
         raise IoError(f"{path}: truncated {data} data")
-    if len(payload) > expected:
-        raise FormatError(f"{path}: {len(payload) - expected} trailing bytes")
-    return dims, np.frombuffer(payload, dtype=np.uint8)
+    if size > expected:
+        raise FormatError(f"{path}: {size - expected} trailing bytes")
+    return dims, None if body is None else np.frombuffer(body, dtype=np.uint8)
+
+
+def _read_idx_pair(images_path, labels_path, pixels=True):
+    """(image shape, uint8 pixels or None, uint8 labels) of an IDX pair whose
+    image and label counts agree; ``pixels`` as _read_idx's ``payload``."""
+    (count, rows, cols), payload = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", "pixel",
+                                             pixels)
+    (label_count,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", "label")
+    if count != label_count:
+        raise ConsistencyError(
+            f"image count {count} does not match label count {label_count}"
+        )
+    return (rows, cols), payload, labels
+
+
+def _num_classes(labels):
+    return int(labels.max()) + 1 if labels.size else 1
 
 
 def load_idx(images_path, labels_path):
@@ -370,19 +461,28 @@ def load_idx(images_path, labels_path):
     the canonical format: images carry magic 0x00000803 then count, rows,
     cols; labels carry magic 0x00000801 then count.
     """
-    (count, rows, cols), pixels = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", "pixel")
-    pixels = pixels.reshape(count, rows * cols)
-    (label_count,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", "label")
+    (rows, cols), pixels, labels = _read_idx_pair(images_path, labels_path)
+    features = pixels.reshape(len(labels), rows * cols).astype(np.float64) / 255.0
+    return LabeledDataset.from_arrays(features, labels, num_classes=_num_classes(labels),
+                                      image_shape=(rows, cols))
 
-    if count != label_count:
-        raise ConsistencyError(
-            f"image count {count} does not match label count {label_count}"
-        )
-    features = pixels.astype(np.float64) / 255.0
-    return LabeledDataset.from_arrays(
-        features, labels, num_classes=int(labels.max()) + 1 if labels.size else 1,
-        image_shape=(rows, cols),
-    )
+
+def open_idx(images_path, labels_path):
+    """Check an IDX pair as ``load_idx`` does, reading the image file's
+    header and the labels but not the pixels. Returns (count, feature dim,
+    num_classes, load): ``load()`` returns ``load_idx``'s dataset, and
+    fails if the pair no longer has those sizes."""
+    (rows, cols), _, labels = _read_idx_pair(images_path, labels_path, pixels=False)
+    sizes = (len(labels), rows * cols, _num_classes(labels))
+    return (*sizes, functools.partial(_load_idx_of_sizes, images_path, labels_path, sizes))
+
+
+def _load_idx_of_sizes(images_path, labels_path, sizes):
+    ds = load_idx(images_path, labels_path)
+    if (ds.n, ds.dim, ds.num_classes) != sizes:
+        raise FormatError(f"{images_path}: (count, dim, classes) changed from {sizes} to "
+                          f"{(ds.n, ds.dim, ds.num_classes)} since it was opened")
+    return ds
 
 
 def _split_indices(labels, num_classes, test_fraction, seed):

@@ -19,6 +19,7 @@ import os
 import shutil
 import threading
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .corruption import (KIND_AFFINE_MILD, KIND_AFFINE_STRONG, KIND_GAUSSIAN, KI
                          check_corruption, check_flip)
 from .data import (LabeledDataset, check_jitter, check_means, check_pattern_classes, check_size,
                    check_split, check_synthetic, generate_pattern_images, generate_synthetic,
-                   load_idx)
+                   load_idx, open_idx)
 from .embedding import check_dim, fit_pca, fit_pca_in_place, transform
 from .errors import ConfigError, MiselectError, StageError
 from .ksg import (VARIANT_DISCRETE, check_estimator, check_k, dataset_content_hash, load_scores,
@@ -321,23 +322,29 @@ _GENERATORS = {
 
 
 def _build_dataset(ds_cfg, master_seed):
+    """(train split, test split's size, a function that returns the test
+    split), which the scoring stage calls only after its last PCA fit."""
     kind = ds_cfg["type"]
     if kind == "idx":
         train = load_idx(ds_cfg["train_images"], ds_cfg["train_labels"])
-        test = load_idx(ds_cfg["test_images"], ds_cfg["test_labels"])
-        if train.dim != test.dim or train.num_classes != test.num_classes:
+        n_test, dim, classes, make_test = open_idx(ds_cfg["test_images"], ds_cfg["test_labels"])
+        if (train.dim, train.num_classes) != (dim, classes):
             raise ConfigError("train and test IDX datasets are inconsistent")
-        return train, test
+        return train, n_test, make_test
     data_seed = ds_cfg["seed"]
     if data_seed is None:
         data_seed = stage_seed(master_seed, "dataset")
     name, keys = _GENERATORS[kind]
     # looked up at call time, so that a generator wrapped on this module is
-    # the one called; each sample goes straight into its train or test rows
-    return globals()[name](
+    # the one called; each training sample goes straight into its row
+    train, make_test = globals()[name](
         **{key: ds_cfg.get(key) for key in keys}, seed=data_seed,
         split=(ds_cfg["test_fraction"], stage_seed(master_seed, "split")),
     )
+    # the generator's split holds round(test_fraction * N) test samples
+    n_test = check_split(ds_cfg["num_classes"] * ds_cfg["per_class_count"],
+                         ds_cfg["test_fraction"])
+    return train, n_test, make_test
 
 
 def _corruption_args(cor_cfg, index, master_seed):
@@ -435,7 +442,9 @@ class _Run:
     ``train`` holds one training split at a time: the clean split, then each
     corruption's output as the scoring stage applies it. Once no later step
     reads raw features, the split is embedded in place and ``train`` holds
-    the embedded split, to which the later label flips apply. ``report``
+    the embedded split, to which the later label flips apply. The test
+    split is built by ``make_test`` only after the last PCA fit, and
+    ``test`` keeps it raw only for a classifier on raw features. ``report``
     holds the report sections of the stages that ran, each added as its
     stage runs; it becomes ExperimentReport.data."""
 
@@ -446,6 +455,7 @@ class _Run:
     threads: int
     written: list = field(default_factory=list)
     train: LabeledDataset | None = None
+    make_test: Callable[[], LabeledDataset] | None = None
     test: LabeledDataset | None = None
     embedded_train: LabeledDataset | None = None
     embedded_test: LabeledDataset | None = None
@@ -470,10 +480,10 @@ class _Run:
 
 
 def _dataset_stage(run):
-    run.train, run.test = _build_dataset(run.cfg["dataset"], run.master)
+    run.train, n_test, run.make_test = _build_dataset(run.cfg["dataset"], run.master)
     run.report["dataset"] = {
         "n_train": run.train.n,
-        "n_test": run.test.n,
+        "n_test": n_test,
         "num_classes": run.train.num_classes,
         "dim": run.train.dim,
         "image_shape": list(run.train.image_shape) if run.train.image_shape else None,
@@ -537,7 +547,12 @@ def _scoring_stage(run):
             }
         )
     run.scores = scores
-    run.embedded_test = transform(model, run.test)
+    # the raw test split is built only now, so it never sits beside a fit
+    test = run.make_test()
+    run.embedded_test = transform(model, test)
+    if run.cfg["classifier"]["on_raw_features"]:
+        run.test = test
+    del test
     summary = {
         "mi_by_stage": mi_by_stage,
         "per_class_mi": per_class_summary(scores, run.train.labels),
@@ -641,10 +656,10 @@ def _classifier_stage(run):
     if clf_cfg["on_raw_features"]:
         inputs = (run.train, run.test, fit)
     else:
-        # nothing reads the raw splits from here on; dropping them before
-        # the pool forks keeps their pages out of every worker
+        # nothing reads the raw training split from here on; dropping it
+        # before the pool forks keeps its pages out of every worker
         inputs = (run.embedded_train, run.embedded_test, fit)
-        run.train = run.test = None
+        run.train = None
 
     # train() is a pure function of the retained indices, so plans that keep
     # the same set (every plan at ratio 1.0, for one) share one cell; cells

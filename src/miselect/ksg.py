@@ -185,6 +185,21 @@ def _score_set(k, nx, ny, variant, strict, jitter_seed, keff=None, deg=None):
     )
 
 
+def _follows_from_counts(scores):
+    """Whether a score set's local scores, global estimate, per-sample k and
+    degenerate flags are, bit for bit, what ``_score_set`` builds from its
+    counts, called as the set's scorer calls it."""
+    flags = (scores.k_effective, scores.degenerate) if scores.variant == VARIANT_DISCRETE else ()
+    try:
+        rebuilt = _score_set(scores.k, scores.per_sample_n_x, scores.per_sample_n_y,
+                             scores.variant, scores.strict, scores.jitter_seed, *flags)
+    except (DegenerateInputError, DomainError):  # flags or a k that no scorer writes
+        return False
+    return repr(rebuilt.global_mi) == repr(scores.global_mi) and all(
+        getattr(rebuilt, name).tobytes() == getattr(scores, name).tobytes()
+        for name in ("local_scores", "k_effective", "degenerate"))
+
+
 def _class_kth(x, labels, k):
     """Per sample: the distance to its kth nearest same-label point, with k
     capped at class size - 1, the capped k, and the class size. Singleton
@@ -390,7 +405,8 @@ def save_scores(scores, path, dataset_hash=None):
 def load_scores(path):
     """Read a score artifact; returns (MIScoreSet, dataset_hash).
 
-    Raises FormatError when the file is not JSON or lacks a field.
+    Raises FormatError when the file is not JSON, lacks a field, or holds
+    local scores or a global estimate that its counts do not give.
     """
     try:
         with open(path) as f:
@@ -407,4 +423,6 @@ def load_scores(path):
         scores = MIScoreSet(**fields)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: ill-formed score artifact: {exc!r}") from exc
+    if not _follows_from_counts(scores):
+        raise FormatError(f"{path}: the stored scores do not follow from the stored counts")
     return scores, payload.get("dataset_hash")

@@ -382,10 +382,12 @@ def test_direct_split_equals_split_of_the_generated_dataset(generate, classes, p
         with pytest.raises(ConfigError):
             generate(classes, per_class, split=(fraction, 5))
         return
-    got = generate(classes, per_class, split=(fraction, 5))
-    assert len(got) == 2
-    for part, expected_part in zip(got, expected):
-        _assert_same_dataset(part, expected_part)
+    train, make_test = generate(classes, per_class, split=(fraction, 5))
+    _assert_same_dataset(train, expected[0])
+    # the test part is drawn again from the generator's saved states, as
+    # often as asked
+    _assert_same_dataset(make_test(), expected[1])
+    _assert_same_dataset(make_test(), expected[1])
 
 
 def test_generated_split_peak_memory_is_about_its_features():
@@ -393,8 +395,10 @@ def test_generated_split_peak_memory_is_about_its_features():
            "height": 28, "width": 28, "noise": 0.1, "jitter_px": 2}
     tracemalloc.start()
     try:
-        train, test = _build_dataset(resolve({"dataset": cfg})["dataset"], 0)
+        train, n_test, _ = _build_dataset(resolve({"dataset": cfg})["dataset"], 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 1.2 * (train.features.nbytes + test.features.nbytes)
+    # the test split is not built until it is asked for
+    assert n_test == 1050
+    assert peak <= 1.2 * train.features.nbytes

@@ -349,9 +349,15 @@ def test_raw_splits_are_released_before_the_grid_forks(tmp_path, monkeypatch, on
     build, raw, alive = experiment._build_dataset, [], []
 
     def recording_build(*args):
-        splits = build(*args)
-        raw.extend(weakref.ref(ds.features) for ds in splits)
-        return splits
+        train, n_test, make_test = build(*args)
+        raw.append(weakref.ref(train.features))
+
+        def recording_make_test():
+            test = make_test()
+            raw.append(weakref.ref(test.features))
+            return test
+
+        return train, n_test, recording_make_test
 
     def recording_fork(cells, inputs, workers):
         alive.append([ref() is not None for ref in raw])
@@ -452,6 +458,38 @@ def test_score_cache_entry_for_other_settings_is_rescored(tmp_path, tamper):
         entry.write_text(json.dumps(payload))
     assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
     assert read_tree(out) == read_tree(fresh)
+
+
+@pytest.mark.parametrize("variant", ["discrete_label", VARIANT_ONEHOT])
+def test_score_cache_entry_whose_scores_its_counts_do_not_give_is_rescored(
+        tmp_path, monkeypatch, variant):
+    """An entry under its own name and key, rewritten with every local score
+    and the global MI set to 0, is a miss: it is scored again and
+    overwritten, and the outputs are the bytes of a cold run."""
+    cfg = base_config(corruptions=[{"kind": "label_flip", "rate": 0.2}])
+    cfg["estimator"]["variant"] = variant
+    path = _write_cfg(tmp_path, cfg)
+    cold, out = tmp_path / "cold", tmp_path / "out"
+    assert cli_main(["run", "--config", path, "--out", str(cold)]) == 0
+    assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
+    entries = sorted((out / "cache").glob("scores-*.json"))
+    assert entries
+    for entry in entries:
+        payload = json.loads(entry.read_text())
+        payload["local_scores"] = [0.0] * len(payload["local_scores"])
+        payload["global_mi"] = 0.0
+        entry.write_text(json.dumps(payload))
+    calls = []
+    score_dataset = experiment.score_dataset
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return score_dataset(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "score_dataset", counting)
+    assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
+    assert len(calls) == len(entries)
+    assert read_tree(out) == read_tree(cold)
 
 
 def test_package_version_change_misses_the_score_cache(tmp_path, monkeypatch):
@@ -580,7 +618,7 @@ def test_pca_is_fitted_once_per_distinct_feature_matrix(tmp_path, monkeypatch):
 
     # every stage's global MI equals a fresh fit, embedding and scoring of it
     resolved = experiment.resolve(cfg)
-    train, _ = experiment._build_dataset(resolved["dataset"], cfg["seed"])
+    train, _, _ = experiment._build_dataset(resolved["dataset"], cfg["seed"])
     stages = [train]
     for i, cor in enumerate(resolved["corruptions"]):
         stages.append(ms.apply_corruption(stages[-1], **experiment._corruption_args(cor, i, 42)))
@@ -684,11 +722,15 @@ def test_peak_memory_does_not_grow_with_the_corruption_count():
 
 
 # (_CHUNK, dim) float64 arrays that one chunk of corrupted samples holds at
-# most: the chunk's features and, for an affine warp (gaussian noise holds
-# four), _warp_images' rel and src (two each), sx and sy; _bilinear_sample's
-# x0, y0, fx, fy, zero-padded stack (under two from 12x12 images up), corner
-# and out, and four temporaries of its corner loop
-_CHUNK_ARRAYS = 20
+# most, by kind: for an affine warp the chunk's features, _warp_images' rel
+# and src (two each), sx and sy; _bilinear_sample's x0, y0, fx, fy,
+# zero-padded stack (under two from 12x12 images up), corner and out, and
+# four temporaries of its corner loop. Gaussian noise holds four
+_CHUNK_ARRAYS = {"gaussian": 4, "affine_strong": 20, "affine_mild": 20, "label_flip": 0}
+# the interpreter's own objects and the run's per-sample arrays (the
+# embedded split, labels, provenance tags, the scorer's radii and counts),
+# under 256 KiB at these sizes; the test split is larger than this
+_SMALL_BYTES = 256 * 1024
 
 
 @pytest.mark.parametrize("side", [12, 16])
@@ -702,27 +744,40 @@ _CHUNK_ARRAYS = 20
 @pytest.mark.parametrize("bundled_dsyevd", [True, False])
 def test_traced_peak_stays_within_the_readme_peak_formula(
         monkeypatch, side, kinds, on_raw, bundled_dsyevd):
-    """tracemalloc counts numpy's arrays, not where the C heap puts them."""
+    """The peak is that of the phase that sets it, as README's formula
+    gives it. The test split is built after the last PCA fit, so it adds
+    nothing to a fit, a corruption or the scoring. tracemalloc counts
+    numpy's arrays, not where the C heap puts them."""
     if not bundled_dsyevd:
         monkeypatch.setattr(_lapack, "_bundled_dsyevd", lambda: (None, None))
-    dataset = _small_dataset("synthetic_images", num_classes=6, per_class_count=60,
-                             height=side, width=side)
+    dataset = _small_dataset("synthetic_images", num_classes=6, per_class_count=120,
+                             height=side, width=side, test_fraction=0.5)
     cfg = base_config(dataset=dataset, corruptions=[_INPUT_NOISE[kind] for kind in kinds])
     cfg["classifier"]["on_raw_features"] = on_raw
     # imports and first-call caches stay out of the peak
     sizes = run_experiment(cfg, through="score").data["dataset"]
     n_train, n_test, dim = sizes["n_train"], sizes["n_test"], sizes["dim"]
+    train, test = n_train * dim * 8, n_test * dim * 8
     input_noise = any(KINDS[kind].reads_features for kind in kinds)
+    later_reader = input_noise or on_raw  # a step after the first fit reads the raw split
     # the covariance, dsyevd's work and iwork, and numpy.linalg.eigh's copy
     # of the covariance and its eigenvectors where no dsyevd runs in place
     fit = 8 * (dim * dim + (1 + 6 * dim + 2 * dim * dim) + (3 + 5 * dim))
     if _lapack.dsyevd_symbol() is None:
         fit += 2 * dim * dim * 8
-    # the neighbour sweep's two float64 buffers and its bool one, 17 bytes an element
-    sweep = 17 * min(n_train * n_train, neighbors.BLOCK_BYTES // 8)
-    bound = ((n_train + n_test + n_train * (input_noise or on_raw)) * dim * 8 + fit + sweep
-             + input_noise * _CHUNK_ARRAYS * _CHUNK * dim * 8)
-    assert _traced_peak(cfg) <= bound
+    phases = {
+        # the split it reads, the split it writes and one chunk's temporaries
+        "input corruption": input_noise * (
+            2 * train + max(_CHUNK_ARRAYS[kind] for kind in kinds) * _CHUNK * dim * 8),
+        # a centred copy and the covariance, while a later step reads the split
+        "fit on a copy": later_reader * (2 * train + dim * dim * 8),
+        "eigensolver": train + fit,
+        # the sweep's two float64 buffers and its bool one, 17 bytes an element
+        "scoring": later_reader * train + 17 * min(n_train**2, neighbors.BLOCK_BYTES // 8),
+        # after the last fit: the test split and its centred temporary
+        "projection of the test split": on_raw * train + 2 * test,
+    }
+    assert _traced_peak(cfg) <= max(phases.values()) + _SMALL_BYTES
 
 
 def test_stage_error_quarantines_partial_outputs(tmp_path):
@@ -1026,6 +1081,61 @@ def test_idx_file_gone_after_validation_is_a_dataset_stage_failure(tmp_path, mon
     assert cli_main(["run", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
     assert "[stage:dataset]" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _image_dims(raw, rows, cols):
+    """An IDX image file's bytes with its images cut to ``rows`` x ``cols``."""
+    count = struct.unpack(">i", raw[4:8])[0]
+    return raw[:8] + struct.pack(">ii", rows, cols) + raw[16:16 + count * rows * cols]
+
+
+# test-split file -> (edit of its bytes, the dataset stage's diagnostic)
+_BROKEN_TEST_FILES = {
+    "truncated": ("test_images", lambda raw: raw[:-3], "truncated pixel data"),
+    "truncated_header": ("test_images", lambda raw: raw[:7], "truncated file"),
+    "trailing_bytes": ("test_images", lambda raw: raw + b"\0\0", "2 trailing bytes"),
+    "bad_magic": ("test_images", lambda raw: struct.pack(">i", 0x999) + raw[4:],
+                  "bad image magic"),
+    "bad_dimensions": ("test_images", lambda raw: _image_dims(raw, 0, 8),
+                       "dimensions [27, 0, 8] must be positive"),
+    "count_mismatch": ("test_labels", lambda raw: raw[:4] + struct.pack(">i", len(raw) - 7)
+                       + raw[8:] + b"\0", "does not match label count"),
+    "other_dim": ("test_images", lambda raw: _image_dims(raw, 7, 8), "inconsistent"),
+    "other_class_count": ("test_labels", lambda raw: raw[:-1] + bytes([3]), "inconsistent"),
+}
+
+
+@pytest.mark.parametrize("broken", list(_BROKEN_TEST_FILES))
+def test_broken_idx_test_split_is_a_dataset_stage_failure(tmp_path, capsys, broken):
+    """The test split's pixels are read only after the last PCA fit, but a
+    test file that cannot give the split still fails the dataset stage,
+    before any file is written."""
+    cfg = _idx_config(tmp_path)
+    which, edit, message = _BROKEN_TEST_FILES[broken]
+    path = Path(cfg["dataset"][which])
+    path.write_bytes(edit(path.read_bytes()))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "[stage:dataset]" in err and message in err
+    assert not out.exists()
+
+
+def test_idx_test_split_changed_after_the_dataset_stage_fails_the_run(tmp_path, monkeypatch,
+                                                                      capsys):
+    cfg = _idx_config(tmp_path)
+    path = Path(cfg["dataset"]["test_images"])
+    real_fit = experiment.fit_pca_in_place
+
+    def fit_then_cut(*args, **kwargs):
+        path.write_bytes(_image_dims(path.read_bytes(), 7, 8))
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "fit_pca_in_place", fit_then_cut)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    assert "since it was opened" in capsys.readouterr().err
+    assert not (out / "scores.csv").exists()
 
 
 def test_pattern_image_dataset_with_affine(tmp_path):

@@ -499,6 +499,29 @@ def test_score_artifact_malformed_raises_format_error(tmp_path):
             ms.load_scores(path)
 
 
+# a field and the value every sample's entry of it is set to
+@pytest.mark.parametrize("key, value", [
+    ("global_mi", 0.0),
+    ("local_scores", 0.0),
+    ("k_effective", 0),
+    ("degenerate", True),
+    ("n_x", 5),
+])
+def test_score_artifact_whose_scores_its_counts_do_not_give_raises_format_error(tmp_path,
+                                                                                 key, value):
+    # two singleton classes: degenerate samples with k_effective 0 among the others
+    labels = np.array([0, 0, 0, 0, 1, 1, 2, 3])
+    emb = ms.LabeledDataset.from_arrays(np.arange(8.0)[:, None], labels)
+    path = tmp_path / "scores.json"
+    ms.save_scores(ms.score_discrete(emb, 2), path)
+    assert ms.load_scores(path)[0].global_mi == ms.score_discrete(emb, 2).global_mi
+    payload = json.loads(path.read_text())
+    payload[key] = value if key == "global_mi" else [value] * len(payload[key])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(FormatError, match="do not follow from the stored counts"):
+        ms.load_scores(path)
+
+
 def test_score_artifact_write_is_atomic(tmp_path, monkeypatch):
     emb = ms.LabeledDataset.from_arrays(np.arange(6.0)[:, None], np.array([0, 0, 0, 1, 1, 1]))
     result = ms.score_discrete(emb, 2)
