@@ -227,55 +227,32 @@ def generate_synthetic(num_classes, per_class_count, dim, class_stddev, class_me
     ``seed``. With ``split`` = (test_fraction, seed) the result is (train,
     make_test): the train part of the (train, test) pair
     ``train_test_split`` would cut, each sample written straight into its
-    row, and a function that returns the test part. Only the training rows
-    are held; ``make_test`` draws each class block that holds a test sample
-    again from the generator's state before it, with the same bits.
+    row, and a function that returns the test part by drawing again.
     """
     check_synthetic(num_classes, per_class_count, dim, class_stddev)
     check_size(num_classes, per_class_count, dim)
     check_means(num_classes, dim, class_means, class_separation)
     means = (float(class_separation) * np.eye(num_classes, dim) if class_means is None
              else np.asarray(class_means, dtype=np.float64))
-    rng = np.random.default_rng(seed)
     labels = np.repeat(np.arange(num_classes, dtype=np.int64), per_class_count)
     train_idx, test_idx = _parts(labels, num_classes, split)
-    features = np.empty((len(train_idx), dim))
-    states = []  # the generator's state before each class block
-    for c in range(num_classes):
-        states.append(rng.bit_generator.state)
-        _take_block(features, train_idx, c, _blob_block(rng, means[c], class_stddev,
-                                                        per_class_count))
-    train = LabeledDataset.from_arrays(features, labels[train_idx], num_classes=num_classes)
+
+    def draw(idx):
+        """The samples ``idx`` (ascending) of the draw from ``seed``."""
+        rng = np.random.default_rng(seed)
+        features = np.empty((len(idx), dim))
+        bounds = np.searchsorted(idx, np.arange(num_classes + 1) * per_class_count).tolist()
+        for c, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            with np.errstate(over="ignore"):
+                block = means[c] + class_stddev * rng.standard_normal((per_class_count, dim))
+            features[lo:hi] = block[idx[lo:hi] - c * per_class_count]
+        return LabeledDataset.from_arrays(features, idx // per_class_count,
+                                          num_classes=num_classes)
+
+    train = draw(train_idx)
     if split is None:
         return train
-    return train, functools.partial(_drawn_blobs, states, test_idx, means, class_stddev,
-                                    per_class_count)
-
-
-def _blob_block(rng, mean, class_stddev, per_class_count):
-    """One class's samples, drawn from ``rng`` around ``mean``."""
-    with np.errstate(over="ignore"):
-        return mean + class_stddev * rng.standard_normal((per_class_count, len(mean)))
-
-
-def _take_block(features, idx, c, block):
-    """Write the samples of class c's ``block`` that ascending ``idx`` names
-    into their rows of ``features``."""
-    p = len(block)
-    lo, hi = np.searchsorted(idx, (c * p, (c + 1) * p))
-    features[lo:hi] = block[idx[lo:hi] - c * p]
-
-
-def _drawn_blobs(states, idx, means, class_stddev, per_class_count):
-    """The samples ``idx`` of generate_synthetic's draw, each class block
-    that holds one drawn again from its state in ``states``."""
-    features = np.empty((len(idx), means.shape[1]))
-    rng = np.random.default_rng(0)
-    labels = idx // per_class_count
-    for c in np.unique(labels).tolist():
-        rng.bit_generator.state = states[c]
-        _take_block(features, idx, c, _blob_block(rng, means[c], class_stddev, per_class_count))
-    return LabeledDataset.from_arrays(features, labels, num_classes=len(means))
+    return train, functools.partial(draw, test_idx)
 
 
 # Class templates for synthetic images: index -> painter(height, width) in [0, 1].
@@ -411,47 +388,34 @@ def _drawn_images(states, increment, labels, offsets, brightness, windows, noise
                                       image_shape=(height, width))
 
 
-def _read_idx(path, magic, kind, data, payload=True):
-    """One IDX file's dimensions and its uint8 payload, which must hold
-    exactly the bytes they give; with ``payload`` False the payload is left
-    unread, its size checked against the file's, and None stands for it.
-    The magic's low byte is the number of dimensions; ``kind`` and ``data``
-    name the file and its payload in errors."""
-    with open(path, "rb") as f:
-        wanted = 4 * (1 + (magic & 0xFF))
-        header = f.read(wanted)
-        if len(header) < wanted:
-            raise IoError(f"{path}: truncated file (wanted {wanted} bytes, got {len(header)})")
-        found, *dims = struct.unpack(f">{wanted // 4}i", header)
-        if found != magic:
-            raise FormatError(f"{path}: bad {kind} magic 0x{found:08x}")
-        if min(dims) < 1:
-            raise FormatError(f"{path}: {kind} header dimensions {dims} must be positive")
-        body = f.read() if payload else None
-        size = len(body) if payload else os.fstat(f.fileno()).st_size - wanted
-    expected = math.prod(dims)
+def _read_idx(f, magic, kind, data):
+    """The dimensions in the header of the IDX file open as ``f``, whose
+    uint8 payload must hold exactly the bytes they give; leaves ``f`` at the
+    payload. The magic's low byte is the number of dimensions; ``kind`` and
+    ``data`` name the file and its payload in errors."""
+    wanted = 4 * (1 + (magic & 0xFF))
+    header = f.read(wanted)
+    if len(header) < wanted:
+        raise IoError(f"{f.name}: truncated file (wanted {wanted} bytes, got {len(header)})")
+    found, *dims = struct.unpack(f">{wanted // 4}i", header)
+    if found != magic:
+        raise FormatError(f"{f.name}: bad {kind} magic 0x{found:08x}")
+    if min(dims) < 1:
+        raise FormatError(f"{f.name}: {kind} header dimensions {dims} must be positive")
+    size, expected = os.fstat(f.fileno()).st_size - wanted, math.prod(dims)
     if size < expected:
-        raise IoError(f"{path}: truncated {data} data")
+        raise IoError(f"{f.name}: truncated {data} data")
     if size > expected:
-        raise FormatError(f"{path}: {size - expected} trailing bytes")
-    return dims, None if body is None else np.frombuffer(body, dtype=np.uint8)
+        raise FormatError(f"{f.name}: {size - expected} trailing bytes")
+    return tuple(dims)
 
 
-def _read_idx_pair(images_path, labels_path, pixels=True):
-    """(image shape, uint8 pixels or None, uint8 labels) of an IDX pair whose
-    image and label counts agree; ``pixels`` as _read_idx's ``payload``."""
-    (count, rows, cols), payload = _read_idx(images_path, IDX_IMAGE_MAGIC, "image", "pixel",
-                                             pixels)
-    (label_count,), labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label", "label")
-    if count != label_count:
-        raise ConsistencyError(
-            f"image count {count} does not match label count {label_count}"
-        )
-    return (rows, cols), payload, labels
-
-
-def _num_classes(labels):
-    return int(labels.max()) + 1 if labels.size else 1
+def _read_payload(f, size, data):
+    """The next ``size`` bytes of ``f`` as uint8, or an IoError if it has fewer."""
+    body = f.read(size)
+    if len(body) < size:
+        raise IoError(f"{f.name}: truncated {data} data")
+    return np.frombuffer(body, dtype=np.uint8)
 
 
 def load_idx(images_path, labels_path):
@@ -461,28 +425,36 @@ def load_idx(images_path, labels_path):
     the canonical format: images carry magic 0x00000803 then count, rows,
     cols; labels carry magic 0x00000801 then count.
     """
-    (rows, cols), pixels, labels = _read_idx_pair(images_path, labels_path)
-    features = pixels.reshape(len(labels), rows * cols).astype(np.float64) / 255.0
-    return LabeledDataset.from_arrays(features, labels, num_classes=_num_classes(labels),
-                                      image_shape=(rows, cols))
+    return open_idx(images_path, labels_path)[-1]()
 
 
 def open_idx(images_path, labels_path):
     """Check an IDX pair as ``load_idx`` does, reading the image file's
     header and the labels but not the pixels. Returns (count, feature dim,
-    num_classes, load): ``load()`` returns ``load_idx``'s dataset, and
-    fails if the pair no longer has those sizes."""
-    (rows, cols), _, labels = _read_idx_pair(images_path, labels_path, pixels=False)
-    sizes = (len(labels), rows * cols, _num_classes(labels))
-    return (*sizes, functools.partial(_load_idx_of_sizes, images_path, labels_path, sizes))
+    num_classes, load): ``load()`` reads the pixels and returns
+    ``load_idx``'s dataset with these labels, and fails if the image
+    header changed in between."""
+    with open(images_path, "rb") as f:
+        shape = _read_idx(f, IDX_IMAGE_MAGIC, "image", "pixel")
+    with open(labels_path, "rb") as f:
+        (count,) = _read_idx(f, IDX_LABEL_MAGIC, "label", "label")
+        labels = _read_payload(f, count, "label")
+    if shape[0] != count:
+        raise ConsistencyError(f"image count {shape[0]} does not match label count {count}")
+    num_classes = int(labels.max()) + 1
 
+    def load():
+        with open(images_path, "rb") as f:
+            found = _read_idx(f, IDX_IMAGE_MAGIC, "image", "pixel")
+            if found != shape:
+                raise FormatError(f"{images_path}: (count, rows, cols) changed from {shape} "
+                                  f"to {found} since it was opened")
+            pixels = _read_payload(f, math.prod(shape), "pixel")
+        features = pixels.reshape(count, -1).astype(np.float64) / 255.0
+        return LabeledDataset.from_arrays(features, labels, num_classes=num_classes,
+                                          image_shape=shape[1:])
 
-def _load_idx_of_sizes(images_path, labels_path, sizes):
-    ds = load_idx(images_path, labels_path)
-    if (ds.n, ds.dim, ds.num_classes) != sizes:
-        raise FormatError(f"{images_path}: (count, dim, classes) changed from {sizes} to "
-                          f"{(ds.n, ds.dim, ds.num_classes)} since it was opened")
-    return ds
+    return count, shape[1] * shape[2], num_classes, load
 
 
 def _split_indices(labels, num_classes, test_fraction, seed):

@@ -36,7 +36,8 @@ from .data import (LabeledDataset, check_jitter, check_means, check_pattern_clas
 from .embedding import check_dim, fit_pca, fit_pca_in_place, transform
 from .errors import ConfigError, MiselectError, StageError
 from .ksg import (VARIANT_DISCRETE, check_estimator, check_k, dataset_content_hash, load_scores,
-                  null_degenerate, per_class_summary, save_scores, score_dataset)
+                  matches_labels, null_degenerate, per_class_summary, save_scores,
+                  score_dataset)
 from .logreg import check_fit, evaluate, train
 from .selection import SelectionPlan, check_plan, check_ratio, save_selection, select
 
@@ -328,7 +329,8 @@ def _build_dataset(ds_cfg, master_seed):
     if kind == "idx":
         train = load_idx(ds_cfg["train_images"], ds_cfg["train_labels"])
         n_test, dim, classes, make_test = open_idx(ds_cfg["test_images"], ds_cfg["test_labels"])
-        if (train.dim, train.num_classes) != (dim, classes):
+        # test labels need only lie below the training pair's class count
+        if dim != train.dim or classes > train.num_classes:
             raise ConfigError("train and test IDX datasets are inconsistent")
         return train, n_test, make_test
     data_seed = ds_cfg["seed"]
@@ -385,15 +387,16 @@ def _cached_scores(embedded, est_cfg, cache_dir):
     if cache_dir is not None:
         cache_path = Path(cache_dir) / f"scores-{cache_key}.json"
         if cache_path.exists():
-            # an unreadable entry, or one stored for other data or other
-            # settings, is a miss and gets overwritten below
+            # an unreadable entry, one stored for other data or other
+            # settings, or one whose counts the labels fix are not theirs, is
+            # a miss and gets overwritten below
             try:
                 scores, stored_key = load_scores(cache_path)
             except MiselectError:
                 stored_key = None
             if stored_key == cache_key and all(
                 getattr(scores, name) == value for name, value in expected.items()
-            ):
+            ) and matches_labels(scores, embedded.labels):
                 return scores, content_hash
     scores = score_dataset(embedded, **settings)
     if cache_path is not None:

@@ -200,18 +200,35 @@ def _follows_from_counts(scores):
         for name in ("local_scores", "k_effective", "degenerate"))
 
 
-def _class_kth(x, labels, k):
-    """Per sample: the distance to its kth nearest same-label point, with k
-    capped at class size - 1, the capped k, and the class size. Singleton
-    classes get radius 0 and k 0."""
+def _class_counts(labels, k):
+    """Per sample, what the discrete scorer takes from the class sizes alone:
+    n_y (class size - 1), k capped at n_y, and the degenerate flag of a
+    singleton class's sample."""
+    ny = np.bincount(labels)[labels] - 1
+    return ny, np.minimum(k, ny), ny == 0
+
+
+def matches_labels(scores, labels):
+    """Whether a discrete score set's n_y, per-sample k and degenerate flags
+    are those ``labels``' class sizes give, with n_x 0 on every degenerate
+    sample; a score set of another variant passes."""
+    if scores.variant != VARIANT_DISCRETE:
+        return True
+    expected = _class_counts(labels, scores.k)
+    stored = (scores.per_sample_n_y, scores.k_effective, scores.degenerate)
+    return (all(np.array_equal(a, b) for a, b in zip(stored, expected))
+            and not scores.per_sample_n_x[scores.degenerate].any())
+
+
+def _class_kth(x, labels, keff):
+    """Per sample: the distance to its ``keff``th nearest same-label point,
+    0 in a singleton class."""
     radii = np.zeros(len(labels))
-    sizes = np.zeros(len(labels), dtype=np.int64)
     for c in np.unique(labels):
         members = np.flatnonzero(labels == c)
-        sizes[members] = len(members)
         if len(members) > 1:
-            radii[members] = NeighborIndex(x[members]).kth_distance_bulk(min(k, len(members) - 1))
-    return radii, np.minimum(k, sizes - 1), sizes
+            radii[members] = NeighborIndex(x[members]).kth_distance_bulk(int(keff[members[0]]))
+    return radii
 
 
 def score_discrete(points, k, strict=True, jitter_seed=None):
@@ -227,11 +244,11 @@ def score_discrete(points, k, strict=True, jitter_seed=None):
     labels = points.labels
     check_k(len(labels), k)
     x = add_jitter(points.features, jitter_seed)
-    radii, keff, sizes = _class_kth(x, labels, k)
-    deg = sizes == 1
+    ny, keff, deg = _class_counts(labels, k)
+    radii = _class_kth(x, labels, keff)
     nx = NeighborIndex(x).count_within_bulk(radii, strict=strict)
     nx[deg] = 0
-    return _score_set(k, nx, sizes - 1, VARIANT_DISCRETE, strict, jitter_seed, keff, deg)
+    return _score_set(k, nx, ny, VARIANT_DISCRETE, strict, jitter_seed, keff, deg)
 
 
 def score_continuous(x, y, k, strict=True, jitter_seed=None, variant=VARIANT_CONTINUOUS):
@@ -297,17 +314,19 @@ def _score_onehot_per_class(points, k, label_scale, strict):
     """``score_onehot`` without jitter, computed per class; None where that
     would not equal the joint-space result."""
     labels = points.labels
-    n = len(labels)
-    eps, keff, sizes = _class_kth(points.features, labels, k)
-    if keff.min() < k or eps.max() > label_scale:
+    same, keff, _ = _class_counts(labels, k)
+    if keff.min() < k:
+        return None
+    eps = _class_kth(points.features, labels, keff)
+    if eps.max() > label_scale:
         return None
     nx = NeighborIndex(points.features).count_within_bulk(eps, strict=strict)
     # one-hot distances are 0 within a class and label_scale across classes
-    cross = n - sizes
+    cross = len(labels) - 1 - same
     if strict:
-        ny = (sizes - 1) * (eps > 0) + cross * (eps > label_scale)
+        ny = same * (eps > 0) + cross * (eps > label_scale)
     else:
-        ny = (sizes - 1) + cross * (eps >= label_scale)
+        ny = same + cross * (eps >= label_scale)
     return _score_set(k, nx, ny, VARIANT_ONEHOT, strict, None)
 
 

@@ -56,8 +56,7 @@ class _Buffers:
     ``z`` holds the class-major (C, n) logits, then their max-subtracted
     exponentials; ``s`` the per-sample max, then the per-sample sum; ``p``
     the (n, C) probabilities; ``pos`` the positions of the labels in ``z``
-    raveled and ``onehot`` the labels one-hot in the (n, C) layout, which
-    ``relabel`` replaces for another n labels.
+    raveled and ``onehot`` the labels one-hot in the (n, C) layout.
     """
 
     def __init__(self, labels, num_classes):
@@ -65,12 +64,8 @@ class _Buffers:
         self.z = np.empty((num_classes, n))
         self.s = np.empty(n)
         self.p = np.empty((n, num_classes))
-        self.relabel(labels, np.eye(num_classes).take(labels, axis=0))
-
-    def relabel(self, labels, onehot):
-        self.pos = labels * labels.shape[0] + np.arange(labels.shape[0])
-        self.onehot = onehot
-        return self
+        self.pos = labels * n + np.arange(n)
+        self.onehot = np.eye(num_classes).take(labels, axis=0)
 
 
 def _forward(weights, x, l2, buf):
@@ -164,14 +159,12 @@ def train(data, retained=None, learning_rate=0.1, epochs=300, l2=1e-4, batch_siz
     rng = np.random.default_rng(seed)
     batch = n if batch_size is None else min(batch_size, n)
     buf = _Buffers(labels, num_classes)
-    sized = {m: _Buffers(labels[:m], num_classes) for m in {batch, n % batch} if m and batch < n}
 
     # The full-data call that records an epoch's loss also yields the
     # gradient of the next full-batch step, so a full-batch epoch makes one
     # call and the last epoch, with no step after it, records the loss alone;
     # a mini-batch epoch steps on its batches and records the loss alone.
-    # Every full-data call reuses the fit's buffers, and a batch those of its
-    # size (the full batches' or the short last one's) with its one-hot rows.
+    # Every full-data call reuses the fit's buffers; a batch makes its own.
     history = []
     if batch == n:
         _, grad = loss_and_gradient(weights, xb, labels, l2, buf)
@@ -186,8 +179,7 @@ def train(data, retained=None, learning_rate=0.1, epochs=300, l2=1e-4, batch_siz
             order = rng.permutation(n)
             for start in range(0, n, batch):
                 rows = order[start : start + batch]
-                part = sized[len(rows)].relabel(labels[rows], buf.onehot[rows])
-                _, grad = loss_and_gradient(weights, xb[rows], labels[rows], l2, part)
+                _, grad = loss_and_gradient(weights, xb[rows], labels[rows], l2)
                 weights = weights - learning_rate * grad
             loss = _forward(weights, xb, l2, buf)[0]
         if not math.isfinite(loss):

@@ -384,8 +384,8 @@ def test_direct_split_equals_split_of_the_generated_dataset(generate, classes, p
         return
     train, make_test = generate(classes, per_class, split=(fraction, 5))
     _assert_same_dataset(train, expected[0])
-    # the test part is drawn again from the generator's saved states, as
-    # often as asked
+    # the test part is drawn again, as often as asked; the (2, 1) and (3, 1)
+    # cases hold classes with no test sample
     _assert_same_dataset(make_test(), expected[1])
     _assert_same_dataset(make_test(), expected[1])
 

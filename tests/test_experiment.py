@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import miselect as ms
-from miselect import _lapack, _util, experiment, neighbors
+from miselect import _lapack, _util, experiment, ksg, neighbors
 from miselect.cli import main as cli_main
 from miselect.corruption import _CHUNK, KINDS
 from miselect.errors import ConfigError, StageError
@@ -479,6 +479,70 @@ def test_score_cache_entry_whose_scores_its_counts_do_not_give_is_rescored(
         payload["local_scores"] = [0.0] * len(payload["local_scores"])
         payload["global_mi"] = 0.0
         entry.write_text(json.dumps(payload))
+    calls = []
+    score_dataset = experiment.score_dataset
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return score_dataset(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "score_dataset", counting)
+    assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
+    assert len(calls) == len(entries)
+    assert read_tree(out) == read_tree(cold)
+
+
+def _first(mask):
+    return int(np.flatnonzero(mask)[0])
+
+
+def _edit_n_y(counts):
+    counts["n_y"][_first(~counts["degenerate"])] -= 1
+
+
+def _edit_k_effective(counts):
+    counts["k_effective"][_first(~counts["degenerate"])] -= 1
+
+
+def _edit_degenerate(counts):
+    counts["degenerate"][_first(~counts["degenerate"])] = True
+
+
+def _edit_degenerate_n_x(counts):
+    counts["n_x"][_first(counts["degenerate"])] = 1
+
+
+@pytest.mark.parametrize("edit", [_edit_n_y, _edit_k_effective, _edit_degenerate,
+                                  _edit_degenerate_n_x],
+                         ids=["n_y", "k_effective", "degenerate", "degenerate_n_x"])
+def test_discrete_score_cache_entry_whose_counts_are_not_the_labels_is_rescored(
+        tmp_path, monkeypatch, edit):
+    """A discrete entry whose n_y, per-sample k or degenerate flags are not
+    those the class sizes give, or with n_x on a degenerate sample, is a miss
+    even when its scores are rebuilt from the edited counts: the run scores
+    again, rewrites the entry and writes a cold run's bytes."""
+    cfg = _idx_config(tmp_path)
+    labels = Path(cfg["dataset"]["train_labels"])
+    raw = bytearray(labels.read_bytes())
+    for i in [i for i in range(8, len(raw)) if raw[i] == 2][1:]:
+        raw[i] = i % 2  # class 2 keeps one training sample, a degenerate one
+    labels.write_bytes(bytes(raw))
+    path = _write_cfg(tmp_path, cfg)
+    cold, out = tmp_path / "cold", tmp_path / "out"
+    assert cli_main(["run", "--config", path, "--out", str(cold)]) == 0
+    assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
+    entries = sorted((out / "cache").glob("scores-*.json"))
+    assert entries
+    for entry in entries:
+        payload = json.loads(entry.read_text())
+        counts = {name: np.array(payload[name])
+                  for name in ("n_x", "n_y", "k_effective", "degenerate")}
+        edit(counts)
+        edited = ksg._score_set(payload["k"], counts["n_x"], counts["n_y"], payload["variant"],
+                                payload["strict"], payload["jitter_seed"],
+                                counts["k_effective"], counts["degenerate"])
+        ksg.save_scores(edited, entry, dataset_hash=payload["dataset_hash"])
+        ksg.load_scores(entry)  # well-formed: its scores follow from its counts
     calls = []
     score_dataset = experiment.score_dataset
 
@@ -1136,6 +1200,61 @@ def test_idx_test_split_changed_after_the_dataset_stage_fails_the_run(tmp_path, 
     assert cli_main(["run", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
     assert "since it was opened" in capsys.readouterr().err
     assert not (out / "scores.csv").exists()
+
+
+def test_idx_test_split_truncated_after_the_dataset_stage_fails_the_run(tmp_path, monkeypatch,
+                                                                        capsys):
+    """The header still reads as opened, but the pixels run short: an
+    IoError of the scoring stage, not a reshape traceback."""
+    cfg = _idx_config(tmp_path)
+    path = Path(cfg["dataset"]["test_images"])
+    real_fit = experiment.fit_pca_in_place
+
+    def fit_then_truncate(*args, **kwargs):
+        path.write_bytes(path.read_bytes()[:-3])
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "fit_pca_in_place", fit_then_truncate)
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "[stage:scoring]" in err and "truncated pixel data" in err
+    assert "Traceback" not in err
+    assert not (out / "scores.csv").exists()
+
+
+def test_idx_test_labels_rewritten_after_the_dataset_stage_leave_the_outputs(tmp_path,
+                                                                             monkeypatch):
+    """The run evaluates on the test labels the dataset stage read and checked."""
+    cfg = _idx_config(tmp_path)
+    path = _write_cfg(tmp_path, cfg)
+    assert cli_main(["run", "--config", path, "--out", str(tmp_path / "cold")]) == 0
+    labels = Path(cfg["dataset"]["test_labels"])
+    real_fit = experiment.fit_pca_in_place
+
+    def fit_then_relabel(*args, **kwargs):
+        raw = labels.read_bytes()
+        labels.write_bytes(raw[:8] + bytes((b + 1) % 3 for b in raw[8:]))
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "fit_pca_in_place", fit_then_relabel)
+    assert cli_main(["run", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert read_tree(tmp_path / "out") == read_tree(tmp_path / "cold")
+
+
+def test_idx_test_pair_without_the_top_class_is_a_test_set(tmp_path, capsys):
+    """Test labels need only lie below the training pair's class count; a
+    test label at or past it stays a dataset stage failure (see
+    _BROKEN_TEST_FILES' other_class_count)."""
+    cfg = _idx_config(tmp_path)
+    path = Path(cfg["dataset"]["test_labels"])
+    raw = path.read_bytes()
+    path.write_bytes(raw[:8] + bytes(b % 2 for b in raw[8:]))  # classes 0 and 1 of 3
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["dataset"]["num_classes"] == 3
+    assert len(report["accuracy"]) == 4
 
 
 def test_pattern_image_dataset_with_affine(tmp_path):
