@@ -36,8 +36,7 @@ from .data import (LabeledDataset, check_jitter, check_means, check_pattern_clas
 from .embedding import check_dim, fit_pca, fit_pca_in_place, transform
 from .errors import ConfigError, MiselectError, StageError
 from .ksg import (VARIANT_DISCRETE, check_estimator, check_k, dataset_content_hash, load_scores,
-                  matches_labels, null_degenerate, per_class_summary, save_scores,
-                  score_dataset)
+                  per_class_summary, save_scores, score_dataset)
 from .logreg import check_fit, evaluate, train
 from .selection import SelectionPlan, check_plan, check_ratio, save_selection, select
 
@@ -359,7 +358,8 @@ def _corruption_args(cor_cfg, index, master_seed):
     return args
 
 
-# the estimator section's fields, which an MIScoreSet records under the same names
+# the estimator section's fields, which score_dataset and load_scores take and an
+# MIScoreSet records under the same names
 _ESTIMATOR_SETTINGS = ("k", "variant", "strict", "label_scale", "jitter_seed")
 
 
@@ -368,35 +368,19 @@ def _cached_scores(embedded, est_cfg, cache_dir):
     the score cache."""
     settings = {key: est_cfg[key] for key in _ESTIMATOR_SETTINGS}
     content_hash = dataset_content_hash(embedded.features, embedded.labels)
-    key_material = json.dumps(
-        {
-            "hash": content_hash,
-            **settings,
-            "package_version": __version__,
-        },
-        sort_keys=True,
-    )
-    cache_key = hashlib.sha256(key_material.encode()).hexdigest()
-    # the outputs report the stored fields, so they must be this request's
-    expected = {"n_samples": embedded.n, **settings}
-    if settings["variant"] == VARIANT_DISCRETE:
-        expected["label_scale"] = None  # the discrete scorer takes no scale
-    elif settings["label_scale"] is None:
-        del expected["label_scale"]  # the one-hot scorer derives it from the data
+    key_material = {"hash": content_hash, **settings, "package_version": __version__}
+    cache_key = hashlib.sha256(json.dumps(key_material, sort_keys=True).encode()).hexdigest()
     cache_path = None
     if cache_dir is not None:
         cache_path = Path(cache_dir) / f"scores-{cache_key}.json"
         if cache_path.exists():
-            # an unreadable entry, one stored for other data or other
-            # settings, or one whose counts the labels fix are not theirs, is
-            # a miss and gets overwritten below
+            # an unreadable entry, or one stored for other data, is a miss
+            # and gets overwritten below
             try:
-                scores, stored_key = load_scores(cache_path)
+                scores, stored_key = load_scores(cache_path, embedded, **settings)
             except MiselectError:
                 stored_key = None
-            if stored_key == cache_key and all(
-                getattr(scores, name) == value for name, value in expected.items()
-            ) and matches_labels(scores, embedded.labels):
+            if stored_key == cache_key:
                 return scores, content_hash
     scores = score_dataset(embedded, **settings)
     if cache_path is not None:
@@ -689,6 +673,9 @@ def _classifier_stage(run):
 
 def _report_stage(run):
     """The header and content hashes around the sections the stages added."""
+    # the local scores as JSON, with null for each degenerate sample's -inf
+    local = [None if d else s for s, d in
+             zip(run.scores.local_scores.tolist(), run.scores.degenerate.tolist())]
     run.report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "package_version": __version__,
@@ -700,7 +687,7 @@ def _report_stage(run):
         **run.report,
         "content_hashes": {
             "embedded_train": run.embedded_hash,
-            "scores": hashlib.sha256(json.dumps(null_degenerate(run.scores)).encode()).hexdigest(),
+            "scores": hashlib.sha256(json.dumps(local).encode()).hexdigest(),
         },
     }
     run.emit("report.json", _sanitized_json(run.report))

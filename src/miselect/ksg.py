@@ -22,6 +22,10 @@ members and every kth same-label distance is at most the label scale,
 ``score_onehot`` takes a per-class route instead: the joint kth is then the
 same-label kth and n_y has a closed form, so the result equals the
 joint-space one bit for bit without the joint-space pass.
+
+Only n_x, and one-hot n_y, cost neighbour queries. Every scorer builds the
+rest of its score set from them with one function, and a score artifact
+holds only those counts, which ``load_scores`` rebuilds the set from.
 """
 
 from __future__ import annotations
@@ -29,16 +33,17 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._util import is_number, write_json_atomic
 from .data import _frozen
-from .errors import ConfigError, ConsistencyError, DegenerateInputError, DomainError, FormatError
+from .errors import (ConfigError, ConsistencyError, DegenerateInputError, DomainError, FormatError,
+                     MiselectError)
 from .neighbors import NeighborIndex, add_jitter
 
-SCORES_SCHEMA_VERSION = 1
+SCORES_SCHEMA_VERSION = 2
 
 VARIANT_DISCRETE = "discrete_label"
 VARIANT_ONEHOT = "onehot_continuous"
@@ -149,7 +154,7 @@ def check_estimator(variant=VARIANT_DISCRETE, label_scale=1.0):
         raise ConfigError("label_scale: must be positive")
 
 
-def _score_set(k, nx, ny, variant, strict, jitter_seed, keff=None, deg=None):
+def _score_set(k, nx, ny, variant, strict, jitter_seed, keff=None, deg=None, label_scale=None):
     """The score set from per-sample counts: psi(k) + psi(N) - psi(n_x + 1)
     - psi(n_y + 1) for each usable sample, -inf for each degenerate one, and
     the usable samples' mean as the global estimate.
@@ -181,23 +186,9 @@ def _score_set(k, nx, ny, variant, strict, jitter_seed, keff=None, deg=None):
         k_effective=keff,
         degenerate=deg,
         strict=strict,
+        label_scale=label_scale,
         jitter_seed=jitter_seed,
     )
-
-
-def _follows_from_counts(scores):
-    """Whether a score set's local scores, global estimate, per-sample k and
-    degenerate flags are, bit for bit, what ``_score_set`` builds from its
-    counts, called as the set's scorer calls it."""
-    flags = (scores.k_effective, scores.degenerate) if scores.variant == VARIANT_DISCRETE else ()
-    try:
-        rebuilt = _score_set(scores.k, scores.per_sample_n_x, scores.per_sample_n_y,
-                             scores.variant, scores.strict, scores.jitter_seed, *flags)
-    except (DegenerateInputError, DomainError):  # flags or a k that no scorer writes
-        return False
-    return repr(rebuilt.global_mi) == repr(scores.global_mi) and all(
-        getattr(rebuilt, name).tobytes() == getattr(scores, name).tobytes()
-        for name in ("local_scores", "k_effective", "degenerate"))
 
 
 def _class_counts(labels, k):
@@ -208,16 +199,28 @@ def _class_counts(labels, k):
     return ny, np.minimum(k, ny), ny == 0
 
 
-def matches_labels(scores, labels):
-    """Whether a discrete score set's n_y, per-sample k and degenerate flags
-    are those ``labels``' class sizes give, with n_x 0 on every degenerate
-    sample; a score set of another variant passes."""
-    if scores.variant != VARIANT_DISCRETE:
-        return True
-    expected = _class_counts(labels, scores.k)
-    stored = (scores.per_sample_n_y, scores.k_effective, scores.degenerate)
-    return (all(np.array_equal(a, b) for a, b in zip(stored, expected))
-            and not scores.per_sample_n_x[scores.degenerate].any())
+def _label_scale(points, label_scale):
+    """The one-hot label coordinate: ``label_scale`` when given, else four
+    times the features' span (at least 1)."""
+    if label_scale is not None:
+        return label_scale
+    with np.errstate(over="ignore"):  # features near the float64 limit overflow the span
+        span = points.features.max() - points.features.min() if points.features.size else 1.0
+    if not np.isfinite(span):
+        raise DegenerateInputError("the features' spread overflows float64, "
+                                   "no label_scale to derive from it")
+    return 4.0 * max(float(span), 1.0)
+
+
+def _from_counts(points, nx, ny, k, variant, strict, label_scale, jitter_seed):
+    """The score set of ``points`` from its neighbour counts ``nx`` and, one-hot,
+    ``ny``. Discrete n_y, per-sample k and degenerate flags come from the
+    class sizes, and n_x is 0 on each degenerate sample."""
+    if variant == VARIANT_DISCRETE:
+        ny, keff, deg = _class_counts(points.labels, k)
+        return _score_set(k, np.where(deg, 0, nx), ny, variant, strict, jitter_seed, keff, deg)
+    return _score_set(k, nx, ny, variant, strict, jitter_seed,
+                      label_scale=float(_label_scale(points, label_scale)))
 
 
 def _class_kth(x, labels, keff):
@@ -244,14 +247,12 @@ def score_discrete(points, k, strict=True, jitter_seed=None):
     labels = points.labels
     check_k(len(labels), k)
     x = add_jitter(points.features, jitter_seed)
-    ny, keff, deg = _class_counts(labels, k)
-    radii = _class_kth(x, labels, keff)
+    radii = _class_kth(x, labels, _class_counts(labels, k)[1])
     nx = NeighborIndex(x).count_within_bulk(radii, strict=strict)
-    nx[deg] = 0
-    return _score_set(k, nx, ny, VARIANT_DISCRETE, strict, jitter_seed, keff, deg)
+    return _from_counts(points, nx, None, k, VARIANT_DISCRETE, strict, None, jitter_seed)
 
 
-def score_continuous(x, y, k, strict=True, jitter_seed=None, variant=VARIANT_CONTINUOUS):
+def score_continuous(x, y, k, strict=True, jitter_seed=None):
     """Generic KSG estimator for two real-valued variables.
 
     The joint space is the column concatenation of x and y under the
@@ -276,7 +277,7 @@ def score_continuous(x, y, k, strict=True, jitter_seed=None, variant=VARIANT_CON
     eps = index_joint.kth_distance_bulk(k)
     nx = index_x.count_within_bulk(eps, strict=strict)
     ny = index_y.count_within_bulk(eps, strict=strict)
-    return _score_set(k, nx, ny, variant, strict, jitter_seed)
+    return _score_set(k, nx, ny, VARIANT_CONTINUOUS, strict, jitter_seed)
 
 
 def score_onehot(points, k, label_scale, strict=True, jitter_seed=None):
@@ -296,23 +297,21 @@ def score_onehot(points, k, label_scale, strict=True, jitter_seed=None):
     """
     check_estimator(label_scale=label_scale)
     check_k(len(points.labels), k)
-    result = None
+    counts = None
     if jitter_seed is None:
-        result = _score_onehot_per_class(points, k, label_scale, strict)
-    if result is None:
+        counts = _onehot_counts_per_class(points, k, label_scale, strict)
+    if counts is None:
         labels = points.labels
         onehot = np.zeros((len(labels), points.num_classes))
         onehot[np.arange(len(labels)), labels] = label_scale
-        result = score_continuous(
-            points.features, onehot, k, strict=strict, jitter_seed=jitter_seed,
-            variant=VARIANT_ONEHOT,
-        )
-    return replace(result, label_scale=float(label_scale))
+        joint = score_continuous(points.features, onehot, k, strict=strict, jitter_seed=jitter_seed)
+        counts = joint.per_sample_n_x, joint.per_sample_n_y
+    return _from_counts(points, *counts, k, VARIANT_ONEHOT, strict, label_scale, jitter_seed)
 
 
-def _score_onehot_per_class(points, k, label_scale, strict):
-    """``score_onehot`` without jitter, computed per class; None where that
-    would not equal the joint-space result."""
+def _onehot_counts_per_class(points, k, label_scale, strict):
+    """``score_onehot``'s (n_x, n_y) without jitter, computed per class; None
+    where they would not equal the joint-space counts."""
     labels = points.labels
     same, keff, _ = _class_counts(labels, k)
     if keff.min() < k:
@@ -327,7 +326,7 @@ def _score_onehot_per_class(points, k, label_scale, strict):
         ny = same * (eps > 0) + cross * (eps > label_scale)
     else:
         ny = same + cross * (eps >= label_scale)
-    return _score_set(k, nx, ny, VARIANT_ONEHOT, strict, None)
+    return nx, ny
 
 
 def score_dataset(points, k, variant=VARIANT_DISCRETE, strict=True, label_scale=None,
@@ -336,14 +335,8 @@ def score_dataset(points, k, variant=VARIANT_DISCRETE, strict=True, label_scale=
     check_estimator(variant=variant)
     if variant == VARIANT_DISCRETE:
         return score_discrete(points, k, strict=strict, jitter_seed=jitter_seed)
-    if label_scale is None:
-        with np.errstate(over="ignore"):  # features near the float64 limit overflow the span
-            span = points.features.max() - points.features.min() if points.features.size else 1.0
-        if not np.isfinite(span):
-            raise DegenerateInputError("the features' spread overflows float64, "
-                                       "no label_scale to derive from it")
-        label_scale = 4.0 * max(float(span), 1.0)
-    return score_onehot(points, k, label_scale, strict=strict, jitter_seed=jitter_seed)
+    return score_onehot(points, k, _label_scale(points, label_scale), strict=strict,
+                        jitter_seed=jitter_seed)
 
 
 def per_class_summary(scores, labels):
@@ -388,45 +381,34 @@ def dataset_content_hash(points, labels):
     return h.hexdigest()
 
 
-# Score-artifact key -> MIScoreSet field, in the field order; save_scores
-# writes these keys beside the schema version and the dataset hash, and
-# load_scores reads them back.
-_ARTIFACT_FIELDS = {
-    "local_scores": "local_scores", "global_mi": "global_mi", "k": "k",
-    "n_samples": "n_samples", "variant": "variant", "n_x": "per_sample_n_x",
-    "n_y": "per_sample_n_y", "k_effective": "k_effective", "degenerate": "degenerate",
-    "strict": "strict", "label_scale": "label_scale", "jitter_seed": "jitter_seed",
-}
-
-
-def null_degenerate(scores):
-    """The local scores as a list with None (JSON null) for each degenerate
-    sample's -inf, as the score artifact and the report's hash hold them."""
-    return [None if d else s for s, d in
-            zip(scores.local_scores.tolist(), scores.degenerate.tolist())]
-
-
 def save_scores(scores, path, dataset_hash=None):
-    """Write a score set to a versioned JSON artifact (exact round trip).
+    """Write a score set's neighbour counts to a versioned JSON artifact:
+    ``n_x``, and ``n_y`` unless the variant is discrete (whose n_y the
+    labels give). ``load_scores`` rebuilds every other field.
 
-    Degenerate samples' scores are written as null. The artifact is written
-    under a temporary name in the same directory and then renamed over
-    ``path``, so an interrupted write never leaves a partial file at ``path``.
+    The artifact is written under a temporary name in the same directory
+    and then renamed over ``path``, so an interrupted write never leaves a
+    partial file at ``path``.
     """
-    payload = {"schema_version": SCORES_SCHEMA_VERSION, "dataset_hash": dataset_hash}
-    for key, field in _ARTIFACT_FIELDS.items():
-        value = getattr(scores, field)
-        payload[key] = value.tolist() if isinstance(value, np.ndarray) else value
-    payload["local_scores"] = null_degenerate(scores)
+    payload = {"schema_version": SCORES_SCHEMA_VERSION, "dataset_hash": dataset_hash,
+               "n_x": scores.per_sample_n_x.tolist()}
+    if scores.variant != VARIANT_DISCRETE:
+        payload["n_y"] = scores.per_sample_n_y.tolist()
     write_json_atomic(path, payload)
 
 
-def load_scores(path):
-    """Read a score artifact; returns (MIScoreSet, dataset_hash).
+def load_scores(path, points, k, variant=VARIANT_DISCRETE, strict=True, label_scale=None,
+                jitter_seed=None):
+    """Read a score artifact as the score set of ``points`` under
+    ``score_dataset``'s settings; returns (MIScoreSet, dataset_hash).
 
-    Raises FormatError when the file is not JSON, lacks a field, or holds
-    local scores or a global estimate that its counts do not give.
+    The stored counts are taken on trust, and every other field is built
+    from them as the scorers build it. Raises FormatError when the file is
+    not a JSON object of this schema version, or its counts are missing or
+    not one integer in [0, N - 1] per sample.
     """
+    check_estimator(variant=variant)
+    check_k(len(points.labels), k)
     try:
         with open(path) as f:
             payload = json.load(f)
@@ -435,13 +417,14 @@ def load_scores(path):
     if not isinstance(payload, dict):
         raise FormatError(f"{path}: score artifact is not a JSON object")
     if payload.get("schema_version") != SCORES_SCHEMA_VERSION:
-        raise ConfigError(f"{path}: unsupported score artifact version")
+        raise FormatError(f"{path}: unsupported score artifact version")
+    keys = ("n_x",) if variant == VARIANT_DISCRETE else ("n_x", "n_y")
     try:
-        fields = {field: payload[key] for key, field in _ARTIFACT_FIELDS.items()}
-        fields["local_scores"] = [-np.inf if v is None else v for v in fields["local_scores"]]
-        scores = MIScoreSet(**fields)
-    except (KeyError, TypeError, ValueError) as exc:
+        counts = {key: np.asarray(payload[key]) for key in keys}
+        if any(c.dtype.kind != "i" or c.shape != points.labels.shape for c in counts.values()):
+            raise TypeError("the counts are not one integer per sample")
+        scores = _from_counts(points, counts["n_x"], counts.get("n_y"), k, variant, strict,
+                              label_scale, jitter_seed)
+    except (KeyError, TypeError, ValueError, MiselectError) as exc:
         raise FormatError(f"{path}: ill-formed score artifact: {exc!r}") from exc
-    if not _follows_from_counts(scores):
-        raise FormatError(f"{path}: the stored scores do not follow from the stored counts")
     return scores, payload.get("dataset_hash")

@@ -401,6 +401,38 @@ def test_diverging_classifier_fails_alike_at_any_worker_count(tmp_path, threads)
         assert (run.returncode, run.stderr) == (code, stderr), cfg
 
 
+def _count_scoring(monkeypatch):
+    """The list that gets one entry per score_dataset call of the pipeline."""
+    calls = []
+    score_dataset = experiment.score_dataset
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return score_dataset(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "score_dataset", counting)
+    return calls
+
+
+def _record_saves(monkeypatch):
+    """A dict that maps each score cache entry's file name to the score set
+    the pipeline saved under it."""
+    saved = {}
+    save_scores = experiment.save_scores
+
+    def recording(scores, path, **kwargs):
+        saved[Path(path).name] = scores
+        return save_scores(scores, path, **kwargs)
+
+    monkeypatch.setattr(experiment, "save_scores", recording)
+    return saved
+
+
+def _outputs(root):
+    """The output tree without the score cache."""
+    return {name: data for name, data in read_tree(root).items() if not name.startswith("cache/")}
+
+
 def test_poisoned_score_cache_is_recomputed(tmp_path):
     path = _write_cfg(tmp_path, base_config())
     out = tmp_path / "out"
@@ -421,7 +453,7 @@ def test_poisoned_score_cache_is_recomputed(tmp_path):
     for entry in entries:
         payload = json.loads(entry.read_text())
         payload["dataset_hash"] = "0" * 64
-        payload["local_scores"] = [0.0] * len(payload["local_scores"])
+        payload["n_x"] = [0] * len(payload["n_x"])
         entry.write_text(json.dumps(payload))
     assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
     assert {name: (out / name).read_bytes() for name in expected} == expected
@@ -429,22 +461,24 @@ def test_poisoned_score_cache_is_recomputed(tmp_path):
 
 
 def _truncate_entry(payload, n=10):
-    payload["n_samples"] = n
-    for name in ("local_scores", "n_x", "n_y", "k_effective", "degenerate"):
-        payload[name] = payload[name][:n]
     for name in ("n_x", "n_y"):
-        payload[name] = [min(count, n - 1) for count in payload[name]]
+        if name in payload:
+            payload[name] = [min(count, n - 1) for count in payload[name][:n]]
 
 
 def _other_estimator_entry(payload):
     payload.update(variant=VARIANT_ONEHOT, k=5, strict=False)
 
 
-@pytest.mark.parametrize("tamper", [_truncate_entry, _other_estimator_entry],
+@pytest.mark.parametrize("tamper, rescored", [(_truncate_entry, True),
+                                              (_other_estimator_entry, False)],
                          ids=["fewer_samples", "other_estimator"])
-def test_score_cache_entry_for_other_settings_is_rescored(tmp_path, tamper):
-    """A well-formed entry under the right key whose sample count or
-    estimator settings are not the run's is a miss, and gets rewritten."""
+def test_score_cache_entry_for_other_settings_is_rescored(tmp_path, monkeypatch, tamper,
+                                                          rescored):
+    """A well-formed entry under the right key whose counts are not one per
+    sample of the run is a miss, and gets rewritten. Estimator settings
+    stored in an entry are not read: the key covers them, and the run hits
+    the entry."""
     cfg = base_config(dataset={**base_config()["dataset"], "num_classes": 3})
     path = _write_cfg(tmp_path, cfg)
     fresh, out = tmp_path / "fresh", tmp_path / "out"
@@ -456,16 +490,19 @@ def test_score_cache_entry_for_other_settings_is_rescored(tmp_path, tamper):
         payload = json.loads(entry.read_text())
         tamper(payload)
         entry.write_text(json.dumps(payload))
+    calls = _count_scoring(monkeypatch)
     assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
-    assert read_tree(out) == read_tree(fresh)
+    assert len(calls) == (len(entries) if rescored else 0)
+    assert (read_tree(out) == read_tree(fresh)) == rescored
+    assert _outputs(out) == _outputs(fresh)
 
 
 @pytest.mark.parametrize("variant", ["discrete_label", VARIANT_ONEHOT])
 def test_score_cache_entry_whose_scores_its_counts_do_not_give_is_rescored(
         tmp_path, monkeypatch, variant):
-    """An entry under its own name and key, rewritten with every local score
-    and the global MI set to 0, is a miss: it is scored again and
-    overwritten, and the outputs are the bytes of a cold run."""
+    """Local scores and a global MI stored in an entry, here all 0, are not
+    read: the run rebuilds them from the entry's counts without scoring, and
+    writes the bytes of a cold run."""
     cfg = base_config(corruptions=[{"kind": "label_flip", "rate": 0.2}])
     cfg["estimator"]["variant"] = variant
     path = _write_cfg(tmp_path, cfg)
@@ -476,20 +513,13 @@ def test_score_cache_entry_whose_scores_its_counts_do_not_give_is_rescored(
     assert entries
     for entry in entries:
         payload = json.loads(entry.read_text())
-        payload["local_scores"] = [0.0] * len(payload["local_scores"])
+        payload["local_scores"] = [0.0] * len(payload["n_x"])
         payload["global_mi"] = 0.0
         entry.write_text(json.dumps(payload))
-    calls = []
-    score_dataset = experiment.score_dataset
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return score_dataset(*args, **kwargs)
-
-    monkeypatch.setattr(experiment, "score_dataset", counting)
+    calls = _count_scoring(monkeypatch)
     assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
-    assert len(calls) == len(entries)
-    assert read_tree(out) == read_tree(cold)
+    assert calls == []
+    assert _outputs(out) == _outputs(cold)
 
 
 def _first(mask):
@@ -517,10 +547,10 @@ def _edit_degenerate_n_x(counts):
                          ids=["n_y", "k_effective", "degenerate", "degenerate_n_x"])
 def test_discrete_score_cache_entry_whose_counts_are_not_the_labels_is_rescored(
         tmp_path, monkeypatch, edit):
-    """A discrete entry whose n_y, per-sample k or degenerate flags are not
-    those the class sizes give, or with n_x on a degenerate sample, is a miss
-    even when its scores are rebuilt from the edited counts: the run scores
-    again, rewrites the entry and writes a cold run's bytes."""
+    """A discrete entry's n_y, per-sample k and degenerate flags are the
+    labels', whatever the entry holds, and n_x is 0 on a degenerate sample:
+    an entry edited to say otherwise is hit without scoring, and the run
+    writes a cold run's bytes."""
     cfg = _idx_config(tmp_path)
     labels = Path(cfg["dataset"]["train_labels"])
     raw = bytearray(labels.read_bytes())
@@ -530,30 +560,78 @@ def test_discrete_score_cache_entry_whose_counts_are_not_the_labels_is_rescored(
     path = _write_cfg(tmp_path, cfg)
     cold, out = tmp_path / "cold", tmp_path / "out"
     assert cli_main(["run", "--config", path, "--out", str(cold)]) == 0
+    saved = _record_saves(monkeypatch)
     assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
     entries = sorted((out / "cache").glob("scores-*.json"))
     assert entries
     for entry in entries:
         payload = json.loads(entry.read_text())
-        counts = {name: np.array(payload[name])
-                  for name in ("n_x", "n_y", "k_effective", "degenerate")}
+        scores = saved[entry.name]
+        counts = {name: np.array(getattr(scores, field)) for name, field in (
+            ("n_x", "per_sample_n_x"), ("n_y", "per_sample_n_y"),
+            ("k_effective", "k_effective"), ("degenerate", "degenerate"))}
         edit(counts)
-        edited = ksg._score_set(payload["k"], counts["n_x"], counts["n_y"], payload["variant"],
-                                payload["strict"], payload["jitter_seed"],
-                                counts["k_effective"], counts["degenerate"])
-        ksg.save_scores(edited, entry, dataset_hash=payload["dataset_hash"])
-        ksg.load_scores(entry)  # well-formed: its scores follow from its counts
-    calls = []
-    score_dataset = experiment.score_dataset
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return score_dataset(*args, **kwargs)
-
-    monkeypatch.setattr(experiment, "score_dataset", counting)
+        payload.update({name: value.tolist() for name, value in counts.items()})
+        entry.write_text(json.dumps(payload))
+    calls = _count_scoring(monkeypatch)
     assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
+    assert calls == []
+    assert _outputs(out) == _outputs(cold)
+
+
+@pytest.mark.parametrize("estimator", [{}, {"variant": VARIANT_ONEHOT},
+                                       {"variant": VARIANT_ONEHOT, "jitter_seed": 1}],
+                         ids=["discrete", "onehot_per_class", "onehot_joint"])
+def test_warm_run_rebuilds_every_stage_from_the_score_cache(tmp_path, monkeypatch, estimator):
+    """On each scoring route, a rerun hits the cache on every stage and
+    leaves the whole output tree, the cache included, as the cold run wrote
+    it; only the jittered one-hot run takes the joint-space pass."""
+    cfg = base_config(corruptions=[{"kind": "label_flip", "rate": 0.2},
+                                   {"kind": "label_flip", "rate": 0.1}])
+    cfg["estimator"].update(estimator)
+    joint = []
+    score_continuous = ksg.score_continuous
+    monkeypatch.setattr(ksg, "score_continuous",
+                        lambda *a, **kw: joint.append(1) or score_continuous(*a, **kw))
+    out = tmp_path / "out"
+    run_experiment(cfg, out_dir=out)
+    cold = read_tree(out)
+    # one entry for the clean stage and one after each corruption
+    assert len([name for name in cold if name.startswith("cache/")]) == 3
+    assert bool(joint) == ("jitter_seed" in estimator)
+    calls = _count_scoring(monkeypatch)
+    run_experiment(cfg, out_dir=out)
+    assert calls == []
+    assert read_tree(out) == cold
+
+
+def test_version_1_score_cache_entry_is_rescored_and_rewritten(tmp_path, monkeypatch):
+    """An entry of the first schema, which held every field of the score
+    set, is a miss: the run scores again and rewrites it in the current
+    schema."""
+    out = tmp_path / "out"
+    saved = _record_saves(monkeypatch)
+    run_experiment(base_config(), out_dir=out, through="score")
+    cold = read_tree(out)
+    entries = sorted((out / "cache").glob("scores-*.json"))
+    assert entries
+    for entry in entries:
+        scores, key = saved[entry.name], json.loads(entry.read_text())["dataset_hash"]
+        payload = {"schema_version": 1, "dataset_hash": key,
+                   "local_scores": [None if d else s for s, d in
+                                    zip(scores.local_scores.tolist(), scores.degenerate.tolist())],
+                   "global_mi": scores.global_mi, "k": scores.k, "n_samples": scores.n_samples,
+                   "variant": scores.variant, "n_x": scores.per_sample_n_x.tolist(),
+                   "n_y": scores.per_sample_n_y.tolist(),
+                   "k_effective": scores.k_effective.tolist(),
+                   "degenerate": scores.degenerate.tolist(), "strict": scores.strict,
+                   "label_scale": scores.label_scale, "jitter_seed": scores.jitter_seed}
+        entry.write_text(json.dumps(payload))
+    calls = _count_scoring(monkeypatch)
+    run_experiment(base_config(), out_dir=out, through="score")
     assert len(calls) == len(entries)
-    assert read_tree(out) == read_tree(cold)
+    assert read_tree(out) == cold
+    assert {json.loads(entry.read_text())["schema_version"] for entry in entries} == {2}
 
 
 def test_package_version_change_misses_the_score_cache(tmp_path, monkeypatch):
@@ -563,14 +641,7 @@ def test_package_version_change_misses_the_score_cache(tmp_path, monkeypatch):
     entries = set((out / "cache").glob("scores-*.json"))
     assert entries
 
-    calls = []
-    score_dataset = experiment.score_dataset
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return score_dataset(*args, **kwargs)
-
-    monkeypatch.setattr(experiment, "score_dataset", counting)
+    calls = _count_scoring(monkeypatch)
     run_experiment(base_config(), out_dir=out, through="score")
     assert calls == []  # same version: every stage hits the cache
 

@@ -282,9 +282,8 @@ def test_score_invariants(data):
 def _joint_onehot(ds, k, label_scale, strict, jitter_seed):
     """score_onehot by definition: the continuous estimator on the joint space."""
     onehot = np.eye(ds.num_classes)[ds.labels] * label_scale
-    general = ms.score_continuous(ds.features, onehot, k, strict=strict, jitter_seed=jitter_seed,
-                                  variant=ksg.VARIANT_ONEHOT)
-    return replace(general, label_scale=float(label_scale))
+    general = ms.score_continuous(ds.features, onehot, k, strict=strict, jitter_seed=jitter_seed)
+    return replace(general, variant=ksg.VARIANT_ONEHOT, label_scale=float(label_scale))
 
 
 @settings(max_examples=200, deadline=None)
@@ -312,7 +311,11 @@ def test_onehot_equals_joint_space_estimator(data):
     ds = ms.LabeledDataset.from_arrays(points, labels)
 
     got = ms.score_onehot(ds, k, label_scale, strict=strict, jitter_seed=jitter_seed)
-    want = _joint_onehot(ds, k, label_scale, strict, jitter_seed)
+    _assert_identical(got, _joint_onehot(ds, k, label_scale, strict, jitter_seed))
+
+
+def _assert_identical(got, want):
+    """Every field of ``got`` is ``want``'s, bit for bit and of the same type."""
     for field in fields(want):
         a, b = getattr(got, field.name), getattr(want, field.name)
         if isinstance(b, np.ndarray):
@@ -470,20 +473,21 @@ def test_per_class_summary_matches_two_pass_oracle():
 
 
 def test_score_artifact_round_trip(tmp_path):
+    """An artifact saved and loaded with the run's points and settings holds
+    the scorer's set, field for field: discrete with a reduced k and a
+    degenerate sample, and one-hot with jitter and a derived label scale."""
     pts = np.array([[0.0], [0.1], [0.2], [5.0], [5.1], [99.0]])
     labels = np.array([0, 0, 0, 1, 1, 2])
     emb = ms.LabeledDataset.from_arrays(pts, labels)
-    result = ms.score_discrete(emb, 3)
     content = ms.dataset_content_hash(emb.features, emb.labels)
     path = tmp_path / "scores.json"
-    ms.save_scores(result, path, dataset_hash=content)
-    loaded, stored_hash = ms.load_scores(path)
-    assert stored_hash == content
-    assert np.array_equal(loaded.local_scores, result.local_scores)
-    assert loaded.global_mi == result.global_mi
-    assert np.array_equal(loaded.per_sample_n_x, result.per_sample_n_x)
-    assert np.array_equal(loaded.degenerate, result.degenerate)
-    assert loaded.variant == result.variant and loaded.k == result.k
+    for settings in ({"k": 3}, {"k": 2, "variant": ksg.VARIANT_ONEHOT, "strict": False,
+                                "jitter_seed": 7}):
+        result = ms.score_dataset(emb, **settings)
+        ms.save_scores(result, path, dataset_hash=content)
+        loaded, stored_hash = ms.load_scores(path, emb, **settings)
+        assert stored_hash == content
+        _assert_identical(loaded, result)
 
 
 def test_score_artifact_malformed_raises_format_error(tmp_path):
@@ -492,11 +496,19 @@ def test_score_artifact_malformed_raises_format_error(tmp_path):
     ms.save_scores(ms.score_discrete(emb, 2), path)
     good = path.read_text()
     payload = json.loads(good)
-    del payload["n_x"]
-    for text in (good[: len(good) // 2], "", "[1, 2]", "\xff", json.dumps(payload)):
+    texts = [good[: len(good) // 2], "", "[1, 2]", "\xff",
+             json.dumps({**payload, "schema_version": 1}),
+             json.dumps({key: value for key, value in payload.items() if key != "n_x"})]
+    # n_x below 0 (digamma's domain) or above N - 1, one count short, and not integers
+    for n_x in ([-1] * 6, [6] * 6, [2] * 5, ["2"] * 6, [2.0] * 6, [None] * 6, 2):
+        texts.append(json.dumps({**payload, "n_x": n_x}))
+    for text in texts:
         path.write_text(text, encoding="latin-1")
         with pytest.raises(FormatError):
-            ms.load_scores(path)
+            ms.load_scores(path, emb, 2)
+    path.write_text(good)  # a one-hot entry holds n_y too
+    with pytest.raises(FormatError, match="n_y"):
+        ms.load_scores(path, emb, 2, variant=ksg.VARIANT_ONEHOT)
 
 
 # a field and the value every sample's entry of it is set to
@@ -509,17 +521,25 @@ def test_score_artifact_malformed_raises_format_error(tmp_path):
 ])
 def test_score_artifact_whose_scores_its_counts_do_not_give_raises_format_error(tmp_path,
                                                                                  key, value):
+    """Only an artifact's counts are read: a global MI, local scores,
+    per-sample k or degenerate flags stored beside them do not change the
+    loaded set, and an edited n_x within [0, N - 1] is taken on trust, with
+    0 on the degenerate samples."""
     # two singleton classes: degenerate samples with k_effective 0 among the others
     labels = np.array([0, 0, 0, 0, 1, 1, 2, 3])
     emb = ms.LabeledDataset.from_arrays(np.arange(8.0)[:, None], labels)
     path = tmp_path / "scores.json"
-    ms.save_scores(ms.score_discrete(emb, 2), path)
-    assert ms.load_scores(path)[0].global_mi == ms.score_discrete(emb, 2).global_mi
+    want = ms.score_discrete(emb, 2)
+    ms.save_scores(want, path)
     payload = json.loads(path.read_text())
-    payload[key] = value if key == "global_mi" else [value] * len(payload[key])
+    payload[key] = value if key == "global_mi" else [value] * len(labels)
     path.write_text(json.dumps(payload))
-    with pytest.raises(FormatError, match="do not follow from the stored counts"):
-        ms.load_scores(path)
+    got = ms.load_scores(path, emb, 2)[0]
+    if key == "n_x":
+        assert got.per_sample_n_x.tolist() == [5] * 6 + [0, 0]
+        want = ksg._from_counts(emb, np.array([5] * 8), None, 2, ksg.VARIANT_DISCRETE, True,
+                                None, None)
+    _assert_identical(got, want)
 
 
 def test_score_artifact_write_is_atomic(tmp_path, monkeypatch):
