@@ -15,17 +15,18 @@ nearest neighbor among same-label points, n_x counts points of any label
 inside that radius, and n_y + 1 is the size of the sample's class.
 ``score_onehot`` embeds labels as scaled one-hot vectors and runs the
 generic continuous estimator on the concatenated joint space; the same
-continuous core (``score_continuous``) also handles two real-valued
-variables, which is how the estimator is validated against the bivariate
-Gaussian closed form. Without jitter, when every class has more than k
-members and every kth same-label distance is at most the label scale,
-``score_onehot`` takes a per-class route instead: the joint kth is then the
-same-label kth and n_y has a closed form, so the result equals the
-joint-space one bit for bit without the joint-space pass.
+joint-space counts (``_joint_counts``) back ``score_continuous``, which
+handles two real-valued variables and is how the estimator is validated
+against the bivariate Gaussian closed form. Without jitter, when every
+class has more than k members and every kth same-label distance is at most
+the label scale, ``score_onehot`` takes a per-class route instead: the
+joint kth is then the same-label kth and n_y has a closed form, so the
+result equals the joint-space one bit for bit without the joint-space pass.
 
-Only n_x, and one-hot n_y, cost neighbour queries. Every scorer builds the
-rest of its score set from them with one function, and a score artifact
-holds only those counts, which ``load_scores`` rebuilds the set from.
+Only n_x, and one-hot n_y, cost neighbour queries. Every scorer ends in
+``_from_counts``, which builds the rest of the score set from them, and a
+score artifact holds only those counts, which ``load_scores`` rebuilds the
+set from with the same function.
 """
 
 from __future__ import annotations
@@ -154,43 +155,6 @@ def check_estimator(variant=VARIANT_DISCRETE, label_scale=1.0):
         raise ConfigError("label_scale: must be positive")
 
 
-def _score_set(k, nx, ny, variant, strict, jitter_seed, keff=None, deg=None, label_scale=None):
-    """The score set from per-sample counts: psi(k) + psi(N) - psi(n_x + 1)
-    - psi(n_y + 1) for each usable sample, -inf for each degenerate one, and
-    the usable samples' mean as the global estimate.
-
-    The discrete scorer passes its per-sample k (``keff``) and ``deg``
-    flags; for the others every sample uses ``k`` and none is degenerate.
-    """
-    n = len(nx)
-    if deg is None:
-        deg = np.zeros(n, dtype=bool)
-    usable = ~deg
-    if not usable.any():
-        raise DegenerateInputError("every sample is degenerate; no global MI")
-    if keff is None:
-        keff, psi_k = np.full(n, k, dtype=np.int64), digamma(float(k))
-    else:
-        psi_k = digamma(keff[usable].astype(float))
-    scores = np.full(n, -np.inf)
-    scores[usable] = (psi_k + digamma(float(n))
-                      - digamma(nx[usable] + 1.0) - digamma(ny[usable] + 1.0))
-    return MIScoreSet(
-        local_scores=scores,
-        global_mi=float(np.mean(scores[usable])),
-        k=k,
-        n_samples=n,
-        variant=variant,
-        per_sample_n_x=nx,
-        per_sample_n_y=ny,
-        k_effective=keff,
-        degenerate=deg,
-        strict=strict,
-        label_scale=label_scale,
-        jitter_seed=jitter_seed,
-    )
-
-
 def _class_counts(labels, k):
     """Per sample, what the discrete scorer takes from the class sizes alone:
     n_y (class size - 1), k capped at n_y, and the degenerate flag of a
@@ -213,14 +177,43 @@ def _label_scale(points, label_scale):
 
 
 def _from_counts(points, nx, ny, k, variant, strict, label_scale, jitter_seed):
-    """The score set of ``points`` from its neighbour counts ``nx`` and, one-hot,
-    ``ny``. Discrete n_y, per-sample k and degenerate flags come from the
-    class sizes, and n_x is 0 on each degenerate sample."""
+    """The score set from per-sample neighbour counts: psi(k) + psi(N)
+    - psi(n_x + 1) - psi(n_y + 1) for each usable sample, -inf for each
+    degenerate one, and the usable samples' mean as the global estimate.
+
+    ``points`` is the labelled dataset of a discrete or one-hot set, None
+    for a continuous one. Discrete n_y, per-sample k and degenerate flags
+    come from the class sizes, and n_x is 0 on each degenerate sample; the
+    other variants use k on every sample and have none degenerate. A
+    one-hot set takes its label coordinate from ``_label_scale``.
+    """
+    n = len(nx)
+    keff, deg, psi_k = np.full(n, k, dtype=np.int64), np.zeros(n, dtype=bool), digamma(float(k))
     if variant == VARIANT_DISCRETE:
         ny, keff, deg = _class_counts(points.labels, k)
-        return _score_set(k, np.where(deg, 0, nx), ny, variant, strict, jitter_seed, keff, deg)
-    return _score_set(k, nx, ny, variant, strict, jitter_seed,
-                      label_scale=float(_label_scale(points, label_scale)))
+        nx, psi_k, label_scale = np.where(deg, 0, nx), digamma(keff[~deg].astype(float)), None
+    elif variant == VARIANT_ONEHOT:
+        label_scale = float(_label_scale(points, label_scale))
+    usable = ~deg
+    if not usable.any():
+        raise DegenerateInputError("every sample is degenerate; no global MI")
+    scores = np.full(n, -np.inf)
+    scores[usable] = (psi_k + digamma(float(n))
+                      - digamma(nx[usable] + 1.0) - digamma(ny[usable] + 1.0))
+    return MIScoreSet(
+        local_scores=scores,
+        global_mi=float(np.mean(scores[usable])),
+        k=k,
+        n_samples=n,
+        variant=variant,
+        per_sample_n_x=nx,
+        per_sample_n_y=ny,
+        k_effective=keff,
+        degenerate=deg,
+        strict=strict,
+        label_scale=label_scale,
+        jitter_seed=jitter_seed,
+    )
 
 
 def _class_kth(x, labels, keff):
@@ -252,6 +245,18 @@ def score_discrete(points, k, strict=True, jitter_seed=None):
     return _from_counts(points, nx, None, k, VARIANT_DISCRETE, strict, None, jitter_seed)
 
 
+def _joint_counts(x, y, k, strict, jitter_seed):
+    """(n_x, n_y) of the KSG estimator on the column concatenation of the
+    2-D ``x`` and ``y``, jittered by ``jitter_seed``: each sample's kth
+    joint neighbour distance (Chebyshev) is its radius for the count in
+    each marginal."""
+    joint = add_jitter(np.hstack([x, y]), jitter_seed)
+    eps = NeighborIndex(joint).kth_distance_bulk(k)
+    dx = x.shape[1]
+    return tuple(NeighborIndex(part).count_within_bulk(eps, strict=strict)
+                 for part in (joint[:, :dx], joint[:, dx:]))
+
+
 def score_continuous(x, y, k, strict=True, jitter_seed=None):
     """Generic KSG estimator for two real-valued variables.
 
@@ -259,25 +264,14 @@ def score_continuous(x, y, k, strict=True, jitter_seed=None):
     Chebyshev metric; the kth joint neighbor distance sets each sample's
     radius for the marginal counts.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim == 1:
-        x = x[:, None]
-    if y.ndim == 1:
-        y = y[:, None]
+    # a 1-D variable is one column
+    x, y = (a[:, None] if a.ndim == 1 else a
+            for a in (np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)))
     if x.shape[0] != y.shape[0]:
         raise ConsistencyError("x and y must have the same number of samples")
     check_k(x.shape[0], k)
-    joint = add_jitter(np.hstack([x, y]), jitter_seed)
-    dx = x.shape[1]
-    index_joint = NeighborIndex(joint)
-    index_x = NeighborIndex(joint[:, :dx])
-    index_y = NeighborIndex(joint[:, dx:])
-
-    eps = index_joint.kth_distance_bulk(k)
-    nx = index_x.count_within_bulk(eps, strict=strict)
-    ny = index_y.count_within_bulk(eps, strict=strict)
-    return _score_set(k, nx, ny, VARIANT_CONTINUOUS, strict, jitter_seed)
+    return _from_counts(None, *_joint_counts(x, y, k, strict, jitter_seed), k, VARIANT_CONTINUOUS,
+                        strict, None, jitter_seed)
 
 
 def score_onehot(points, k, label_scale, strict=True, jitter_seed=None):
@@ -291,42 +285,28 @@ def score_onehot(points, k, label_scale, strict=True, jitter_seed=None):
     ``label_scale`` and every same-label one is the distance in x. So when
     each class has more than k members and each sample's kth same-label
     distance in x is at most ``label_scale``, that distance is the joint kth
-    (Ross 2014, PLoS ONE), and n_y has a closed form. The result is then
-    computed per class, without the joint-space pass, and equals the
-    general one bit for bit; otherwise the general path runs.
+    (Ross 2014, PLoS ONE), and n_y has a closed form. The counts are then
+    computed per class, without the joint-space pass, and equal the joint
+    ones bit for bit; otherwise ``_joint_counts`` runs, as in
+    ``score_continuous``. Either way the set is built by ``_from_counts``.
     """
     check_estimator(label_scale=label_scale)
-    check_k(len(points.labels), k)
-    counts = None
-    if jitter_seed is None:
-        counts = _onehot_counts_per_class(points, k, label_scale, strict)
-    if counts is None:
-        labels = points.labels
+    labels = points.labels
+    check_k(len(labels), k)
+    same, keff, _ = _class_counts(labels, k)
+    per_class = jitter_seed is None and keff.min() >= k
+    eps = _class_kth(points.features, labels, keff) if per_class else None
+    if per_class and eps.max() <= label_scale:
+        nx = NeighborIndex(points.features).count_within_bulk(eps, strict=strict)
+        # one-hot distances are 0 within a class and label_scale across
+        # classes, and no radius exceeds label_scale
+        cross = len(labels) - 1 - same
+        ny = same * (eps > 0) if strict else same + cross * (eps >= label_scale)
+    else:
         onehot = np.zeros((len(labels), points.num_classes))
         onehot[np.arange(len(labels)), labels] = label_scale
-        joint = score_continuous(points.features, onehot, k, strict=strict, jitter_seed=jitter_seed)
-        counts = joint.per_sample_n_x, joint.per_sample_n_y
-    return _from_counts(points, *counts, k, VARIANT_ONEHOT, strict, label_scale, jitter_seed)
-
-
-def _onehot_counts_per_class(points, k, label_scale, strict):
-    """``score_onehot``'s (n_x, n_y) without jitter, computed per class; None
-    where they would not equal the joint-space counts."""
-    labels = points.labels
-    same, keff, _ = _class_counts(labels, k)
-    if keff.min() < k:
-        return None
-    eps = _class_kth(points.features, labels, keff)
-    if eps.max() > label_scale:
-        return None
-    nx = NeighborIndex(points.features).count_within_bulk(eps, strict=strict)
-    # one-hot distances are 0 within a class and label_scale across classes
-    cross = len(labels) - 1 - same
-    if strict:
-        ny = same * (eps > 0) + cross * (eps > label_scale)
-    else:
-        ny = same + cross * (eps >= label_scale)
-    return nx, ny
+        nx, ny = _joint_counts(points.features, onehot, k, strict, jitter_seed)
+    return _from_counts(points, nx, ny, k, VARIANT_ONEHOT, strict, label_scale, jitter_seed)
 
 
 def score_dataset(points, k, variant=VARIANT_DISCRETE, strict=True, label_scale=None,

@@ -135,7 +135,7 @@ class NeighborIndex:
     def __init__(self, points):
         # always a copy, so freezing it never freezes the caller's array
         points = np.array(points, dtype=np.float64, order="C")
-        if points.ndim != 2 or points.shape[0] < 1:
+        if points.ndim != 2 or 0 in points.shape:
             raise ConfigError("index needs a non-empty 2-D point array")
         if not np.all(np.isfinite(points)):
             raise ConfigError("index points must be finite")

@@ -590,9 +590,9 @@ def test_warm_run_rebuilds_every_stage_from_the_score_cache(tmp_path, monkeypatc
                                    {"kind": "label_flip", "rate": 0.1}])
     cfg["estimator"].update(estimator)
     joint = []
-    score_continuous = ksg.score_continuous
-    monkeypatch.setattr(ksg, "score_continuous",
-                        lambda *a, **kw: joint.append(1) or score_continuous(*a, **kw))
+    joint_counts = ksg._joint_counts
+    monkeypatch.setattr(ksg, "_joint_counts",
+                        lambda *a, **kw: joint.append(1) or joint_counts(*a, **kw))
     out = tmp_path / "out"
     run_experiment(cfg, out_dir=out)
     cold = read_tree(out)

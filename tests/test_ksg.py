@@ -286,7 +286,8 @@ def _joint_onehot(ds, k, label_scale, strict, jitter_seed):
     return replace(general, variant=ksg.VARIANT_ONEHOT, label_scale=float(label_scale))
 
 
-@settings(max_examples=200, deadline=None)
+# at least 200 examples, and the "contract" profile's count when it is larger
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(data=st.data())
 def test_onehot_equals_joint_space_estimator(data):
     """score_onehot equals the joint-space estimator bit for bit in every
@@ -328,13 +329,19 @@ def _assert_identical(got, want):
 def test_onehot_per_class_route_skips_the_joint_space(monkeypatch, label_scale, per_class):
     emb = _separated(3, 20, seed=4, stddev=1.0, sep=4.0)
     want = _joint_onehot(emb, 3, label_scale, True, None)
-    calls = []
-    monkeypatch.setattr(ksg, "score_continuous",
-                        lambda *a, **kw: calls.append(1) or ms.score_continuous(*a, **kw))
+    calls, built = [], []
+    joint_counts, score_set = ksg._joint_counts, ksg.MIScoreSet
+    monkeypatch.setattr(ksg, "_joint_counts",
+                        lambda *a, **kw: calls.append(1) or joint_counts(*a, **kw))
+    monkeypatch.setattr(ksg, "MIScoreSet", lambda **kw: built.append(1) or score_set(**kw))
     got = ms.score_onehot(emb, 3, label_scale)
     assert calls == ([] if per_class else [1])
     assert np.array_equal(got.local_scores, want.local_scores)
     assert got.per_sample_n_y.tolist() == want.per_sample_n_y.tolist()
+    # jitter always takes the joint-space pass, and its counts build the one score set
+    calls.clear(), built.clear()
+    ms.score_onehot(emb, 3, label_scale, jitter_seed=1)
+    assert calls == [1] and built == [1]
 
 
 @pytest.mark.parametrize("strict", [True, False])
@@ -372,6 +379,37 @@ def test_structure_choice_does_not_change_scores(monkeypatch):
         assert np.array_equal(a.local_scores, b.local_scores)
         assert a.global_mi == b.global_mi
         assert np.array_equal(c.local_scores, d.local_scores)
+
+
+@pytest.mark.parametrize("jitter_seed", [None, 2])
+@pytest.mark.parametrize("strict", [True, False])
+def test_joint_counts_equal_the_linear_scan_oracle(monkeypatch, strict, jitter_seed):
+    """The joint route's n_x and n_y equal the linear-scan oracle's: the kth
+    distance in the jittered joint space, counted in each part, for
+    duplicate points and radii at the label scale, under row blocks of one
+    row and of all rows."""
+    n, k = 36, 3
+    x = 0.25 * np.random.default_rng(7).integers(-3, 4, size=(n, 2))
+    assert len(np.unique(x, axis=0)) < n
+    y = np.eye(3)[np.arange(n) % 3] * 0.25
+    joint = neighbors.add_jitter(np.hstack([x, y]), jitter_seed)
+    eps = _oracle.kth_distances(joint, k)
+    want = [_oracle.radius_counts(part, eps, strict).tolist()
+            for part in (joint[:, :2], joint[:, 2:])]
+    # some radii take in other classes in y
+    assert max(want[1]) > n // 3 - 1
+    for budget in (1, 8 * n * n):  # 1 row, all rows
+        monkeypatch.setattr(neighbors, "BLOCK_BYTES", budget)
+        got = ksg._joint_counts(x, y, k, strict, jitter_seed)
+        assert [counts.tolist() for counts in got] == want
+
+
+def test_scorers_reject_features_without_columns():
+    emb = ms.LabeledDataset.from_arrays(np.empty((6, 0)), [0, 0, 0, 1, 1, 1])
+    with pytest.raises(ConfigError, match="non-empty 2-D"):
+        ms.score_discrete(emb, 1)
+    with pytest.raises(ConfigError, match="non-empty 2-D"):
+        ms.score_continuous(np.empty((6, 0)), np.arange(6.0), 1)
 
 
 def test_noise_monotonic_in_flip_rate():

@@ -146,6 +146,8 @@ def test_build_index_validation():
     with pytest.raises(ConfigError):
         ms.NeighborIndex(np.zeros((0, 2)))
     with pytest.raises(ConfigError):
+        ms.NeighborIndex(np.zeros((5, 0)))
+    with pytest.raises(ConfigError):
         ms.NeighborIndex(np.array([[0.0, np.nan]]))
 
 
