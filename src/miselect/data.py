@@ -59,8 +59,9 @@ class LabeledDataset:
         labels = np.asarray(self.labels, dtype=np.int64)
         original = np.asarray(self.original_labels, dtype=np.int64)
         tags = np.asarray(self.input_corruption, dtype=str)
-        if feats.ndim != 2:
-            raise ConsistencyError("features must be a 2-D (N, dim) array")
+        if feats.ndim != 2 or feats.shape[1] < 1:
+            raise ConsistencyError("features must be a 2-D (N, dim) array with dim >= 1, "
+                                   f"got shape {feats.shape}")
         n = feats.shape[0]
         if not (labels.shape == original.shape == tags.shape == (n,)):
             raise ConsistencyError(

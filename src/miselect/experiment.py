@@ -323,7 +323,7 @@ _GENERATORS = {
 
 def _build_dataset(ds_cfg, master_seed):
     """(train split, test split's size, a function that returns the test
-    split), which the scoring stage calls only after its last PCA fit."""
+    split), which only the classifier stage calls."""
     kind = ds_cfg["type"]
     if kind == "idx":
         train = load_idx(ds_cfg["train_images"], ds_cfg["train_labels"])
@@ -429,11 +429,11 @@ class _Run:
     ``train`` holds one training split at a time: the clean split, then each
     corruption's output as the scoring stage applies it. Once no later step
     reads raw features, the split is embedded in place and ``train`` holds
-    the embedded split, to which the later label flips apply. The test
-    split is built by ``make_test`` only after the last PCA fit, and
-    ``test`` keeps it raw only for a classifier on raw features. ``report``
-    holds the report sections of the stages that ran, each added as its
-    stage runs; it becomes ExperimentReport.data."""
+    the embedded split, to which the later label flips apply. ``model`` is
+    the scoring stage's last PCA fit, with which the classifier stage
+    embeds the test split that it builds by ``make_test``. ``report`` holds
+    the report sections of the stages that ran, each added as its stage
+    runs; it becomes ExperimentReport.data."""
 
     cfg: dict               # the resolved config
     raw: dict               # the config as given, which the report embeds
@@ -443,9 +443,8 @@ class _Run:
     written: list = field(default_factory=list)
     train: LabeledDataset | None = None
     make_test: Callable[[], LabeledDataset] | None = None
-    test: LabeledDataset | None = None
+    model: object = None    # the last PCAModel the scoring stage fitted
     embedded_train: LabeledDataset | None = None
-    embedded_test: LabeledDataset | None = None
     embedded_hash: str | None = None  # dataset_content_hash of embedded_train
     scores: object = None
     report: dict = field(default_factory=dict)
@@ -517,11 +516,12 @@ def _scoring_stage(run):
             run.embedded_train = replace(run.train, features=projected, image_shape=None)
         elif i == last_raw:
             # the fit centres the split's own array, and the embedded split replaces it
-            model, run.train = fit_pca_in_place(run.train, emb_cfg["dim"], whiten=emb_cfg["whiten"])
+            run.model, run.train = fit_pca_in_place(run.train, emb_cfg["dim"],
+                                                    whiten=emb_cfg["whiten"])
             run.embedded_train = run.train
         else:
-            model = fit_pca(run.train, emb_cfg["dim"], whiten=emb_cfg["whiten"])
-            run.embedded_train = transform(model, run.train)
+            run.model = fit_pca(run.train, emb_cfg["dim"], whiten=emb_cfg["whiten"])
+            run.embedded_train = transform(run.model, run.train)
         scores, run.embedded_hash = _cached_scores(run.embedded_train, run.cfg["estimator"],
                                                    cache_dir)
         mi_by_stage.append(
@@ -534,12 +534,6 @@ def _scoring_stage(run):
             }
         )
     run.scores = scores
-    # the raw test split is built only now, so it never sits beside a fit
-    test = run.make_test()
-    run.embedded_test = transform(model, test)
-    if run.cfg["classifier"]["on_raw_features"]:
-        run.test = test
-    del test
     summary = {
         "mi_by_stage": mi_by_stage,
         "per_class_mi": per_class_summary(scores, run.train.labels),
@@ -640,12 +634,13 @@ def _classifier_stage(run):
     fit = {key: clf_cfg[key] for key in ("learning_rate", "epochs", "l2", "batch_size", "seed")}
     if fit["seed"] is None:
         fit["seed"] = stage_seed(run.master, "classifier") % (2**32)
+    # the test split is built only here, the one stage that reads it; a
+    # classifier on embedded features reads neither raw split, and dropping
+    # both before the pool forks keeps their pages out of every worker
     if clf_cfg["on_raw_features"]:
-        inputs = (run.train, run.test, fit)
+        inputs = (run.train, run.make_test(), fit)
     else:
-        # nothing reads the raw training split from here on; dropping it
-        # before the pool forks keeps its pages out of every worker
-        inputs = (run.embedded_train, run.embedded_test, fit)
+        inputs = (run.embedded_train, transform(run.model, run.make_test()), fit)
         run.train = None
 
     # train() is a pure function of the retained indices, so plans that keep

@@ -262,6 +262,13 @@ def test_dataset_validation_errors():
         ms.LabeledDataset.from_arrays(np.full((2, 4), 2.0), [0, 1], image_shape=(2, 2))
 
 
+@pytest.mark.parametrize("n", [0, 6])
+def test_dataset_rejects_features_without_columns(n):
+    # no scorer, PCA fit or classifier can use a sample without features
+    with pytest.raises(ConsistencyError, match=rf"dim >= 1, got shape \({n}, 0\)"):
+        ms.LabeledDataset.from_arrays(np.empty((n, 0)), [0, 1] * (n // 2))
+
+
 @pytest.mark.parametrize("image_shape", [None, (3, 4)])
 @pytest.mark.parametrize("where", [0, 17, -1], ids=["first", "middle", "last"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

@@ -18,6 +18,7 @@ import miselect as ms
 from miselect import _lapack, _util, experiment, ksg, neighbors
 from miselect.cli import main as cli_main
 from miselect.corruption import _CHUNK, KINDS
+from miselect.data import _GENERATE_CHUNK
 from miselect.errors import ConfigError, StageError
 from miselect.experiment import run_experiment, stage_seed, validate_config
 from miselect.ksg import VARIANT_ONEHOT
@@ -373,6 +374,37 @@ def test_raw_splits_are_released_before_the_grid_forks(tmp_path, monkeypatch, on
     assert report["dataset"] == {
         "n_train": 120, "n_test": 40, "num_classes": 4, "dim": 6, "image_shape": None
     }
+
+
+@pytest.mark.parametrize("through", ["score", "select", "train"])
+@pytest.mark.parametrize("on_raw", [False, True])
+def test_only_the_classifier_stage_builds_the_test_split(tmp_path, monkeypatch, on_raw,
+                                                         through):
+    # and it embeds the split only for a classifier on embedded features
+    build, made, embedded = experiment._build_dataset, [], []
+    real_transform = experiment.transform
+
+    def recording_build(*args):
+        train, n_test, make_test = build(*args)
+
+        def recording_make_test():
+            made.append(make_test())
+            return made[-1]
+
+        return train, n_test, recording_make_test
+
+    def recording_transform(model, ds):
+        embedded.append(ds)
+        return real_transform(model, ds)
+
+    monkeypatch.setattr(experiment, "_build_dataset", recording_build)
+    monkeypatch.setattr(experiment, "transform", recording_transform)
+    cfg = base_config()
+    cfg["classifier"]["on_raw_features"] = on_raw
+    run_experiment(cfg, out_dir=tmp_path, through=through)
+    assert len(made) == (through == "train")
+    assert [ds is test for ds in embedded for test in made].count(True) == (
+        through == "train" and not on_raw)
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -829,10 +861,10 @@ def test_six_stacked_affine_corruptions_keep_every_provenance_tag(tmp_path):
     assert {row.split(",")[3] for row in rows} == {"+".join(kinds)}
 
 
-def _traced_peak(cfg):
+def _traced_peak(cfg, through="score"):
     tracemalloc.start()
     try:
-        run_experiment(cfg, through="score")
+        run_experiment(cfg, through=through)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -868,29 +900,18 @@ _CHUNK_ARRAYS = {"gaussian": 4, "affine_strong": 20, "affine_mild": 20, "label_f
 _SMALL_BYTES = 256 * 1024
 
 
-@pytest.mark.parametrize("side", [12, 16])
-@pytest.mark.parametrize("kinds, on_raw", [
-    (["label_flip"], False),
-    (["gaussian", "label_flip"], False),
-    (["affine_strong", "affine_mild", "affine_strong"], False),
-    (["gaussian", "affine_strong", "gaussian"], False),
-    (["label_flip"], True),
-])
-@pytest.mark.parametrize("bundled_dsyevd", [True, False])
-def test_traced_peak_stays_within_the_readme_peak_formula(
-        monkeypatch, side, kinds, on_raw, bundled_dsyevd):
-    """The peak is that of the phase that sets it, as README's formula
-    gives it. The test split is built after the last PCA fit, so it adds
-    nothing to a fit, a corruption or the scoring. tracemalloc counts
-    numpy's arrays, not where the C heap puts them."""
-    if not bundled_dsyevd:
-        monkeypatch.setattr(_lapack, "_bundled_dsyevd", lambda: (None, None))
-    dataset = _small_dataset("synthetic_images", num_classes=6, per_class_count=120,
-                             height=side, width=side, test_fraction=0.5)
+def _check_readme_peak_formula(monkeypatch, dataset, kinds, on_raw):
+    """Hold the traced peak of a run through the classifier stage to README's
+    formula: the largest of its phases, the name of which is returned. The
+    test split is built in the classifier stage, after every fit, so it adds
+    nothing to a fit, a corruption or the scoring. The cells' own training
+    is left out, as it is from the formula. tracemalloc counts numpy's
+    arrays, not where the C heap puts them."""
+    monkeypatch.setattr(experiment, "_cell_accuracy", lambda retained, *inputs: 0.0)
     cfg = base_config(dataset=dataset, corruptions=[_INPUT_NOISE[kind] for kind in kinds])
     cfg["classifier"]["on_raw_features"] = on_raw
     # imports and first-call caches stay out of the peak
-    sizes = run_experiment(cfg, through="score").data["dataset"]
+    sizes = run_experiment(cfg, through="train").data["dataset"]
     n_train, n_test, dim = sizes["n_train"], sizes["n_test"], sizes["dim"]
     train, test = n_train * dim * 8, n_test * dim * 8
     input_noise = any(KINDS[kind].reads_features for kind in kinds)
@@ -909,10 +930,47 @@ def test_traced_peak_stays_within_the_readme_peak_formula(
         "eigensolver": train + fit,
         # the sweep's two float64 buffers and its bool one, 17 bytes an element
         "scoring": later_reader * train + 17 * min(n_train**2, neighbors.BLOCK_BYTES // 8),
-        # after the last fit: the test split and its centred temporary
-        "projection of the test split": on_raw * train + 2 * test,
+        # the classifier stage builds the test split, beside the raw training
+        # split under on_raw_features, with two (_GENERATE_CHUNK, dim) arrays
+        # of image painting; a classifier on embedded features then holds it
+        # beside its projection's centred temporary
+        "test split": on_raw * train + test + 2 * _GENERATE_CHUNK * dim * 8,
+        "test projection": (not on_raw) * 2 * test,
     }
-    assert _traced_peak(cfg) <= max(phases.values()) + _SMALL_BYTES
+    assert _traced_peak(cfg, through="train") <= max(phases.values()) + _SMALL_BYTES
+    return max(phases, key=phases.get)
+
+
+@pytest.mark.parametrize("side", [12, 16])
+@pytest.mark.parametrize("kinds, on_raw", [
+    (["label_flip"], False),
+    (["gaussian", "label_flip"], False),
+    (["affine_strong", "affine_mild", "affine_strong"], False),
+    (["gaussian", "affine_strong", "gaussian"], False),
+    (["label_flip"], True),
+])
+@pytest.mark.parametrize("bundled_dsyevd", [True, False])
+def test_traced_peak_stays_within_the_readme_peak_formula(
+        monkeypatch, side, kinds, on_raw, bundled_dsyevd):
+    """The peak is that of the phase that sets it, as README's formula
+    gives it."""
+    if not bundled_dsyevd:
+        monkeypatch.setattr(_lapack, "_bundled_dsyevd", lambda: (None, None))
+    dataset = _small_dataset("synthetic_images", num_classes=6, per_class_count=120,
+                             height=side, width=side, test_fraction=0.5)
+    _check_readme_peak_formula(monkeypatch, dataset, kinds, on_raw)
+
+
+@pytest.mark.parametrize("kinds", [["label_flip"], ["gaussian", "label_flip"]])
+@pytest.mark.parametrize("on_raw", [False, True])
+def test_traced_peak_of_a_large_test_split_stays_within_the_classifier_term(
+        monkeypatch, kinds, on_raw):
+    """A test split four times the training split sets the peak in the
+    classifier stage, where README's formula bounds it."""
+    dataset = _small_dataset("synthetic_images", num_classes=6, per_class_count=200,
+                             height=12, width=12, test_fraction=0.8)
+    phase = "test split" if on_raw else "test projection"
+    assert _check_readme_peak_formula(monkeypatch, dataset, kinds, on_raw) == phase
 
 
 def test_stage_error_quarantines_partial_outputs(tmp_path):
@@ -1242,7 +1300,7 @@ _BROKEN_TEST_FILES = {
 
 @pytest.mark.parametrize("broken", list(_BROKEN_TEST_FILES))
 def test_broken_idx_test_split_is_a_dataset_stage_failure(tmp_path, capsys, broken):
-    """The test split's pixels are read only after the last PCA fit, but a
+    """The test split's pixels are read only in the classifier stage, but a
     test file that cannot give the split still fails the dataset stage,
     before any file is written."""
     cfg = _idx_config(tmp_path)
@@ -1276,7 +1334,8 @@ def test_idx_test_split_changed_after_the_dataset_stage_fails_the_run(tmp_path, 
 def test_idx_test_split_truncated_after_the_dataset_stage_fails_the_run(tmp_path, monkeypatch,
                                                                         capsys):
     """The header still reads as opened, but the pixels run short: an
-    IoError of the scoring stage, not a reshape traceback."""
+    IoError of the classifier stage, which reads them, not a reshape
+    traceback."""
     cfg = _idx_config(tmp_path)
     path = Path(cfg["dataset"]["test_images"])
     real_fit = experiment.fit_pca_in_place
@@ -1289,7 +1348,7 @@ def test_idx_test_split_truncated_after_the_dataset_stage_fails_the_run(tmp_path
     out = tmp_path / "out"
     assert cli_main(["run", "--config", _write_cfg(tmp_path, cfg), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "[stage:scoring]" in err and "truncated pixel data" in err
+    assert "[stage:classifier]" in err and "truncated pixel data" in err
     assert "Traceback" not in err
     assert not (out / "scores.csv").exists()
 

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import miselect as ms
 from miselect import ksg, neighbors
 from miselect._util import write_json_atomic
-from miselect.errors import ConfigError, DegenerateInputError, DomainError, FormatError
+from miselect.errors import (ConfigError, ConsistencyError, DegenerateInputError, DomainError,
+                             FormatError)
 import _oracle
 
 # ---------------------------------------------------------------------------
@@ -405,9 +406,9 @@ def test_joint_counts_equal_the_linear_scan_oracle(monkeypatch, strict, jitter_s
 
 
 def test_scorers_reject_features_without_columns():
-    emb = ms.LabeledDataset.from_arrays(np.empty((6, 0)), [0, 0, 0, 1, 1, 1])
-    with pytest.raises(ConfigError, match="non-empty 2-D"):
-        ms.score_discrete(emb, 1)
+    # a LabeledDataset, which score_discrete takes, cannot be built without columns
+    with pytest.raises(ConsistencyError, match="dim >= 1"):
+        ms.LabeledDataset.from_arrays(np.empty((6, 0)), [0, 0, 0, 1, 1, 1])
     with pytest.raises(ConfigError, match="non-empty 2-D"):
         ms.score_continuous(np.empty((6, 0)), np.arange(6.0), 1)
 
