@@ -34,7 +34,7 @@ for kind in ("affine_strong", "gaussian", "affine_mild"):
         noisy = ms.add_gaussian(base, 0.9, 0.3, seed=5)
     else:
         params = ms.STRONG_AFFINE if kind == "affine_strong" else ms.MILD_AFFINE
-        noisy = ms.affine_warp(base, params, 0.3, 5, W, H, kind=kind)
+        noisy = ms.affine_warp(base, params, 0.3, 5, kind=kind)
     model = ms.fit_pca(noisy, 8)
     emb = ms.transform(model, noisy)
     scores = ms.score_discrete(emb, k=3)

@@ -219,8 +219,9 @@ def _warp_images(imgs, invs, shifts):
     return _bilinear_sample(imgs, src[:, 0] + cx, src[:, 1] + cy)
 
 
-def affine_warp(ds, params, fraction, seed, width, height, kind=KIND_AFFINE_STRONG):
-    """Warp round(fraction*N) image samples with random affine maps.
+def affine_warp(ds, params, fraction, seed, *, kind=KIND_AFFINE_STRONG):
+    """Warp round(fraction*N) samples of an image dataset with random
+    affine maps on its ``image_shape``.
 
     Rotation, isotropic scale, shear and translation are drawn uniformly
     within ``params`` and composed about the image center; resampling is
@@ -228,8 +229,9 @@ def affine_warp(ds, params, fraction, seed, width, height, kind=KIND_AFFINE_STRO
     provenance tag.
     """
     check_corruption(fraction=fraction, seed=seed)
-    if ds.dim != width * height:
-        raise ConfigError(f"dataset dim {ds.dim} != width*height={width * height}")
+    if ds.image_shape is None:
+        raise ConfigError("affine corruption requires an image dataset")
+    height, width = ds.image_shape
     check_affine(params, height, width)
 
     # a near-singular or huge warp sends source points to inf or NaN, which
@@ -239,17 +241,6 @@ def affine_warp(ds, params, fraction, seed, width, height, kind=KIND_AFFINE_STRO
         return _warp_images(x.reshape(-1, height, width), np.array(invs), np.array(shifts))
 
     return _corrupted_inputs(ds, fraction, seed, kind, warped)
-
-
-def _warp(kind, preset):
-    """An affine kind's apply, on the dataset's image shape and, without
-    ``params`` (AffineParams), the kind's preset."""
-    def apply(ds, seed, fraction, params, **_):
-        if ds.image_shape is None:
-            raise ConfigError("affine corruption requires an image dataset")
-        height, width = ds.image_shape
-        return affine_warp(ds, params or preset, fraction, seed, width, height, kind=kind)
-    return apply
 
 
 # a corruption kind: the fields of its config record that have no default,
@@ -262,8 +253,14 @@ KINDS = {
     KIND_GAUSSIAN: Kind(("fraction", "noise_factor"), True,
                         lambda ds, seed, fraction, noise_factor, **_:
                         add_gaussian(ds, noise_factor, fraction, seed)),
-    KIND_AFFINE_STRONG: Kind(("fraction",), True, _warp(KIND_AFFINE_STRONG, STRONG_AFFINE)),
-    KIND_AFFINE_MILD: Kind(("fraction",), True, _warp(KIND_AFFINE_MILD, MILD_AFFINE)),
+    KIND_AFFINE_STRONG: Kind(("fraction",), True,
+                             lambda ds, seed, fraction, params, **_:
+                             affine_warp(ds, params or STRONG_AFFINE, fraction, seed,
+                                         kind=KIND_AFFINE_STRONG)),
+    KIND_AFFINE_MILD: Kind(("fraction",), True,
+                           lambda ds, seed, fraction, params, **_:
+                           affine_warp(ds, params or MILD_AFFINE, fraction, seed,
+                                       kind=KIND_AFFINE_MILD)),
 }
 
 

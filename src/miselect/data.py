@@ -381,8 +381,8 @@ def _drawn_images(states, increment, labels, offsets, brightness, windows, noise
     height, width = windows.shape[-2:]
     features = np.empty((len(states), height * width))
     rng = np.random.default_rng(0)
-    for row, words in zip(features, states.tolist()):
-        _set_state(rng, words, increment)
+    for row, words in zip(features, states):
+        _set_state(rng, words.tolist(), increment)
         rng.standard_normal(out=row)
     _paint(features, labels, offsets, brightness, windows, noise)
     return LabeledDataset.from_arrays(features, labels, num_classes=len(windows),

@@ -66,10 +66,10 @@ def fit_pca(ds, d, whiten=False):
 
     Components are the top-d eigenvectors of the sample covariance
     (ddof=1) of the centered features. For determinism every component is
-    flipped so that its largest-magnitude coordinate is positive. Uses a
-    symmetric eigensolver on the explicit covariance while source_dim is
-    small; falls back to an SVD of the centered data otherwise. The
-    dataset is not modified: the fit centres a copy of its features.
+    flipped so that its largest-magnitude coordinate is positive. The
+    components come from a symmetric eigensolver on the explicit
+    covariance at every feature dim. The dataset is not modified: the fit
+    centres a copy of its features.
     """
     return _fit(ds.features, d, whiten, in_place=False)
 
@@ -109,24 +109,16 @@ def _fit(x, d, whiten, in_place):
     if not np.isfinite(spread):
         raise DegenerateInputError("the features' spread overflows float64, nothing to embed")
 
-    if dim <= 1024:
-        cov = xc.T @ xc
-        cov /= n - 1
-        # a centred copy is dead once the covariance is formed: free it
-        # before the eigensolver allocates its workspace, which then
-        # overwrites the covariance with the eigenvectors
-        del xc
-        eigvals, eigvecs = _lapack.eigh(cov)
-        order = np.argsort(eigvals)[::-1][:d]
-        ev = eigvals[order]
-        comps = eigvecs[:, order].T
-    else:
-        u, s, vt = np.linalg.svd(xc, full_matrices=False)
-        ev = (s[:d] ** 2) / (n - 1)
-        comps = vt[:d]
-
-    ev = np.maximum(ev, 0.0)
-    comps = comps.copy()
+    cov = xc.T @ xc
+    cov /= n - 1
+    # a centred copy is dead once the covariance is formed: free it
+    # before the eigensolver allocates its workspace, which then
+    # overwrites the covariance with the eigenvectors
+    del xc
+    eigvals, eigvecs = _lapack.eigh(cov)
+    order = np.argsort(eigvals)[::-1][:d]
+    ev = np.maximum(eigvals[order], 0.0)
+    comps = eigvecs[:, order].T
     for j in range(d):
         peak = np.argmax(np.abs(comps[j]))
         if comps[j, peak] < 0:

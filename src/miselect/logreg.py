@@ -150,11 +150,15 @@ def train(data, retained=None, learning_rate=0.1, epochs=300, l2=1e-4, batch_siz
     retained = np.asarray(retained, dtype=np.int64)
     if retained.size == 0:
         raise ConfigError("retained training set is empty")
-    x = data.features[retained]
     labels = data.labels[retained]
     num_classes = data.num_classes
-    n, dim = x.shape
-    xb = np.hstack([x, np.ones((n, 1))])
+    n, dim = retained.size, data.dim
+    # the retained rows with a bias column of ones, gathered 256 rows at a
+    # time so that no second (n, dim) copy is ever live
+    xb = np.empty((n, dim + 1))
+    for start in range(0, n, 256):
+        xb[start : start + 256, :dim] = data.features[retained[start : start + 256]]
+    xb[:, dim] = 1.0
     weights = np.zeros((num_classes, dim + 1))
     rng = np.random.default_rng(seed)
     batch = n if batch_size is None else min(batch_size, n)

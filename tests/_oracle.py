@@ -1,4 +1,5 @@
-"""Linear-scan oracle for the bulk queries of ``miselect.neighbors``.
+"""Plain-numpy oracles: a linear scan for the bulk queries of
+``miselect.neighbors``, and the ranking AUC of clean over corrupted scores.
 
 Every query scans all points with plain numpy: no sorting, windows or
 blocks. Distances are Chebyshev, and max and abs are exact, so the bulk
@@ -44,3 +45,19 @@ def radius_counts(points, radii, strict=True):
         hit[q] = False
         counts[q] = np.count_nonzero(hit)
     return counts
+
+
+def ranking_auc(clean_scores, corrupted_scores):
+    """Probability that a random clean sample out-scores a random corrupted one."""
+    both = np.concatenate([corrupted_scores, clean_scores])
+    order = both.argsort(kind="stable")
+    ranks = np.empty(len(both))
+    ranks[order] = np.arange(1, len(both) + 1)
+    # midranks for ties
+    for v in np.unique(both):
+        tie = both == v
+        if tie.sum() > 1:
+            ranks[tie] = ranks[tie].mean()
+    n_c = len(corrupted_scores)
+    n_k = len(clean_scores)
+    return (ranks[n_c:].sum() - n_k * (n_k + 1) / 2) / (n_k * n_c)

@@ -40,19 +40,6 @@ def _score_flipped(ds, rate, flip_seed, d=8, k=3):
     return emb, ms.score_discrete(emb, k)
 
 
-def ranking_auc(clean, corrupted):
-    both = np.concatenate([corrupted, clean])
-    order = both.argsort(kind="stable")
-    ranks = np.empty(len(both))
-    ranks[order] = np.arange(1, len(both) + 1)
-    for v in np.unique(both):
-        tie = both == v
-        if tie.sum() > 1:
-            ranks[tie] = ranks[tie].mean()
-    n_c, n_k = len(corrupted), len(clean)
-    return (ranks[n_c:].sum() - n_k * (n_k + 1) / 2) / (n_k * n_c)
-
-
 # ---------------------------------------------------------------------------
 
 
@@ -123,7 +110,7 @@ def test_c5_mislabeled_separation():
         ds = _separated_blobs(4, 200, seed=seed)
         emb, scores = _score_flipped(ds, 0.1, flip_seed=8000 + seed)
         flipped = emb.label_flipped
-        auc = ranking_auc(scores.local_scores[~flipped], scores.local_scores[flipped])
+        auc = _oracle.ranking_auc(scores.local_scores[~flipped], scores.local_scores[flipped])
         means_ok = scores.local_scores[flipped].mean() < scores.local_scores[~flipped].mean()
         all_ok &= (auc >= 0.85) and means_ok
         aucs.append(auc)
@@ -173,7 +160,7 @@ def test_c7_benign_vs_harmful_input_noise():
             noisy = ms.add_gaussian(ds, 0.9, 0.3, seed=500 + seed)
         else:
             params = ms.STRONG_AFFINE if kind == "affine_strong" else ms.MILD_AFFINE
-            noisy = ms.affine_warp(ds, params, 0.3, 500 + seed, 16, 16, kind=kind)
+            noisy = ms.affine_warp(ds, params, 0.3, 500 + seed, kind=kind)
         model = ms.fit_pca(noisy, 8)
         emb = ms.transform(model, noisy)
         scores = ms.score_discrete(emb, 3)

@@ -126,7 +126,7 @@ def test_affine_identity_params_pixel_identical():
     ds = _image_ds()
     ident = ms.AffineParams(rotation_deg=0.0, scale_range=(1.0, 1.0),
                             shear_deg=0.0, translate_frac=0.0)
-    out = ms.affine_warp(ds, ident, 1.0, seed=1, width=10, height=10, kind="affine_mild")
+    out = ms.affine_warp(ds, ident, 1.0, seed=1, kind="affine_mild")
     assert np.allclose(out.features, ds.features, atol=1e-12)
     assert np.all(out.input_corruption == "affine_mild")
 
@@ -241,7 +241,7 @@ def test_batched_warp_equals_per_image_oracle(height, width, n, fraction, params
     rng = np.random.default_rng(n)
     ds = ms.LabeledDataset.from_arrays(rng.uniform(0, 1, (n, height * width)), np.arange(n) % 3,
                                        image_shape=(height, width))
-    out = ms.affine_warp(ds, params, fraction, seed=4, width=width, height=height)
+    out = ms.affine_warp(ds, params, fraction, seed=4)
     chosen = corruption._choose(n, fraction, 4)
     expected = ds.features.copy()
     for i in chosen:
@@ -258,8 +258,7 @@ def test_mild_warp_preserves_pixel_mass():
     everything = ms.generate_pattern_images(5, 30, height=12, width=12, noise=0.0,
                                             jitter_px=0, seed=5)
     base = everything.subset(np.flatnonzero(everything.labels == 4))
-    out = ms.affine_warp(base, ms.MILD_AFFINE, 1.0, seed=6, width=12, height=12,
-                         kind="affine_mild")
+    out = ms.affine_warp(base, ms.MILD_AFFINE, 1.0, seed=6, kind="affine_mild")
     before = base.features.sum()
     after = out.features.sum()
     assert abs(after - before) / before < 0.10
@@ -272,8 +271,8 @@ def test_mild_warp_preserves_pixel_mass():
 
 def test_affine_deterministic_and_kind_tagged():
     ds = _image_ds()
-    a = ms.affine_warp(ds, ms.STRONG_AFFINE, 0.3, seed=7, width=10, height=10)
-    b = ms.affine_warp(ds, ms.STRONG_AFFINE, 0.3, seed=7, width=10, height=10)
+    a = ms.affine_warp(ds, ms.STRONG_AFFINE, 0.3, seed=7)
+    b = ms.affine_warp(ds, ms.STRONG_AFFINE, 0.3, seed=7)
     assert np.array_equal(a.features, b.features)
     assert np.array_equal(a.input_corruption, b.input_corruption)
     n_tagged = int((a.input_corruption == "affine_strong").sum())
@@ -283,8 +282,8 @@ def test_affine_deterministic_and_kind_tagged():
 
 def test_affine_dim_mismatch():
     ds = _blob_ds()
-    with pytest.raises(ConfigError):
-        ms.affine_warp(ds, ms.MILD_AFFINE, 0.5, seed=0, width=4, height=4)
+    with pytest.raises(ConfigError, match="requires an image dataset"):
+        ms.affine_warp(ds, ms.MILD_AFFINE, 0.5, seed=0)
 
 
 @pytest.mark.parametrize("scale, shift", [(1e-300, 0.05), (1e-320, 0.05), (5e-324, 0.05),
@@ -297,7 +296,7 @@ def test_a_warp_from_far_outside_the_frame_reads_zeros_without_a_warning(scale, 
     ds = _image_ds()
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        out = ms.affine_warp(ds, params, 1.0, seed=3, width=10, height=10)
+        out = ms.affine_warp(ds, params, 1.0, seed=3)
     assert not out.features.any()
 
 
@@ -309,7 +308,7 @@ def test_affine_ranges_too_wide_to_draw_from_are_rejected(field, value):
     params = ms.AffineParams(**{"rotation_deg": 30.0, "scale_range": (0.9, 1.1),
                                 "shear_deg": 10.0, "translate_frac": 0.1, field: value})
     with pytest.raises(ConfigError, match=f"^{field}: "):
-        ms.affine_warp(_image_ds(), params, 0.0, seed=0, width=10, height=10)
+        ms.affine_warp(_image_ds(), params, 0.0, seed=0)
     if field == "translate_frac":  # 2e307 is drawable on a 1x1 image
         corruption.check_affine(params, 1, 1)
 
@@ -339,8 +338,7 @@ def test_provenance_completeness_both_directions():
 def test_corruption_tags_stack():
     ds = _image_ds(seed=11)
     out = ms.add_gaussian(ds, 0.2, 1.0, seed=12)
-    out = ms.affine_warp(out, ms.MILD_AFFINE, 1.0, seed=13, width=10, height=10,
-                         kind="affine_mild")
+    out = ms.affine_warp(out, ms.MILD_AFFINE, 1.0, seed=13, kind="affine_mild")
     assert np.all(out.input_corruption == "gaussian+affine_mild")
 
 

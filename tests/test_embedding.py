@@ -145,9 +145,10 @@ def test_whiten_flag_scales_to_unit_variance():
     assert np.allclose(emb.features.std(axis=0, ddof=1), 1.0, atol=1e-8)
 
 
-def test_fit_pca_svd_branch_matches_eigh_of_the_covariance(monkeypatch):
-    # more than 1,024 features (images of 33 x 33 and up) take the SVD of the
-    # centred data; a rank-4 signal with spectrum 50 > 30 > 20 > 10 over small noise
+def test_fit_pca_over_1024_features_matches_eigh_of_the_covariance():
+    # more than 1,024 features (images of 33 x 33 and up) fit with the same
+    # covariance eigensolver as fewer; a rank-4 signal with spectrum
+    # 50 > 30 > 20 > 10 over small noise
     rng = np.random.default_rng(12)
     n, dim, spectrum = 60, 1100, np.array([50.0, 30.0, 20.0, 10.0])
     left = rng.standard_normal((n, 4))
@@ -155,11 +156,7 @@ def test_fit_pca_svd_branch_matches_eigh_of_the_covariance(monkeypatch):
     right = np.linalg.qr(rng.standard_normal((dim, 4)))[0]
     x = (left * spectrum) @ right.T + 1e-3 * rng.standard_normal((n, dim)) + rng.uniform(size=dim)
     ds = ms.LabeledDataset.from_arrays(x, np.zeros(n, dtype=int))
-    svd_calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: svd_calls.append(1) or svd(*a, **kw))
     model = ms.fit_pca(ds, 4)
-    assert svd_calls == [1]
 
     xc = x - x.mean(axis=0)
     eigvals, eigvecs = np.linalg.eigh(xc.T @ xc / (n - 1))

@@ -342,29 +342,38 @@ def test_grid_cells_run_in_worker_processes_where_fork_exists(tmp_path, monkeypa
         assert pids == [parent] * 3
 
 
+def _record_splits(monkeypatch):
+    """Make the dataset stage log a weak reference to the features of the
+    training split it builds, then to those of each test split its
+    ``make_test`` builds; returns that list."""
+    build, refs = experiment._build_dataset, []
+
+    def recording_build(*args):
+        train, n_test, make_test = build(*args)
+        refs.append(weakref.ref(train.features))
+
+        def recording_make_test():
+            test = make_test()
+            refs.append(weakref.ref(test.features))
+            return test
+
+        return train, n_test, recording_make_test
+
+    monkeypatch.setattr(experiment, "_build_dataset", recording_build)
+    return refs
+
+
 @pytest.mark.parametrize("on_raw", [False, True])
 def test_raw_splits_are_released_before_the_grid_forks(tmp_path, monkeypatch, on_raw):
     # a classifier on embedded features reads no raw split, so the workers
     # must not fork from a parent that holds one; the report's dataset
     # section does not depend on it
-    build, raw, alive = experiment._build_dataset, [], []
-
-    def recording_build(*args):
-        train, n_test, make_test = build(*args)
-        raw.append(weakref.ref(train.features))
-
-        def recording_make_test():
-            test = make_test()
-            raw.append(weakref.ref(test.features))
-            return test
-
-        return train, n_test, recording_make_test
+    raw, alive = _record_splits(monkeypatch), []
 
     def recording_fork(cells, inputs, workers):
         alive.append([ref() is not None for ref in raw])
         return None  # the cells then train in-process
 
-    monkeypatch.setattr(experiment, "_build_dataset", recording_build)
     monkeypatch.setattr(experiment, "_forked_accuracies", recording_fork)
     cfg = base_config()
     cfg["classifier"]["on_raw_features"] = on_raw
@@ -381,29 +390,20 @@ def test_raw_splits_are_released_before_the_grid_forks(tmp_path, monkeypatch, on
 def test_only_the_classifier_stage_builds_the_test_split(tmp_path, monkeypatch, on_raw,
                                                          through):
     # and it embeds the split only for a classifier on embedded features
-    build, made, embedded = experiment._build_dataset, [], []
+    splits, embedded = _record_splits(monkeypatch), []
     real_transform = experiment.transform
-
-    def recording_build(*args):
-        train, n_test, make_test = build(*args)
-
-        def recording_make_test():
-            made.append(make_test())
-            return made[-1]
-
-        return train, n_test, recording_make_test
 
     def recording_transform(model, ds):
         embedded.append(ds)
         return real_transform(model, ds)
 
-    monkeypatch.setattr(experiment, "_build_dataset", recording_build)
     monkeypatch.setattr(experiment, "transform", recording_transform)
     cfg = base_config()
     cfg["classifier"]["on_raw_features"] = on_raw
     run_experiment(cfg, out_dir=tmp_path, through=through)
-    assert len(made) == (through == "train")
-    assert [ds is test for ds in embedded for test in made].count(True) == (
+    tests = splits[1:]
+    assert len(tests) == (through == "train")
+    assert [ds.features is test() for ds in embedded for test in tests].count(True) == (
         through == "train" and not on_raw)
 
 

@@ -424,23 +424,6 @@ def test_noise_monotonic_in_flip_rate():
         assert mis[0] > mis[1] > mis[2] > mis[3]
 
 
-def ranking_auc(clean_scores, corrupted_scores):
-    """Probability that a random clean sample out-scores a random corrupted one."""
-    both = np.concatenate([corrupted_scores, clean_scores])
-    order = both.argsort(kind="stable")
-    ranks = np.empty(len(both))
-    ranks[order] = np.arange(1, len(both) + 1)
-    # midranks for ties
-    for v in np.unique(both):
-        tie = both == v
-        if tie.sum() > 1:
-            ranks[tie] = ranks[tie].mean()
-    n_c = len(corrupted_scores)
-    n_k = len(clean_scores)
-    rank_sum = ranks[n_c:].sum()
-    return (rank_sum - n_k * (n_k + 1) / 2) / (n_k * n_c)
-
-
 def test_flipped_samples_score_lower():
     for seed in range(3):
         ds = ms.generate_synthetic(4, 100, 8, 0.5, class_separation=10.0, seed=seed)
@@ -449,7 +432,8 @@ def test_flipped_samples_score_lower():
         scores = ms.score_discrete(ms.transform(model, noisy), 3)
         flipped = noisy.label_flipped
         assert scores.local_scores[flipped].mean() < scores.local_scores[~flipped].mean()
-        assert ranking_auc(scores.local_scores[~flipped], scores.local_scores[flipped]) >= 0.85
+        auc = _oracle.ranking_auc(scores.local_scores[~flipped], scores.local_scores[flipped])
+        assert auc >= 0.85
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import functools
 import math
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -282,6 +283,26 @@ def test_training_matches_two_pass_reference_bit_for_bit(fit, subset, classes):
     assert np.array_equal(model.weights, weights)
     assert model.loss_history == history
     assert len(history) == fit["epochs"]
+
+
+def test_train_holds_one_copy_of_the_retained_rows():
+    # 2,000 retained rows of 784 features, in shuffled order across the
+    # 256-row chunks that gather them beside their bias column
+    rng = np.random.default_rng(15)
+    ds = ms.LabeledDataset.from_arrays(rng.uniform(size=(2100, 784)), np.arange(2100) % 10)
+    retained = rng.permutation(2100)[:2000]
+    tracemalloc.start()
+    try:
+        model = ms.train(ds, retained, epochs=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the (n, dim + 1) design matrix, one 256-row chunk and the small arrays
+    # of a fit; a second copy of the rows would double it
+    assert peak <= 1.25 * 2000 * 785 * 8
+    weights, history = _reference_train(ds, retained, epochs=1)
+    assert np.array_equal(model.weights, weights)
+    assert model.loss_history == history
 
 
 def test_divergence_raises_at_reference_epoch():
