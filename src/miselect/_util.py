@@ -25,26 +25,29 @@ def round_half_even(x):
     return int(np.rint(x))
 
 
-def largest_remainder_quotas(m, counts):
-    """Apportion ``m`` items across groups proportionally to ``counts``.
+def class_shares(labels, num_classes, m):
+    """Apportion ``m`` of the samples across their classes in proportion to
+    the class sizes: (ascending member indices, quota) of each class whose
+    quota is positive, in class order.
 
-    Uses the largest-remainder method: every group gets the floor of its
-    exact share, then the leftover items go to the groups with the largest
-    fractional remainders (ties broken by lower group id). Quotas sum to
-    exactly ``m`` and never exceed the group counts when ``m <= sum(counts)``.
+    Uses the largest-remainder method: every class gets the floor of its
+    exact share m * count / N, then the leftover samples go to the classes
+    with the largest remainders, ties to the lower class id. The remainders
+    are exact integers, so equal fractions tie however large the shares.
+    Quotas sum to exactly ``m`` and never exceed the class sizes.
     """
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = np.bincount(labels, minlength=num_classes)
     total = int(counts.sum())
     if m < 0 or m > total:
         raise ValueError(f"cannot apportion {m} items across {total}")
-    shares = m * counts / total
-    quotas = np.floor(shares).astype(np.int64)
-    remainder = m - int(quotas.sum())
-    if remainder > 0:
-        frac = shares - quotas
-        order = np.lexsort((np.arange(len(counts)), -frac))
-        quotas[order[:remainder]] += 1
-    return quotas
+    quotas, remainders = np.divmod(m * counts, total)
+    # whole shares, as equal class sizes give, need no ranking; ranking them
+    # anyway raised score_scale's peak RSS by 0.2 MiB through heap layout
+    extra = m - int(quotas.sum())
+    if extra:
+        quotas[np.lexsort((np.arange(len(counts)), -remainders))[:extra]] += 1
+    return [(np.flatnonzero(labels == c), quota)
+            for c, quota in enumerate(quotas.tolist()) if quota > 0]
 
 
 def json_text(payload, indent=None):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import is_int, is_number, largest_remainder_quotas, round_half_even
+from ._util import class_shares, is_int, is_number, round_half_even
 from .errors import ConfigError, ConsistencyError, FormatError, IoError
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -431,8 +431,8 @@ def load_idx(images_path, labels_path):
 
 def open_idx(images_path, labels_path):
     """Check an IDX pair as ``load_idx`` does, reading the image file's
-    header and the labels but not the pixels. Returns (count, feature dim,
-    num_classes, load): ``load()`` reads the pixels and returns
+    header and the labels but not the pixels. Returns (count, image shape
+    (rows, cols), num_classes, load): ``load()`` reads the pixels and returns
     ``load_idx``'s dataset with these labels, and fails if the image
     header changed in between."""
     with open(images_path, "rb") as f:
@@ -455,23 +455,17 @@ def open_idx(images_path, labels_path):
         return LabeledDataset.from_arrays(features, labels, num_classes=num_classes,
                                           image_shape=shape[1:])
 
-    return count, shape[1] * shape[2], num_classes, load
+    return count, shape[1:], num_classes, load
 
 
 def _split_indices(labels, num_classes, test_fraction, seed):
     """(train indices, test indices), both ascending, of ``train_test_split``'s
     split; depends only on the labels and the seed."""
     n = len(labels)
-    m_test = check_split(n, test_fraction)
-    counts = np.bincount(labels, minlength=num_classes)
-    quotas = largest_remainder_quotas(m_test, counts)
     rng = np.random.default_rng(seed)
     test_mask = np.zeros(n, dtype=bool)
-    for c in range(num_classes):
-        members = np.flatnonzero(labels == c)
-        if quotas[c] > 0:
-            picked = rng.permutation(members)[: quotas[c]]
-            test_mask[picked] = True
+    for members, quota in class_shares(labels, num_classes, check_split(n, test_fraction)):
+        test_mask[rng.permutation(members)[:quota]] = True
     return np.flatnonzero(~test_mask), np.flatnonzero(test_mask)
 
 

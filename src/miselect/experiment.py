@@ -327,9 +327,9 @@ def _build_dataset(ds_cfg, master_seed):
     kind = ds_cfg["type"]
     if kind == "idx":
         train = load_idx(ds_cfg["train_images"], ds_cfg["train_labels"])
-        n_test, dim, classes, make_test = open_idx(ds_cfg["test_images"], ds_cfg["test_labels"])
+        n_test, shape, classes, make_test = open_idx(ds_cfg["test_images"], ds_cfg["test_labels"])
         # test labels need only lie below the training pair's class count
-        if dim != train.dim or classes > train.num_classes:
+        if shape != train.image_shape or classes > train.num_classes:
             raise ConfigError("train and test IDX datasets are inconsistent")
         return train, n_test, make_test
     data_seed = ds_cfg["seed"]

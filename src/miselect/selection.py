@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import (is_number, largest_remainder_quotas, round_half_even, write_atomic,
-                    write_json_atomic)
+from ._util import class_shares, is_number, round_half_even, write_atomic, write_json_atomic
 from .errors import ConfigError, ConsistencyError
 
 SCOPES = ("global", "class_wise")
@@ -53,20 +52,16 @@ class SelectionResult:
 
 
 def _band_pick(local, positions, m, band, rng):
-    """Pick m of ``positions`` (global indices) by the band rule on their scores."""
+    """Pick m of ``positions`` (ascending global indices): a seeded draw for
+    the random band, else a window of m in one ranking of their scores,
+    ascending for bottom and descending otherwise, ties to the smaller
+    index; the window starts at the first rank, or for middle at
+    (len - m) // 2."""
     if band == "random":
-        picked = rng.choice(len(positions), size=m, replace=False)
-        return positions[picked]
+        return positions[rng.choice(len(positions), size=m, replace=False)]
     scores = local[positions]
-    if band == "top":
-        order = np.lexsort((positions, -scores))
-        return positions[order[:m]]
-    if band == "bottom":
-        order = np.lexsort((positions, scores))
-        return positions[order[:m]]
-    # middle: rank window centered on the median of the descending order
-    order = np.lexsort((positions, -scores))
-    start = (len(positions) - m) // 2
+    order = np.lexsort((positions, scores if band == "bottom" else -scores))
+    start = (len(positions) - m) // 2 if band == "middle" else 0
     return positions[order[start : start + m]]
 
 
@@ -93,8 +88,9 @@ def select(scores, labels, plan, num_classes=None):
     """Apply a selection plan to local MI scores.
 
     Retains exactly round(retention_ratio * N) samples; raises ConfigError
-    if rounding makes that zero. ``scores`` may be an MIScoreSet or a plain
-    array of local scores.
+    if rounding makes that zero, and ConsistencyError for a label outside
+    [0, num_classes). ``scores`` may be an MIScoreSet or a plain array of
+    local scores.
     """
     local = np.asarray(getattr(scores, "local_scores", scores), dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
@@ -104,26 +100,19 @@ def select(scores, labels, plan, num_classes=None):
     m = check_ratio(plan.retention_ratio, n)
     if num_classes is None:
         num_classes = int(labels.max()) + 1
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ConsistencyError("labels must lie in [0, num_classes)")
     rng = None
     if plan.band == "random":
         if plan.seed is None:
             raise ConfigError("random band requires a seed")
         rng = np.random.default_rng(plan.seed)
 
-    if plan.scope == "global":
-        retained = _band_pick(local, np.arange(n, dtype=np.int64), m, plan.band, rng)
-    else:
-        counts = np.bincount(labels, minlength=num_classes)
-        quotas = largest_remainder_quotas(m, counts)
-        parts = []
-        for c in range(num_classes):
-            if quotas[c] == 0:
-                continue
-            members = np.flatnonzero(labels == c)
-            parts.append(_band_pick(local, members, int(quotas[c]), plan.band, rng))
-        retained = np.concatenate(parts)
-
-    retained = np.sort(retained.astype(np.int64))
+    # global scope is one group of every sample; class_wise is one per class
+    groups = ([(np.arange(n), m)] if plan.scope == "global"
+              else class_shares(labels, num_classes, m))
+    retained = np.sort(np.concatenate(
+        [_band_pick(local, members, quota, plan.band, rng) for members, quota in groups]))
     per_class = np.bincount(labels[retained], minlength=num_classes)
     return SelectionResult(retained_indices=retained, plan=plan, per_class_counts=per_class)
 

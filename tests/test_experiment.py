@@ -973,6 +973,45 @@ def test_traced_peak_of_a_large_test_split_stays_within_the_classifier_term(
     assert _check_readme_peak_formula(monkeypatch, dataset, kinds, on_raw) == phase
 
 
+@pytest.mark.parametrize("batch_size", [None, 400])
+def test_traced_peak_of_a_raw_feature_cell_stays_within_the_cell_term(monkeypatch,
+                                                                       batch_size):
+    """One grid cell under on_raw_features, in-process, traced from its call
+    to its accuracy: the peak is README's cell term. Training holds one
+    design matrix of the retained rows beside the larger of the 256-row
+    gather chunk and a mini-batch's copy of its rows, the softmax buffers
+    of the retained rows and of a batch, and the weights, the step and the
+    gradient's temporaries, eight (C, dim + 1) arrays at most; evaluating
+    holds one design matrix of the test split."""
+    real_cell = experiment._cell_accuracy
+    peaks = []
+
+    def traced_cell(retained, *inputs):
+        real_cell(retained, *inputs)  # first-call caches stay out of the peak
+        tracemalloc.start()
+        try:
+            accuracy = real_cell(retained, *inputs)
+            peaks.append((len(retained), tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return accuracy
+
+    monkeypatch.setattr(experiment, "_cell_accuracy", traced_cell)
+    dataset = _small_dataset("synthetic_images", num_classes=6, per_class_count=200,
+                             height=28, width=28)
+    cfg = base_config(dataset=dataset, selection={
+        "plans": [{"scope": "global", "band": "top"}], "ratios": [0.5]})
+    cfg["classifier"].update(epochs=3, batch_size=batch_size, on_raw_features=True)
+    sizes = run_experiment(cfg, through="train").data["dataset"]
+    n_test, dim, classes = sizes["n_test"], sizes["dim"], sizes["num_classes"]
+    [(n, peak)] = peaks
+    rows, batch = (256, 0) if batch_size is None else (max(256, batch_size), batch_size)
+    training = ((n + rows) * (dim + 1) * 8 + (3 * classes + 2) * (n + batch) * 8
+                + 8 * classes * (dim + 1) * 8)
+    evaluating = n_test * (dim + 1) * 8
+    assert n * (dim + 1) * 8 < peak <= max(training, evaluating) + _SMALL_BYTES
+
+
 def test_stage_error_quarantines_partial_outputs(tmp_path):
     cfg = base_config()
     # the first gradient step overflows the loss
@@ -1294,6 +1333,8 @@ _BROKEN_TEST_FILES = {
     "count_mismatch": ("test_labels", lambda raw: raw[:4] + struct.pack(">i", len(raw) - 7)
                        + raw[8:] + b"\0", "does not match label count"),
     "other_dim": ("test_images", lambda raw: _image_dims(raw, 7, 8), "inconsistent"),
+    # the training pair's 64 pixels an image, as 4 x 16 rather than 8 x 8
+    "other_shape": ("test_images", lambda raw: _image_dims(raw, 4, 16), "inconsistent"),
     "other_class_count": ("test_labels", lambda raw: raw[:-1] + bytes([3]), "inconsistent"),
 }
 

@@ -1,10 +1,17 @@
 import json
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import _oracle
 import miselect as ms
+from miselect._util import class_shares
 from miselect.errors import ConfigError, ConsistencyError
+from miselect.selection import BANDS, SCOPES
 
 SCORES = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
 LABELS = np.zeros(5, dtype=np.int64)
@@ -89,6 +96,17 @@ def test_selection_errors():
         ms.select(SCORES, np.zeros(3, dtype=int), _plan("global", "top", 0.5))
 
 
+def test_a_label_outside_num_classes_is_rejected():
+    """A label at or above num_classes, or below 0, falls in no class's
+    share; class-wise top at ratio 1.0 would keep 3 of these 4 samples."""
+    scores = np.array([4.0, 3.0, 2.0, 1.0])
+    for scope in ("global", "class_wise"):
+        with pytest.raises(ConsistencyError, match="num_classes"):
+            ms.select(scores, [0, 0, 1, 2], _plan(scope, "top", 1.0), num_classes=2)
+        with pytest.raises(ConsistencyError, match="num_classes"):
+            ms.select(scores, [0, 0, -1, 1], _plan(scope, "top", 1.0))
+
+
 def test_mixed_sign_scores_and_middle_window_formula():
     rng = np.random.default_rng(2)
     scores = rng.standard_normal(37)
@@ -143,6 +161,84 @@ def test_selection_invariants_random_battery():
             kept[result.retained_indices] = True
             if (~kept).any():
                 assert scores[kept].min() >= scores[~kept].max()
+
+
+@st.composite
+def _labelled_scores(draw):
+    """(scores, labels, num_classes or None): few distinct scores, so plenty
+    of ties, the -inf sentinel among them, and classes from one sample up,
+    some of them empty."""
+    num_classes = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 40))
+    labels = draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n))
+    values = st.sampled_from([-np.inf, -1.5, 0.0, 0.25, 3.0]) | st.floats(-4.0, 4.0)
+    scores = draw(st.lists(values, min_size=n, max_size=n))
+    given_classes = draw(st.sampled_from([None, num_classes]))
+    return np.array(scores), np.array(labels, dtype=np.int64), given_classes
+
+
+@settings(deadline=None)
+@given(case=_labelled_scores(), scope=st.sampled_from(SCOPES),
+       band=st.sampled_from(BANDS), ratio=st.floats(0.0, 1.0, exclude_min=True),
+       seed=st.integers(0, 2**32 - 1))
+# a single class; a class of one sample whose quota rounds to 0
+@example(case=(np.array([1.0, -np.inf, 1.0, 0.5]), np.zeros(4, dtype=np.int64), None),
+         scope="class_wise", band="middle", ratio=0.5, seed=0)
+@example(case=(np.arange(11.0), np.array([0] * 10 + [1]), 2), scope="class_wise",
+         band="bottom", ratio=0.3, seed=0)
+# exact remainders 0.8, 0.4, 0.4, 0.4: the second extra sample goes to class
+# 1, though 6 * 6 / 15 - 2 is below 0.4 in float64 and 6 * 1 / 15 is not
+@example(case=(np.arange(15.0), np.repeat([0, 1, 2, 3], [2, 6, 6, 1]), None),
+         scope="class_wise", band="top", ratio=0.4, seed=0)
+def test_select_equals_the_per_scope_oracle(case, scope, band, ratio, seed):
+    """select keeps the samples, in the order, that the selection rule
+    written out per scope and per band keeps."""
+    scores, labels, num_classes = case
+    plan = _plan(scope, band, ratio, seed)
+    m = round(ratio * len(scores))  # Python's round breaks ties to even, as select does
+    if m == 0:
+        with pytest.raises(ConfigError):
+            ms.select(scores, labels, plan, num_classes=num_classes)
+        return
+    got = ms.select(scores, labels, plan, num_classes=num_classes)
+    retained, per_class = _oracle.select(scores, labels, scope, band, m,
+                                         num_classes or int(labels.max()) + 1, seed)
+    assert got.retained_indices.dtype == np.int64
+    assert got.retained_indices.tolist() == retained.tolist()
+    assert got.per_class_counts.tolist() == per_class.tolist()
+
+
+@given(counts=st.lists(st.integers(0, 30), min_size=1, max_size=6).filter(any),
+       data=st.data())
+def test_class_shares_are_largest_remainder_quotas(counts, data):
+    """Quotas sum to m; each is the floor or the ceiling of its class's
+    exact share and at most the class size; the ceilings go to the largest
+    remainders, ties to the lower class id; a class whose quota is 0 is left
+    out, and each class's members are its samples in ascending order."""
+    labels = np.array(data.draw(st.permutations(np.repeat(range(len(counts)), counts).tolist())))
+    total = len(labels)
+    m = data.draw(st.integers(0, total))
+    shares = class_shares(labels, len(counts), m)
+    classes = [int(labels[members[0]]) for members, _ in shares]
+    assert classes == sorted(set(classes))
+    quotas = dict.fromkeys(range(len(counts)), 0)
+    for c, (members, quota) in zip(classes, shares):
+        assert members.tolist() == np.flatnonzero(labels == c).tolist()
+        assert quota > 0
+        quotas[c] = quota
+    assert sum(quotas.values()) == m
+    exact = {c: Fraction(m * count, total) for c, count in enumerate(counts)}
+    for c, quota in quotas.items():
+        assert math.floor(exact[c]) <= quota <= min(math.ceil(exact[c]), counts[c])
+    rounded_up = [c for c in quotas if quotas[c] > exact[c]]
+    rounded_down = [c for c in quotas if quotas[c] < exact[c]]
+    for up in rounded_up:
+        for down in rounded_down:
+            rem_up, rem_down = exact[up] % 1, exact[down] % 1
+            assert rem_up > rem_down or (rem_up == rem_down and up < down)
+    for bad in (-1, total + 1):
+        with pytest.raises(ValueError):
+            class_shares(labels, len(counts), bad)
 
 
 def test_affine_score_invariance():
