@@ -57,6 +57,7 @@ STRONG_AFFINE = AffineParams(rotation_deg=75.0, scale_range=(0.5, 1.6),
                              shear_deg=30.0, translate_frac=0.20)
 MILD_AFFINE = AffineParams(rotation_deg=15.0, scale_range=(0.9, 1.1),
                            shear_deg=5.0, translate_frac=0.07)
+_AFFINE_PRESETS = {KIND_AFFINE_STRONG: STRONG_AFFINE, KIND_AFFINE_MILD: MILD_AFFINE}
 
 
 def check_corruption(rate=0.0, fraction=0.0, noise_factor=0.0, seed=0):
@@ -226,9 +227,15 @@ def affine_warp(ds, params, fraction, seed, *, kind=KIND_AFFINE_STRONG):
     Rotation, isotropic scale, shear and translation are drawn uniformly
     within ``params`` and composed about the image center; resampling is
     bilinear with out-of-bounds reads as zero. ``kind`` sets the
-    provenance tag.
+    provenance tag, and ``params`` None takes its preset: STRONG_AFFINE for
+    affine_strong, MILD_AFFINE for affine_mild.
     """
     check_corruption(fraction=fraction, seed=seed)
+    if params is None:
+        params = _AFFINE_PRESETS.get(kind)
+    if not isinstance(params, AffineParams):
+        raise ConfigError(f"params: must be AffineParams, or None with kind "
+                          f"{KIND_AFFINE_STRONG} or {KIND_AFFINE_MILD}")
     if ds.image_shape is None:
         raise ConfigError("affine corruption requires an image dataset")
     height, width = ds.image_shape
@@ -255,12 +262,10 @@ KINDS = {
                         add_gaussian(ds, noise_factor, fraction, seed)),
     KIND_AFFINE_STRONG: Kind(("fraction",), True,
                              lambda ds, seed, fraction, params, **_:
-                             affine_warp(ds, params or STRONG_AFFINE, fraction, seed,
-                                         kind=KIND_AFFINE_STRONG)),
+                             affine_warp(ds, params, fraction, seed, kind=KIND_AFFINE_STRONG)),
     KIND_AFFINE_MILD: Kind(("fraction",), True,
                            lambda ds, seed, fraction, params, **_:
-                           affine_warp(ds, params or MILD_AFFINE, fraction, seed,
-                                       kind=KIND_AFFINE_MILD)),
+                           affine_warp(ds, params, fraction, seed, kind=KIND_AFFINE_MILD)),
 }
 
 

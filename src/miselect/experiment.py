@@ -429,11 +429,11 @@ class _Run:
     ``train`` holds one training split at a time: the clean split, then each
     corruption's output as the scoring stage applies it. Once no later step
     reads raw features, the split is embedded in place and ``train`` holds
-    the embedded split, to which the later label flips apply. ``model`` is
-    the scoring stage's last PCA fit, with which the classifier stage
-    embeds the test split that it builds by ``make_test``. ``report`` holds
-    the report sections of the stages that ran, each added as its stage
-    runs; it becomes ExperimentReport.data."""
+    the embedded split, to which the later label flips apply. From the end
+    of the scoring stage, ``train`` is the split the classifier trains on,
+    and ``make_test`` builds the test split in the same features. ``report``
+    holds the report sections of the stages that ran, each added as its
+    stage runs; it becomes ExperimentReport.data."""
 
     cfg: dict               # the resolved config
     raw: dict               # the config as given, which the report embeds
@@ -443,9 +443,7 @@ class _Run:
     written: list = field(default_factory=list)
     train: LabeledDataset | None = None
     make_test: Callable[[], LabeledDataset] | None = None
-    model: object = None    # the last PCAModel the scoring stage fitted
-    embedded_train: LabeledDataset | None = None
-    embedded_hash: str | None = None  # dataset_content_hash of embedded_train
+    embedded_hash: str | None = None  # dataset_content_hash of the last split scored
     scores: object = None
     report: dict = field(default_factory=dict)
     selections: dict = field(default_factory=dict)
@@ -495,14 +493,16 @@ def _corrupt(run, index):
 
 
 def _scoring_stage(run):
-    """Score the clean split, then corrupt and score one stage at a time."""
+    """Score the clean split, then corrupt and score one stage at a time;
+    leave ``run.train`` and ``run.make_test`` in the classifier's features."""
     cache_dir = run.out / "cache" if run.out is not None else None
     corruptions, emb_cfg = run.cfg["corruptions"], run.cfg["embedding"]
+    on_raw = run.cfg["classifier"]["on_raw_features"]
     # raw features are read only by input corruptions (label flips read
     # none) and by a classifier on raw features: without the latter, the
     # fit of the last input corruption's output, or of the clean split when
     # there is none, is the last reader and embeds that split in place
-    last_raw = None if run.cfg["classifier"]["on_raw_features"] else max(
+    last_raw = None if on_raw else max(
         (i + 1 for i, cor in enumerate(corruptions) if KINDS[cor["kind"]].reads_features),
         default=0)
     run.report["corruption_stages"] = []
@@ -512,18 +512,16 @@ def _scoring_stage(run):
         # a label flip keeps the very feature array, and the same features
         # give the same PCA fit, so the previous fit and projection carry over
         if not refit:
-            projected = run.embedded_train.features
-            run.embedded_train = replace(run.train, features=projected, image_shape=None)
+            embedded = replace(run.train, features=embedded.features, image_shape=None)
         elif i == last_raw:
             # the fit centres the split's own array, and the embedded split replaces it
-            run.model, run.train = fit_pca_in_place(run.train, emb_cfg["dim"],
-                                                    whiten=emb_cfg["whiten"])
-            run.embedded_train = run.train
+            model, run.train = fit_pca_in_place(run.train, emb_cfg["dim"],
+                                                whiten=emb_cfg["whiten"])
+            embedded = run.train
         else:
-            run.model = fit_pca(run.train, emb_cfg["dim"], whiten=emb_cfg["whiten"])
-            run.embedded_train = transform(run.model, run.train)
-        scores, run.embedded_hash = _cached_scores(run.embedded_train, run.cfg["estimator"],
-                                                   cache_dir)
+            model = fit_pca(run.train, emb_cfg["dim"], whiten=emb_cfg["whiten"])
+            embedded = transform(model, run.train)
+        scores, run.embedded_hash = _cached_scores(embedded, run.cfg["estimator"], cache_dir)
         mi_by_stage.append(
             {
                 "stage": name,
@@ -533,6 +531,11 @@ def _scoring_stage(run):
                 "k_substitutions": scores.k_substitutions,
             }
         )
+    if not on_raw:
+        # the raw split goes here, also where no fit ran in place (the last
+        # input corruption rounded to no sample)
+        run.train, raw_make_test = embedded, run.make_test
+        run.make_test = lambda: transform(model, raw_make_test())
     run.scores = scores
     summary = {
         "mi_by_stage": mi_by_stage,
@@ -567,9 +570,8 @@ def _selection_stage(run):
         result = select(run.scores, run.train.labels, plan, num_classes=run.train.num_classes)
         run.selections[(plan.strategy, retention)] = result
         tag = f"selection/{scope}-{band}_r{_ratio_text(retention)}"
-        if run.out is not None:
-            save_selection(result, json_path=run.emit(f"{tag}.json"),
-                           index_path=run.emit(f"{tag}.idx"))
+        save_selection(result, json_path=run.emit(f"{tag}.json"),
+                       index_path=run.emit(f"{tag}.idx"))
 
 
 # (train split, test split, train's keyword arguments) in a forked
@@ -600,9 +602,10 @@ def _cell_accuracy(retained, *inputs):
     return evaluate(train(train_data, retained, **fit), test_data)["accuracy"]
 
 
-def _forked_accuracies(cells, inputs, workers):
-    """Accuracies of ``cells``, in order, from ``workers`` forked processes;
-    None where the platform offers no fork start method.
+def _cell_accuracies(cells, inputs, workers):
+    """Accuracies of ``cells``, in order: in this process at one worker or
+    where the platform offers no fork start method, else from ``workers``
+    forked processes.
 
     Each cell is a loop of short numpy calls that the GIL would serialise
     across threads. Fork hands the splits over without a copy, where spawn
@@ -611,22 +614,23 @@ def _forked_accuracies(cells, inputs, workers):
     manager thread. The process machinery is imported here, so that a run
     that trains in-process pays neither its import time nor its memory.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return None
-    try:
-        with ProcessPoolExecutor(
-            workers,
-            multiprocessing.get_context("fork"),
-            initializer=_init_cell_worker,
-            initargs=(os.getpid(), *inputs),
-        ) as pool:
-            return list(pool.map(_cell_accuracy, cells))
-    except BrokenProcessPool as exc:
-        raise MiselectError(f"a grid-cell worker process died: {exc}") from exc
+        if "fork" in multiprocessing.get_all_start_methods():
+            try:
+                with ProcessPoolExecutor(
+                    workers,
+                    multiprocessing.get_context("fork"),
+                    initializer=_init_cell_worker,
+                    initargs=(os.getpid(), *inputs),
+                ) as pool:
+                    return list(pool.map(_cell_accuracy, cells))
+            except BrokenProcessPool as exc:
+                raise MiselectError(f"a grid-cell worker process died: {exc}") from exc
+    return [_cell_accuracy(cell, *inputs) for cell in cells]
 
 
 def _classifier_stage(run):
@@ -634,14 +638,9 @@ def _classifier_stage(run):
     fit = {key: clf_cfg[key] for key in ("learning_rate", "epochs", "l2", "batch_size", "seed")}
     if fit["seed"] is None:
         fit["seed"] = stage_seed(run.master, "classifier") % (2**32)
-    # the test split is built only here, the one stage that reads it; a
-    # classifier on embedded features reads neither raw split, and dropping
-    # both before the pool forks keeps their pages out of every worker
-    if clf_cfg["on_raw_features"]:
-        inputs = (run.train, run.make_test(), fit)
-    else:
-        inputs = (run.embedded_train, transform(run.model, run.make_test()), fit)
-        run.train = None
+    # the test split is built only here, the one stage that reads it, in the
+    # features of the training split the scoring stage left
+    inputs = (run.train, run.make_test(), fit)
 
     # train() is a pure function of the retained indices, so plans that keep
     # the same set (every plan at ratio 1.0, for one) share one cell; cells
@@ -652,10 +651,7 @@ def _classifier_stage(run):
     for _, result in items:
         distinct.setdefault(result.retained_indices.tobytes(), result.retained_indices)
     cells = list(distinct.values())
-    workers = min(run.threads, len(cells))
-    accs = _forked_accuracies(cells, inputs, workers) if workers > 1 else None
-    if accs is None:
-        accs = [_cell_accuracy(cell, *inputs) for cell in cells]
+    accs = _cell_accuracies(cells, inputs, min(run.threads, len(cells)))
     by_set = dict(zip(distinct, accs))
     run.accuracy = {key: by_set[result.retained_indices.tobytes()] for key, result in items}
     run.report["accuracy"] = [

@@ -41,7 +41,7 @@ import numpy as np
 from ._util import is_number, write_json_atomic
 from .data import _frozen
 from .errors import (ConfigError, ConsistencyError, DegenerateInputError, DomainError, FormatError,
-                     MiselectError)
+                     IoError, MiselectError)
 from .neighbors import NeighborIndex, add_jitter
 
 SCORES_SCHEMA_VERSION = 2
@@ -383,15 +383,18 @@ def load_scores(path, points, k, variant=VARIANT_DISCRETE, strict=True, label_sc
     ``score_dataset``'s settings; returns (MIScoreSet, dataset_hash).
 
     The stored counts are taken on trust, and every other field is built
-    from them as the scorers build it. Raises FormatError when the file is
-    not a JSON object of this schema version, or its counts are missing or
-    not one integer in [0, N - 1] per sample.
+    from them as the scorers build it. Raises IoError when the file cannot
+    be opened or read, and FormatError when it is not a JSON object of this
+    schema version, or its counts are missing or not one integer in
+    [0, N - 1] per sample.
     """
     check_estimator(variant=variant)
     check_k(len(points.labels), k)
     try:
         with open(path) as f:
             payload = json.load(f)
+    except OSError as exc:
+        raise IoError(f"{path}: cannot read score artifact: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise FormatError(f"{path}: unreadable score artifact: {exc}") from exc
     if not isinstance(payload, dict):

@@ -150,6 +150,8 @@ def train(data, retained=None, learning_rate=0.1, epochs=300, l2=1e-4, batch_siz
     retained = np.asarray(retained, dtype=np.int64)
     if retained.size == 0:
         raise ConfigError("retained training set is empty")
+    if retained.min() < 0 or retained.max() >= data.n:
+        raise ConfigError(f"retained indices must lie in [0, {data.n})")
     labels = data.labels[retained]
     num_classes = data.num_classes
     n, dim = retained.size, data.dim

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import class_shares, is_number, round_half_even, write_atomic, write_json_atomic
+from .data import _frozen
 from .errors import ConfigError, ConsistencyError
 
 SCOPES = ("global", "class_wise")
@@ -45,6 +46,10 @@ class SelectionResult:
     retained_indices: np.ndarray
     plan: SelectionPlan
     per_class_counts: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "retained_indices", _frozen(self.retained_indices))
+        object.__setattr__(self, "per_class_counts", _frozen(self.per_class_counts))
 
     @property
     def size(self):

@@ -280,6 +280,22 @@ def test_affine_deterministic_and_kind_tagged():
     assert np.array_equal(a.labels, ds.labels)
 
 
+@pytest.mark.parametrize("kind, preset", [("affine_strong", ms.STRONG_AFFINE),
+                                          ("affine_mild", ms.MILD_AFFINE)])
+def test_affine_params_none_takes_the_preset_of_its_kind(kind, preset):
+    ds = _image_ds()
+    default = ms.affine_warp(ds, None, 0.3, 1, kind=kind)
+    assert np.array_equal(default.features, ms.affine_warp(ds, preset, 0.3, 1, kind=kind).features)
+    assert np.array_equal(default.features, ms.apply_corruption(ds, kind, 1, fraction=0.3).features)
+
+
+@pytest.mark.parametrize("params, kind", [(None, "gaussian"), ({}, "affine_strong"),
+                                          ("mild", "affine_mild")])
+def test_affine_params_that_are_not_affine_params_are_rejected(params, kind):
+    with pytest.raises(ConfigError, match="^params: must be AffineParams"):
+        ms.affine_warp(_image_ds(), params, 0.3, 1, kind=kind)
+
+
 def test_affine_dim_mismatch():
     ds = _blob_ds()
     with pytest.raises(ConfigError, match="requires an image dataset"):

@@ -369,12 +369,13 @@ def test_raw_splits_are_released_before_the_grid_forks(tmp_path, monkeypatch, on
     # must not fork from a parent that holds one; the report's dataset
     # section does not depend on it
     raw, alive = _record_splits(monkeypatch), []
+    cell_accuracies = experiment._cell_accuracies
 
     def recording_fork(cells, inputs, workers):
         alive.append([ref() is not None for ref in raw])
-        return None  # the cells then train in-process
+        return cell_accuracies(cells, inputs, workers)
 
-    monkeypatch.setattr(experiment, "_forked_accuracies", recording_fork)
+    monkeypatch.setattr(experiment, "_cell_accuracies", recording_fork)
     cfg = base_config()
     cfg["classifier"]["on_raw_features"] = on_raw
     run_experiment(cfg, out_dir=tmp_path, threads=2)
@@ -405,6 +406,43 @@ def test_only_the_classifier_stage_builds_the_test_split(tmp_path, monkeypatch, 
     assert len(tests) == (through == "train")
     assert [ds.features is test() for ds in embedded for test in tests].count(True) == (
         through == "train" and not on_raw)
+
+
+def test_scoring_stage_releases_the_raw_training_split(tmp_path, monkeypatch):
+    """CI's hybrid-noise config, whose last input corruption rounds to no
+    sample, so that no fit runs in place: no raw training split, the clean
+    one or any corruption's output, is alive once selection starts."""
+    raw = _record_splits(monkeypatch)
+    apply_corruption, select, alive = experiment.apply_corruption, experiment.select, []
+
+    def recording_corruption(*args, **kwargs):
+        out = apply_corruption(*args, **kwargs)
+        raw.append(weakref.ref(out.features))
+        return out
+
+    def recording_select(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in raw))
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "apply_corruption", recording_corruption)
+    monkeypatch.setattr(experiment, "select", recording_select)
+    cfg = {"schema_version": 1, "seed": 5,
+           "dataset": {"type": "synthetic_images", "num_classes": 4, "per_class_count": 60,
+                       "height": 12, "width": 12, "test_fraction": 0.25},
+           "embedding": {"dim": 8},
+           "corruptions": [{"kind": "gaussian", "noise_factor": 0.5, "fraction": 0.3},
+                           {"kind": "affine_strong", "fraction": 0.3,
+                            "params": {"rotation_deg": 30.0, "scale_range": [0.8, 1.2],
+                                       "shear_deg": 10.0, "translate_frac": 0.1}},
+                           {"kind": "label_flip", "rate": 0.2},
+                           {"kind": "affine_mild", "fraction": 0.3},
+                           {"kind": "gaussian", "noise_factor": 0.5, "fraction": 0.002}],
+           "selection": {"plans": [{"scope": "global", "band": "top"},
+                                   {"scope": "class_wise", "band": "random"}],
+                         "ratios": [0.5, 1.0]},
+           "classifier": {"epochs": 100}}
+    run_experiment(cfg, out_dir=tmp_path, through="select")
+    assert len(raw) == 6 and alive[0] == 0
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -490,6 +528,24 @@ def test_poisoned_score_cache_is_recomputed(tmp_path):
     assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
     assert {name: (out / name).read_bytes() for name in expected} == expected
     assert [entry.read_bytes() for entry in entries] == good
+
+
+def test_unreadable_score_cache_entry_is_rescored(tmp_path, monkeypatch):
+    """An entry the run cannot open is a miss: a warm run scores every
+    stage again, rewrites its entry and leaves the cold run's tree."""
+    path = _write_cfg(tmp_path, base_config(corruptions=[{"kind": "label_flip", "rate": 0.2}]))
+    out = tmp_path / "out"
+    assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
+    cold = read_tree(out)
+
+    def denying_open(file, *args, **kwargs):
+        raise PermissionError(errno.EACCES, "Permission denied", str(file))
+
+    monkeypatch.setattr(ksg, "open", denying_open, raising=False)
+    calls = _count_scoring(monkeypatch)
+    assert cli_main(["run", "--config", path, "--out", str(out)]) == 0
+    assert len(calls) == len([name for name in cold if name.startswith("cache/")]) == 2
+    assert read_tree(out) == cold
 
 
 def _truncate_entry(payload, n=10):

@@ -11,7 +11,7 @@ import miselect as ms
 from miselect import ksg, neighbors
 from miselect._util import write_json_atomic
 from miselect.errors import (ConfigError, ConsistencyError, DegenerateInputError, DomainError,
-                             FormatError)
+                             FormatError, IoError)
 import _oracle
 
 # ---------------------------------------------------------------------------
@@ -532,6 +532,13 @@ def test_score_artifact_malformed_raises_format_error(tmp_path):
     path.write_text(good)  # a one-hot entry holds n_y too
     with pytest.raises(FormatError, match="n_y"):
         ms.load_scores(path, emb, 2, variant=ksg.VARIANT_ONEHOT)
+
+
+def test_score_artifact_that_cannot_be_read_raises_io_error(tmp_path):
+    emb = ms.LabeledDataset.from_arrays(np.arange(6.0)[:, None], np.array([0, 0, 0, 1, 1, 1]))
+    for path in (tmp_path / "missing.json", tmp_path):
+        with pytest.raises(IoError, match="cannot read score artifact"):
+            ms.load_scores(path, emb, 2)
 
 
 # a field and the value every sample's entry of it is set to

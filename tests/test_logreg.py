@@ -184,6 +184,9 @@ def test_train_errors():
     emb = _blobs()
     with pytest.raises(ConfigError):
         ms.train(emb, retained=np.array([], dtype=int))
+    for retained in ([999], [-1], [0, emb.n]):
+        with pytest.raises(ConfigError, match=rf"retained indices must lie in \[0, {emb.n}\)"):
+            ms.train(emb, retained=retained)
     with pytest.raises(ConfigError):
         ms.train(emb, learning_rate=0.0)
     with pytest.raises(ConfigError):

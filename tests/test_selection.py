@@ -263,6 +263,13 @@ def test_nesting_of_top_selections():
         prev = kept
 
 
+def test_selection_result_arrays_are_read_only():
+    result = ms.select(SCORES, LABELS, _plan("class_wise", "random", 0.6, seed=0))
+    for arr in (result.retained_indices, result.per_class_counts):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 4
+
+
 def test_selection_export(tmp_path):
     result = ms.select(SCORES, LABELS, _plan("global", "top", 0.4))
     json_path = tmp_path / "sel.json"
