@@ -1,4 +1,4 @@
-"""Small shared helpers: number checks, rounding, apportioning, atomic file writes."""
+"""Small shared helpers: number checks, frozen arrays, rounding, apportioning, atomic writes."""
 
 import json
 import numbers
@@ -18,6 +18,17 @@ def is_number(v):
 def is_int(v, least=0):
     """An integer of at least ``least``, not a bool; numpy integers count."""
     return isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= least
+
+
+def frozen(arr):
+    """``arr`` C-contiguous and read-only, as every container holds an array: a
+    read-only array as itself, a writeable one as a read-only view of it. The
+    caller's array keeps its flags, so changing it changes the container."""
+    arr = np.ascontiguousarray(arr)
+    if arr.flags.writeable:
+        arr = arr.view()
+        arr.flags.writeable = False
+    return arr
 
 
 def round_half_even(x):

@@ -226,9 +226,9 @@ def affine_warp(ds, params, fraction, seed, *, kind=KIND_AFFINE_STRONG):
 
     Rotation, isotropic scale, shear and translation are drawn uniformly
     within ``params`` and composed about the image center; resampling is
-    bilinear with out-of-bounds reads as zero. ``kind`` sets the
-    provenance tag, and ``params`` None takes its preset: STRONG_AFFINE for
-    affine_strong, MILD_AFFINE for affine_mild.
+    bilinear with out-of-bounds reads as zero. ``kind``, affine_strong or
+    affine_mild, sets the provenance tag, and ``params`` None takes its
+    preset: STRONG_AFFINE for affine_strong, MILD_AFFINE for affine_mild.
     """
     check_corruption(fraction=fraction, seed=seed)
     if params is None:
@@ -236,6 +236,8 @@ def affine_warp(ds, params, fraction, seed, *, kind=KIND_AFFINE_STRONG):
     if not isinstance(params, AffineParams):
         raise ConfigError(f"params: must be AffineParams, or None with kind "
                           f"{KIND_AFFINE_STRONG} or {KIND_AFFINE_MILD}")
+    if kind not in (KIND_AFFINE_STRONG, KIND_AFFINE_MILD):
+        raise ConfigError(f"kind: {kind!r} must be {KIND_AFFINE_STRONG} or {KIND_AFFINE_MILD}")
     if ds.image_shape is None:
         raise ConfigError("affine corruption requires an image dataset")
     height, width = ds.image_shape

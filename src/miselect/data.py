@@ -17,19 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import class_shares, is_int, is_number, round_half_even
+from ._util import class_shares, frozen, is_int, is_number, round_half_even
 from .errors import ConfigError, ConsistencyError, FormatError, IoError
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 _GENERATE_CHUNK = 64  # image rows per batch of generate_pattern_images' arithmetic
-
-
-def _frozen(arr):
-    arr = np.ascontiguousarray(arr)
-    arr.flags.writeable = False
-    return arr
 
 
 @dataclass(frozen=True)
@@ -85,10 +79,10 @@ class LabeledDataset:
                 raise ConsistencyError("image_shape does not match feature dim")
             if lo < 0.0 or hi > 1.0:
                 raise ConsistencyError("image features must lie in [0, 1]")
-        object.__setattr__(self, "features", _frozen(feats))
-        object.__setattr__(self, "labels", _frozen(labels))
-        object.__setattr__(self, "original_labels", _frozen(original))
-        object.__setattr__(self, "input_corruption", _frozen(tags))
+        object.__setattr__(self, "features", frozen(feats))
+        object.__setattr__(self, "labels", frozen(labels))
+        object.__setattr__(self, "original_labels", frozen(original))
+        object.__setattr__(self, "input_corruption", frozen(tags))
 
     @classmethod
     def from_arrays(cls, features, labels, num_classes=None, image_shape=None):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _lapack
-from .data import _frozen
+from ._util import frozen, is_int
 from .errors import ConfigError, ConsistencyError, DegenerateInputError
 
 _ORTHO_TOL = 1e-8
@@ -46,9 +46,9 @@ class PcaModel:
             raise ConsistencyError("components are not orthonormal")
         if np.any(np.diff(ev) > 1e-12) or np.any(ev < -1e-12):
             raise ConsistencyError("explained_variance must be non-negative, non-increasing")
-        object.__setattr__(self, "mean", _frozen(mean))
-        object.__setattr__(self, "components", _frozen(comps))
-        object.__setattr__(self, "explained_variance", _frozen(np.maximum(ev, 0.0)))
+        object.__setattr__(self, "mean", frozen(mean))
+        object.__setattr__(self, "components", frozen(comps))
+        object.__setattr__(self, "explained_variance", frozen(np.maximum(ev, 0.0)))
 
     @property
     def source_dim(self):
@@ -57,7 +57,9 @@ class PcaModel:
 
 def check_dim(d, n, dim):
     """A PCA fit on N samples of ``dim`` features has 1 to min(N, dim) components."""
-    if not (1 <= d <= min(n, dim)):
+    if not is_int(d, 1):
+        raise ConfigError(f"dim: {d} must be a positive integer")
+    if d > min(n, dim):
         raise ConfigError(f"dim: {d} must lie in [1, min(N={n}, feature dim={dim})]")
 
 

@@ -220,6 +220,16 @@ _CONFIG = _fields(
 )
 
 
+# each generated dataset type: the record fields its generator takes, read with
+# .get (class_separation has no row above), and the fields whose product is the feature dim
+_GENERATED = {
+    "synthetic": (("num_classes", "per_class_count", "dim", "class_stddev", "class_means",
+                   "class_separation"), ("dim",)),
+    "synthetic_images": (("num_classes", "per_class_count", "height", "width", "noise",
+                          "jitter_px"), ("height", "width")),
+}
+
+
 def _cross_field(cfg):
     """The rules between fields of a filled config, in section order, on fields
     that passed their own rows: all but one are stages' own checks, given a
@@ -234,7 +244,7 @@ def _cross_field(cfg):
 
     ds = cfg.get("dataset", {})
     kind, classes = ds.get("type"), ds.get("num_classes")
-    sides = {"synthetic": ("dim",), "synthetic_images": ("height", "width")}.get(kind, ())
+    sides = _GENERATED[kind][1] if kind in _GENERATED else ()
     n_train = None
     if sides and {"num_classes", "per_class_count", "test_fraction", *sides} <= ds.keys():
         feature_dim = math.prod(ds[key] for key in sides)
@@ -311,16 +321,6 @@ class ExperimentReport:
     out_files: list
 
 
-# each generated dataset type's generator, named as in this module, and the
-# record fields it takes; the record also keeps keys the table does not name
-_GENERATORS = {
-    "synthetic": ("generate_synthetic", ("num_classes", "per_class_count", "dim",
-                                         "class_stddev", "class_means", "class_separation")),
-    "synthetic_images": ("generate_pattern_images", ("num_classes", "per_class_count",
-                                                     "height", "width", "noise", "jitter_px")),
-}
-
-
 def _build_dataset(ds_cfg, master_seed):
     """(train split, test split's size, a function that returns the test
     split), which only the classifier stage calls."""
@@ -335,17 +335,15 @@ def _build_dataset(ds_cfg, master_seed):
     data_seed = ds_cfg["seed"]
     if data_seed is None:
         data_seed = stage_seed(master_seed, "dataset")
-    name, keys = _GENERATORS[kind]
-    # looked up at call time, so that a generator wrapped on this module is
-    # the one called; each training sample goes straight into its row
-    train, make_test = globals()[name](
-        **{key: ds_cfg.get(key) for key in keys}, seed=data_seed,
+    # a global name is looked up at call time, so that a generator wrapped on
+    # this module is the one called; each training sample goes straight into its row
+    generate = generate_synthetic if kind == "synthetic" else generate_pattern_images
+    train, make_test = generate(
+        **{key: ds_cfg.get(key) for key in _GENERATED[kind][0]}, seed=data_seed,
         split=(ds_cfg["test_fraction"], stage_seed(master_seed, "split")),
     )
-    # the generator's split holds round(test_fraction * N) test samples
-    n_test = check_split(ds_cfg["num_classes"] * ds_cfg["per_class_count"],
-                         ds_cfg["test_fraction"])
-    return train, n_test, make_test
+    # the test split holds every generated sample the training split does not
+    return train, ds_cfg["num_classes"] * ds_cfg["per_class_count"] - train.n, make_test
 
 
 def _corruption_args(cor_cfg, index, master_seed):

@@ -38,8 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import is_number, write_json_atomic
-from .data import _frozen
+from ._util import frozen, is_int, is_number, write_json_atomic
 from .errors import (ConfigError, ConsistencyError, DegenerateInputError, DomainError, FormatError,
                      IoError, MiselectError)
 from .neighbors import NeighborIndex, add_jitter
@@ -125,11 +124,11 @@ class MIScoreSet:
             raise ConsistencyError("per-sample n_x counts must lie in [0, N-1]")
         if ny.size and (ny.min() < 0 or ny.max() > n - 1):
             raise ConsistencyError("per-sample n_y counts must lie in [0, N-1]")
-        object.__setattr__(self, "local_scores", _frozen(scores))
-        object.__setattr__(self, "per_sample_n_x", _frozen(nx))
-        object.__setattr__(self, "per_sample_n_y", _frozen(ny))
-        object.__setattr__(self, "k_effective", _frozen(keff))
-        object.__setattr__(self, "degenerate", _frozen(deg))
+        object.__setattr__(self, "local_scores", frozen(scores))
+        object.__setattr__(self, "per_sample_n_x", frozen(nx))
+        object.__setattr__(self, "per_sample_n_y", frozen(ny))
+        object.__setattr__(self, "k_effective", frozen(keff))
+        object.__setattr__(self, "degenerate", frozen(deg))
 
     @property
     def k_substitutions(self):
@@ -143,7 +142,9 @@ class MIScoreSet:
 
 def check_k(n, k):
     """The one check of k against the sample count N that every scorer makes."""
-    if not 1 <= k <= n - 2:
+    if not is_int(k, 1):
+        raise ConfigError(f"k: {k} must be a positive integer")
+    if k > n - 2:
         raise ConfigError(f"k: {k} must lie in [1, N - 2 = {n - 2}]")
 
 

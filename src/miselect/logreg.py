@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import is_int, is_number
-from .data import _frozen
+from ._util import frozen, is_int, is_number
 from .errors import ConfigError, ConsistencyError, DivergenceError
 
 
@@ -34,7 +33,7 @@ class LogRegModel:
             raise ConsistencyError("weights must have shape (C, d+1)")
         if not np.all(np.isfinite(w)):
             raise ConsistencyError("weights must be finite")
-        object.__setattr__(self, "weights", _frozen(w))
+        object.__setattr__(self, "weights", frozen(w))
 
 
 def _softmax(z):

@@ -17,6 +17,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from ._util import frozen, is_int
 from .errors import ConfigError, ConsistencyError
 
 JITTER_SCALE = 1e-10
@@ -133,20 +134,19 @@ class NeighborIndex:
     """Immutable index over a fixed point set; supports concurrent queries."""
 
     def __init__(self, points):
-        # always a copy, so freezing it never freezes the caller's array
+        # always a copy, so a later change to the caller's array never reaches the index
         points = np.array(points, dtype=np.float64, order="C")
         if points.ndim != 2 or 0 in points.shape:
             raise ConfigError("index needs a non-empty 2-D point array")
         if not np.all(np.isfinite(points)):
             raise ConfigError("index points must be finite")
-        points.flags.writeable = False
-        self.points = points
+        self.points = frozen(points)
 
     def kth_distance_bulk(self, k):
         """Distance to the kth nearest neighbor for every indexed point."""
         n = len(self.points)
-        if not (1 <= k <= n - 1):
-            raise ConfigError(f"k={k} must lie in [1, N-1={n - 1}]")
+        if not (is_int(k, 1) and k <= n - 1):
+            raise ConfigError(f"k={k} must be an integer in [1, N-1={n - 1}]")
         out = np.empty(n)
         # no radius bounds the kth, so every window is the whole set
         for rows, own, dist in _sweep(self.points, np.full(n, np.inf)):

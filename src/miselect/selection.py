@@ -16,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import class_shares, is_number, round_half_even, write_atomic, write_json_atomic
-from .data import _frozen
+from ._util import class_shares, frozen, is_number, round_half_even, write_atomic, write_json_atomic
 from .errors import ConfigError, ConsistencyError
 
 SCOPES = ("global", "class_wise")
@@ -48,8 +47,8 @@ class SelectionResult:
     per_class_counts: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "retained_indices", _frozen(self.retained_indices))
-        object.__setattr__(self, "per_class_counts", _frozen(self.per_class_counts))
+        object.__setattr__(self, "retained_indices", frozen(self.retained_indices))
+        object.__setattr__(self, "per_class_counts", frozen(self.per_class_counts))
 
     @property
     def size(self):

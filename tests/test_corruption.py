@@ -296,6 +296,16 @@ def test_affine_params_that_are_not_affine_params_are_rejected(params, kind):
         ms.affine_warp(_image_ds(), params, 0.3, 1, kind=kind)
 
 
+@pytest.mark.parametrize("kind", ["label_flip", "bogus", None])
+def test_affine_warp_rejects_a_kind_that_is_no_warp_before_any_draw(monkeypatch, kind):
+    def no_draw(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(corruption, "_choose", no_draw)
+    with pytest.raises(ConfigError, match="^kind: .* must be affine_strong or affine_mild"):
+        ms.affine_warp(_image_ds(), ms.STRONG_AFFINE, 0.3, 1, kind=kind)
+
+
 def test_affine_dim_mismatch():
     ds = _blob_ds()
     with pytest.raises(ConfigError, match="requires an image dataset"):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import miselect as ms
+from miselect._util import frozen
 from miselect.data import _template
 from miselect.experiment import _build_dataset, resolve
 from miselect.errors import ConfigError, ConsistencyError, FormatError, IoError
@@ -285,6 +286,65 @@ def test_dataset_immutable():
         ds.features[0, 0] = 99.0
     with pytest.raises(ValueError):
         ds.labels[0] = 1
+
+
+# each builds a container from arrays of the dtypes it holds, which it takes
+# without a conversion; returns (the arrays given, the arrays held)
+def _dataset():
+    given = (np.array([[0.0], [1.0], [3.0]]), np.array([0, 1, 0]), np.array([1, 1, 0]),
+             np.array(["", "gaussian", ""]))
+    ds = ms.LabeledDataset(*given[:2], 2, *given[2:])
+    return given, (ds.features, ds.labels, ds.original_labels, ds.input_corruption)
+
+
+def _dataset_from_arrays():
+    given = np.array([[0.0], [1.0], [3.0]]), np.array([0, 1, 0])
+    ds = ms.LabeledDataset.from_arrays(*given)
+    return given, (ds.features, ds.labels, ds.original_labels, ds.input_corruption)
+
+
+def _score_set():
+    given = (np.array([0.5, -0.25, 0.0]), np.array([1, 2, 1]), np.array([1, 1, 1]),
+             np.array([1, 1, 1]), np.zeros(3, dtype=bool))
+    scores = ms.MIScoreSet(given[0], 0.08, 1, 3, "discrete_label", *given[1:])
+    return given, (scores.local_scores, scores.per_sample_n_x, scores.per_sample_n_y,
+                   scores.k_effective, scores.degenerate)
+
+
+def _pca_model():
+    given = np.array([0.5, -1.0]), np.eye(2), np.array([2.0, 1.0])
+    model = ms.PcaModel(*given)
+    return given, (model.mean, model.components, model.explained_variance)
+
+
+def _logreg_model():
+    given = np.zeros((2, 3))
+    return (given,), (ms.LogRegModel(given, 2, 2).weights,)
+
+
+def _selection_result():
+    given = np.array([0, 2]), np.array([1, 1])
+    result = ms.SelectionResult(given[0], ms.SelectionPlan("global", "top", 0.5), given[1])
+    return given, (result.retained_indices, result.per_class_counts)
+
+
+@pytest.mark.parametrize("build", [_dataset, _dataset_from_arrays, _score_set, _pca_model,
+                                   _logreg_model, _selection_result])
+def test_container_holds_read_only_arrays_and_leaves_the_callers_writeable(build):
+    given, held = build()
+    assert all(a.flags.writeable for a in given)
+    assert not any(a.flags.writeable for a in held)
+
+
+def test_frozen_views_a_writeable_array_and_passes_a_read_only_one_through():
+    arr = np.arange(6.0).reshape(2, 3)
+    view = frozen(arr)
+    assert arr.flags.writeable and not view.flags.writeable
+    assert np.shares_memory(view, arr) and np.array_equal(view, arr)
+    assert frozen(view) is view
+    strided = frozen(arr[:, ::2])  # not C-contiguous: a read-only copy
+    assert strided.flags.c_contiguous and not strided.flags.writeable
+    assert not np.shares_memory(strided, arr)
 
 
 def test_pattern_images_shape_and_determinism():

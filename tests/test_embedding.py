@@ -183,6 +183,21 @@ def test_fit_pca_errors():
         ms.fit_pca(constant, 2)
 
 
+@pytest.mark.parametrize("d", [True, 2.5, 2.0])
+def test_fit_pca_rejects_a_dim_that_is_no_integer_before_any_work(monkeypatch, d):
+    def no_eigh(*args):
+        raise AssertionError("the eigensolver ran")
+
+    monkeypatch.setattr(_lapack, "eigh", no_eigh)
+    with pytest.raises(ConfigError, match="^dim: .* must be a positive integer"):
+        ms.fit_pca(_random_ds(n=10, dim=4), d)
+
+
+def test_fit_pca_takes_a_numpy_integer_dim():
+    ds = _random_ds(n=10, dim=4)
+    assert np.array_equal(ms.fit_pca(ds, np.int64(2)).components, ms.fit_pca(ds, 2).components)
+
+
 # rows of +-t centre to themselves (the mean is exactly 0); 1e-170 squares to
 # zero while 1e-160 squares to a subnormal, so only the first has no variance
 @pytest.mark.parametrize("tiny, degenerate", [(1e-170, True), (1e-162, True), (1e-160, False)])

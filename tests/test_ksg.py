@@ -465,6 +465,27 @@ def test_score_requires_enough_samples():
         ms.score_continuous(np.zeros((3, 1)), np.zeros((3, 1)), 3)
 
 
+@pytest.mark.parametrize("k", [True, 2.5, 2.0])
+def test_scorers_reject_a_k_that_is_no_integer(k):
+    emb = ms.LabeledDataset.from_arrays(np.arange(12.0).reshape(6, 2), [0, 0, 0, 1, 1, 1])
+    with pytest.raises(ConfigError, match="^k: .* must be a positive integer"):
+        ms.score_discrete(emb, k)
+    with pytest.raises(ConfigError, match="^k: .* must be a positive integer"):
+        ms.score_onehot(emb, k, label_scale=1.0)
+    with pytest.raises(ConfigError, match="must be an integer"):
+        ms.NeighborIndex(emb.features).kth_distance_bulk(k)
+
+
+def test_scorers_take_a_numpy_integer_k():
+    emb = ms.LabeledDataset.from_arrays(np.arange(16.0).reshape(8, 2) ** 1.5,
+                                        [0, 0, 0, 0, 1, 1, 1, 1])
+    scores = ms.score_discrete(emb, np.int64(3))
+    assert scores.k_substitutions == 0
+    assert np.array_equal(scores.local_scores, ms.score_discrete(emb, 3).local_scores)
+    kth = ms.NeighborIndex(emb.features).kth_distance_bulk(np.int64(3))
+    assert np.array_equal(kth, ms.NeighborIndex(emb.features).kth_distance_bulk(3))
+
+
 def two_pass_stats(values):
     mean = sum(values) / len(values)
     var = sum((v - mean) ** 2 for v in values) / len(values)
